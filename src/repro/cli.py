@@ -362,10 +362,8 @@ def cmd_prove(args) -> int:
     return status
 
 
-def _record_campaign_run(args, res, wall_s: float, jobs: int, batch: bool) -> None:
+def _record_campaign_run(args, res, wall_s: float, jobs: int, backend: str) -> None:
     """Persist one ``inject`` campaign as a run-ledger entry."""
-    import os
-
     from repro.obs import get_telemetry
     from repro.obs.ledger import RunLedger, git_revision, utc_timestamp
     from repro.parallel import effective_cores
@@ -384,9 +382,7 @@ def _record_campaign_run(args, res, wall_s: float, jobs: int, batch: bool) -> No
         "workload": args.program,
         "scheme": args.scheme,
         "fault_model": args.fault_model,
-        "backend": args.backend or os.environ.get("REPRO_SIM_BACKEND", "compiled"),
-        "snapshots": not args.no_snapshots,
-        "batch": batch,
+        "backend": backend,
         "trials": res.trials,
         "requested_trials": args.trials,
         "seed": args.seed,
@@ -438,7 +434,6 @@ def cmd_inject(args) -> int:
         frame_words=compiled.frame_words,
         fault_model=args.fault_model,
         backend=args.backend,
-        snapshots=not args.no_snapshots,
     )
     progress = None
     if args.progress:
@@ -458,13 +453,10 @@ def cmd_inject(args) -> int:
             args.trials, args.seed, reference_dyn=reference,
             progress=progress, heartbeat=args.heartbeat, jobs=jobs,
             checkpoint=args.checkpoint, resume=args.resume,
-            batch=args.batch,
         )
     wall_s = time.perf_counter() - t0
     if args.ledger:
-        _record_campaign_run(
-            args, res, wall_s, jobs, injector.resolve_batch(args.batch)
-        )
+        _record_campaign_run(args, res, wall_s, jobs, injector.interp.backend)
     rows = [
         [o.value, res.counts.get(o, 0), f"{res.fraction(o) * 100:.1f}%"]
         for o in OUTCOME_ORDER
@@ -905,21 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip shards already recorded in --checkpoint FILE",
     )
     _add_backend(p)
-    p.add_argument(
-        "--no-snapshots", action="store_true",
-        help="replay every trial from cycle 0 instead of resuming from the "
-        "nearest golden-run snapshot (results are bit-identical either way)",
-    )
-    p.add_argument(
-        "--batch", dest="batch", action="store_true", default=None,
-        help="batched trial engine: group trials by golden snapshot, advance "
-        "shared prefixes once, peel divergent trials to the scalar path "
-        "(default on the compiled backend; results are bit-identical)",
-    )
-    p.add_argument(
-        "--no-batch", dest="batch", action="store_false",
-        help="force the one-trial-at-a-time scalar campaign loop",
-    )
     p.add_argument(
         "--ledger", action="store_true",
         help="record this campaign in the content-addressed run ledger "

@@ -19,10 +19,13 @@ Methodology (paper §IV-C):
   its **detection latency** (dynamic instructions from injection to the
   ``CHKBR`` firing), and a watchdog bounds runaway executions.
 
-Trials execute on the sequential reference interpreter: outcome
-classification depends only on architectural state, and the interpreter
-sustains millions of instructions per second, which makes 300-trial
-campaigns cheap.
+Each backend runs trials through exactly one engine.  On ``compiled`` (the
+default) every trial — a campaign shard's, or a single
+:meth:`FaultInjector.run_trial` — goes through the batched group engine
+(:mod:`repro.sim.batch`), which resumes from golden-run snapshots, shares
+golden prefixes, and exits early at golden re-convergence.  On ``interp``
+every trial replays from reset with none of those shortcuts: that backend
+is the differential oracle the engine is held to, bit for bit.
 
 Campaigns are *sharded*: the trial budget is split into fixed
 :data:`~repro.parallel.SHARD_TRIALS`-sized shards and every shard draws
@@ -48,10 +51,8 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import os
 import statistics
 import time
-from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,13 +70,7 @@ from repro.faults.classify import (
     detection_latency,
 )
 from repro.faults.models import DEFAULT_FAULT_MODEL, get_fault_model
-from repro.ir.interp import (
-    ConvergenceIndex,
-    FaultSpec,
-    Interpreter,
-    RunResult,
-    Snapshot,
-)
+from repro.ir.interp import FaultSpec, Interpreter, RunResult, Snapshot
 from repro.ir.printer import canonical_program_text
 from repro.ir.program import Program
 from repro.isa.registers import RegClass
@@ -103,23 +98,24 @@ OnTrial = Callable[[Outcome, int, int | None], None]
 #: Watchdog budget = factor x golden dynamic instruction count.
 WATCHDOG_FACTOR = 25
 
-#: Default number of golden-run snapshots a checkpointing injector records.
-#: Each trial resumes from the nearest snapshot at or before its earliest
-#: fault, so the expected skipped prefix per trial is
-#: ``~(1 - 1/(2*count))`` of the fault position; 64 keeps the residual
-#: prefix under 1% of the golden run while the snapshots themselves stay a
-#: few MB for our workloads.
+#: Number of golden-run snapshots the compiled engine records.  Each trial
+#: group resumes from the nearest snapshot at or before its earliest fault,
+#: so the expected skipped prefix per trial is ``~(1 - 1/(2*count))`` of
+#: the fault position; 64 keeps the residual prefix under 1% of the golden
+#: run while the snapshots themselves stay a few MB for our workloads.
 SNAPSHOT_COUNT = 64
 
-#: Skip checkpointing entirely below this golden dynamic-instruction count —
+#: Skip snapshots entirely below this golden dynamic-instruction count —
 #: tiny programs replay faster than they restore.
 SNAPSHOT_MIN_DYN = 2_000
 
-#: Minimum seconds of estimated work per pool task: shards are grouped into
-#: tasks until each task carries at least this much, so cheap (batched)
-#: shards stop paying one IPC round trip each.  The *shard* stays the RNG
-#: and checkpoint unit — grouping never changes which stream a trial draws
-#: from (see docs/performance.md, "Adaptive task sizing").
+#: Minimum seconds of measured work per pool task: shards are grouped into
+#: tasks until each task carries at least this much, so cheap shards stop
+#: paying one IPC round trip each.  It also stands in for the per-shard cost
+#: when no calibration shard returned, which makes every task a single
+#: shard.  The *shard* stays the RNG and checkpoint unit — grouping never
+#: changes which stream a trial draws from (see docs/performance.md,
+#: "Adaptive task sizing").
 MIN_TASK_SECONDS = 0.25
 
 #: Default extra attempts for a shard whose pool worker died.
@@ -259,15 +255,14 @@ class WorkerProfile:
     """A parent injector's profiling results, packaged for pool workers.
 
     Everything :class:`FaultInjector` computes by *executing* the program —
-    the golden run, its wall cost, and the architectural snapshots — so a
-    worker-side rebuild only re-decodes the program (the compiled closures
-    don't pickle) and skips both golden replays.  Snapshots travel as a
+    the golden run and the architectural snapshots — so a worker-side
+    rebuild only re-decodes the program (the compiled closures don't
+    pickle) and skips both golden replays.  Snapshots travel as a
     :class:`~repro.sim.shared.SharedSnapshots` shared-memory handle, never
     as pickled register/memory arrays.
     """
 
     golden: RunResult
-    golden_run_seconds: float
     snapshots: SharedSnapshots | None
 
 
@@ -276,7 +271,7 @@ class CampaignWorkerSpec:
 
     ``key`` digests everything the built injector depends on (canonical
     program text, geometry, fault model, resolved backend, snapshot
-    config), so :func:`repro.parallel.worker_cached` can reuse one injector
+    count), so :func:`repro.parallel.worker_cached` can reuse one injector
     across every task — of every map — that shares the key.  ``payload``
     is pickled once in the parent (:class:`~repro.parallel.PickledOnce`):
     tasks ship the same immutable bytes, and a worker whose cache already
@@ -295,17 +290,12 @@ class CampaignWorkerSpec:
         # scheme) per worker, not once per map.
         with get_telemetry().span("worker:init", cat="worker") as sp:
             ctor_args, profile = self.payload.load()
-            (
-                program, mem_words, frame_words, fault_model,
-                backend, snapshots, snapshot_count,
-            ) = ctor_args
+            program, mem_words, frame_words, fault_model, backend = ctor_args
             injector = FaultInjector(
                 program, mem_words=mem_words, frame_words=frame_words,
-                fault_model=fault_model, backend=backend,
-                snapshots=snapshots, snapshot_count=snapshot_count,
-                profile=profile,
+                fault_model=fault_model, backend=backend, profile=profile,
             )
-            sp.set(fault_model=fault_model, snapshots=snapshots)
+            sp.set(fault_model=fault_model)
         return injector
 
     def __getstate__(self) -> tuple[str, PickledOnce]:
@@ -325,16 +315,11 @@ class FaultInjector:
         frame_words: int = 0,
         fault_model: str = DEFAULT_FAULT_MODEL,
         backend: str | None = None,
-        snapshots: bool = True,
-        snapshot_count: int = SNAPSHOT_COUNT,
         profile: WorkerProfile | None = None,
     ) -> None:
         # Kept so campaign shards can rebuild an identical injector inside
         # pool workers (the interpreter's compiled closures don't pickle).
-        self._ctor_args = (
-            program, mem_words, frame_words, fault_model,
-            backend, snapshots, snapshot_count,
-        )
+        self._ctor_args = (program, mem_words, frame_words, fault_model)
         self.program = program
         tel = get_telemetry()
         if profile is not None:
@@ -347,7 +332,6 @@ class FaultInjector:
                     backend=backend,
                 )
                 self.golden: RunResult = profile.golden
-                self.golden_run_seconds = profile.golden_run_seconds
                 if not self.golden.block_trace:
                     raise SimError("shipped golden profile carries no trace")
                 self._snapshots: list[Snapshot] = (
@@ -355,7 +339,6 @@ class FaultInjector:
                     if profile.snapshots is not None
                     else []
                 )
-                self._snap_keys: list[int] = [s.dyn for s in self._snapshots]
                 sp.set(
                     golden_dyn=self.golden.dyn_instructions,
                     snapshots=len(self._snapshots),
@@ -372,35 +355,28 @@ class FaultInjector:
                     program, mem_words=mem_words, frame_words=frame_words,
                     backend=backend,
                 )
-                t0 = time.perf_counter()
                 self.golden = self.interp.run(record_trace=True)
-                #: Wall cost of one fault-free execution — the calibration
-                #: input for adaptive pool task sizing
-                #: (estimated_shard_seconds).
-                self.golden_run_seconds = time.perf_counter() - t0
                 if not self.golden.block_trace:
                     raise SimError("profiling run produced no trace")
                 sp.set(golden_dyn=self.golden.dyn_instructions)
 
-            # Checkpointed injection: replay the golden run once more,
-            # recording architectural snapshots at ~snapshot_count evenly
-            # spaced points.  Each trial then restores the nearest snapshot
-            # at or before its earliest fault and executes only the suffix —
-            # bit-identical to a replay from zero, because the pre-fault
-            # prefix of every trial *is* the golden execution.
+            # The compiled engine replays the golden run once more, recording
+            # architectural snapshots at ~SNAPSHOT_COUNT evenly spaced points;
+            # each trial group then restores the nearest snapshot at or
+            # before its earliest fault — bit-identical to a replay from
+            # zero, because the pre-fault prefix of every trial *is* the
+            # golden execution.  The interp oracle records none.
             self._snapshots = []
-            self._snap_keys = []
             golden_dyn = self.golden.dyn_instructions
-            if snapshots and snapshot_count > 0 and golden_dyn >= SNAPSHOT_MIN_DYN:
+            if self.interp.backend == "compiled" and golden_dyn >= SNAPSHOT_MIN_DYN:
                 with tel.span(
                     "injector:snapshots", cat="campaign",
                     timer="campaign.snapshot_record.seconds",
                 ) as sp:
-                    interval = max(1, golden_dyn // snapshot_count)
+                    interval = max(1, golden_dyn // SNAPSHOT_COUNT)
                     self.interp.run(
                         snapshot_every=interval, snapshot_sink=self._snapshots
                     )
-                    self._snap_keys = [s.dyn for s in self._snapshots]
                     sp.set(snapshots=len(self._snapshots))
 
         # Per-block static tables.
@@ -439,7 +415,6 @@ class FaultInjector:
         self.model = get_fault_model(fault_model)
         self.model.prepare(self)
         self._batch_runner: BatchRunner | None = None
-        self._converge_index: ConvergenceIndex | None = None
         self._worker_spec: CampaignWorkerSpec | None = None
         #: Parent-side keepalive for exported shared-memory snapshots —
         #: workers attach by name, and the segment is unlinked when this
@@ -448,62 +423,54 @@ class FaultInjector:
             profile.snapshots if profile is not None else None
         )
 
-    # -- batched execution -------------------------------------------------------
-    def resolve_batch(self, batch: bool | None = None) -> bool:
-        """Resolve a ``batch`` choice: explicit arg > ``REPRO_BATCH`` > default.
-
-        The default is on for the compiled backend (batching is its
-        amortization layer) and off for interp, which stays the scalar
-        differential oracle.  Results are bit-identical either way.
-        """
-        if batch is None:
-            env = os.environ.get("REPRO_BATCH", "").strip().lower()
-            if env:
-                batch = env not in ("0", "false", "no", "off")
-            else:
-                batch = self.interp.backend == "compiled"
-        return bool(batch)
-
+    # -- the trial engine --------------------------------------------------------
     def batch_runner(self) -> BatchRunner:
-        """The (lazily built) batched group runner over this golden run.
-
-        The injector owns the :class:`ConvergenceIndex` (per-snapshot state
-        hashes) and hands the same handle to every runner it builds, so a
-        runner rebuild never re-hashes the snapshots.
-        """
+        """The compiled engine's (lazily built) group runner over this golden run."""
         if self._batch_runner is None:
-            if self._converge_index is None and self._snapshots:
-                self._converge_index = ConvergenceIndex(
-                    self._snapshots, self.golden
-                )
             self._batch_runner = BatchRunner(
                 self.interp,
                 self.golden,
                 self._snapshots,
                 self._visit_dyn_start,
                 self.max_steps,
-                converge=self._converge_index,
             )
         return self._batch_runner
 
-    def estimated_shard_seconds(self, batch: bool) -> float:
-        """Calibrated wall-cost estimate of one full campaign shard.
+    def _execute(
+        self, plans: list[TrialPlan], stats: GroupStats
+    ) -> dict[int, RunResult]:
+        """Run planned trials on this backend's engine, keyed by trial index.
 
-        Derived from the measured golden-run cost: a scalar trial resumes
-        from the nearest snapshot and executes on average about half the
-        program (the whole program without snapshots); a batched trial
-        amortizes the prefix and usually early-exits at the next snapshot
-        boundary, costing a small fraction of a golden run.  Only used to
-        size pool tasks — never affects results.
+        ``compiled`` runs them as snapshot-bucketed groups through
+        :class:`~repro.sim.batch.BatchRunner`, accumulating what the groups
+        amortized into ``stats``.  ``interp`` is the oracle: every trial
+        replays from reset with no snapshot, convergence exit or trace
+        guide, and ``stats`` stays empty.
         """
-        golden = max(self.golden_run_seconds, 1e-6)
-        if batch and self._snapshots:
-            per_trial = golden * 0.05
-        elif self._snapshots:
-            per_trial = golden * 0.6
-        else:
-            per_trial = golden
-        return SHARD_TRIALS * per_trial
+        if self.interp.backend != "compiled":
+            return {
+                plan.index: self.interp.run(
+                    faults=plan.faults, max_steps=self.max_steps
+                )
+                for plan in plans
+            }
+        tel = get_telemetry()
+        runner = self.batch_runner()
+        results: dict[int, RunResult] = {}
+        for group in runner.plan(plans):
+            # One span per *group*, not per trial: batch lanes in the
+            # Chrome trace show the shared-prefix amortization without
+            # breaking the per-shard telemetry batching contract.
+            with tel.span(
+                "batch:group", cat="batch", snap=group.snap_index,
+                trials=len(group.trials),
+            ):
+                runner.run_group(
+                    group,
+                    lambda plan, result: results.__setitem__(plan.index, result),
+                    stats,
+                )
+        return results
 
     def worker_spec(self) -> CampaignWorkerSpec:
         """The content-addressed build recipe pool workers cache this injector by.
@@ -516,33 +483,17 @@ class FaultInjector:
         from the parent.
         """
         if self._worker_spec is None:
-            (
-                program, mem_words, frame_words, fault_model,
-                _backend, snapshots, snapshot_count,
-            ) = self._ctor_args
+            ctor_args = (*self._ctor_args, self.interp.backend)
             digest = hashlib.sha256()
-            digest.update(canonical_program_text(program).encode())
-            digest.update(
-                repr((
-                    mem_words, frame_words, fault_model, self.interp.backend,
-                    snapshots, snapshot_count, len(self._snapshots),
-                )).encode()
-            )
+            digest.update(canonical_program_text(ctor_args[0]).encode())
+            digest.update(repr((*ctor_args[1:], len(self._snapshots))).encode())
             shared = (
                 SharedSnapshots.export(self._snapshots)
                 if self._snapshots
                 else None
             )
             self._shared_snapshots = shared
-            profile = WorkerProfile(
-                golden=self.golden,
-                golden_run_seconds=self.golden_run_seconds,
-                snapshots=shared,
-            )
-            ctor_args = (
-                program, mem_words, frame_words, fault_model,
-                self.interp.backend, snapshots, snapshot_count,
-            )
+            profile = WorkerProfile(golden=self.golden, snapshots=shared)
             self._worker_spec = CampaignWorkerSpec(
                 digest.hexdigest(), PickledOnce((ctor_args, profile))
             )
@@ -615,25 +566,10 @@ class FaultInjector:
         return tuple(sample(self, rng) for _ in range(n))
 
     # -- the campaign -----------------------------------------------------------
-    def _snapshot_for(self, faults: tuple[FaultSpec, ...]) -> Snapshot | None:
-        """Nearest golden snapshot at or before the earliest fault, if any.
-
-        A fault at ``dyn_index`` fires once ``dyn_index + 1`` instructions
-        have committed, so any snapshot with ``dyn <= dyn_index`` is safe.
-        """
-        if not self._snap_keys:
-            return None
-        first = min(f.dyn_index for f in faults)
-        i = bisect_right(self._snap_keys, first) - 1
-        return self._snapshots[i] if i >= 0 else None
-
     def run_trial(self, faults: tuple[FaultSpec, ...]) -> Outcome:
-        result = self.interp.run(
-            faults=faults,
-            max_steps=self.max_steps,
-            resume_from=self._snapshot_for(faults) if faults else None,
-        )
-        return classify(self.golden, result)
+        """Classify one trial, run as a one-trial group on this backend's engine."""
+        result = self._execute([TrialPlan(index=0, faults=faults)], GroupStats())
+        return classify(self.golden, result[0])
 
     def run_shard(
         self,
@@ -642,35 +578,29 @@ class FaultInjector:
         seed: int,
         reference_dyn: int | None = None,
         on_trial: OnTrial | None = None,
-        batch: bool | None = None,
     ) -> ShardResult:
         """Run one campaign shard.
 
         The shard's RNG stream is fully determined by ``(seed,
         shard_index)``, so shards can execute in any order, in any process,
         and still reproduce the same outcomes — the property checkpoint
-        resume and crash retry both lean on.  ``on_trial(outcome, n_faults,
-        latency)`` fires after every trial (serial mode uses it for
-        per-trial telemetry and progress heartbeats; ``latency`` is ``None``
-        for non-detected trials).
-
-        ``batch`` selects the batched group engine (:mod:`repro.sim.batch`):
-        faults for every trial are pre-drawn in trial order from the same
-        RNG stream (executions never consume RNG, so the draw sequence is
-        untouched), trials run grouped by shared golden prefix, and
-        classification / latency / ``on_trial`` still happen in trial order
-        — the shard's :class:`ShardResult` is bit-identical either way.
+        resume and crash retry both lean on.  Faults for every trial are
+        drawn up front in trial order (executions never consume RNG), the
+        engine is then free to run trials in group order, and
+        classification, latencies and ``on_trial(outcome, n_faults,
+        latency)`` happen in trial order again (serial mode uses the
+        callback for per-trial telemetry and progress heartbeats;
+        ``latency`` is ``None`` for non-detected trials).
         """
-        if self.resolve_batch(batch):
-            return self._run_shard_batched(
-                shard_index, shard_trials, seed, reference_dyn, on_trial
-            )
         tel = get_telemetry()
         rng = make_rng(seed, "fault-campaign", shard_index)
+        plans = [
+            TrialPlan(index=t, faults=self.faults_for_trial(rng, reference_dyn))
+            for t in range(shard_trials)
+        ]
+        total_faults = sum(len(plan.faults) for plan in plans)
+        stats = GroupStats()
         counts: dict[Outcome, int] = {}
-        total_faults = 0
-        restores = 0
-        skipped = 0
         latencies: list[int] = []
         # One span and one batch of counter updates per *shard*: telemetry
         # must never flush per trial (the batching contract worker capture
@@ -679,85 +609,7 @@ class FaultInjector:
             "shard", cat="campaign", timer="campaign.shard.seconds",
             shard=shard_index, trials=shard_trials,
         ) as sp:
-            for _ in range(shard_trials):
-                faults = self.faults_for_trial(rng, reference_dyn)
-                total_faults += len(faults)
-                snap = self._snapshot_for(faults)
-                if snap is not None:
-                    restores += 1
-                    skipped += snap.dyn
-                result = self.interp.run(
-                    faults=faults, max_steps=self.max_steps, resume_from=snap
-                )
-                outcome = classify(self.golden, result)
-                counts[outcome] = counts.get(outcome, 0) + 1
-                latency = detection_latency(result, faults)
-                if latency is not None:
-                    latencies.append(latency)
-                if on_trial is not None:
-                    on_trial(outcome, len(faults), latency)
-            if restores:
-                tel.count("campaign.snapshot_restores", restores)
-                tel.count("campaign.cycles_skipped", skipped)
-            sp.set(faults=total_faults, restores=restores, skipped_dyn=skipped)
-        return ShardResult(
-            index=shard_index,
-            trials=shard_trials,
-            counts=counts,
-            faults=total_faults,
-            latencies=tuple(latencies),
-        )
-
-    def _run_shard_batched(
-        self,
-        shard_index: int,
-        shard_trials: int,
-        seed: int,
-        reference_dyn: int | None,
-        on_trial: OnTrial | None,
-    ) -> ShardResult:
-        """Batched variant of :meth:`run_shard` — same contract, same bits.
-
-        The RNG draws happen up front in trial order (bit-identical to the
-        scalar loop, which also draws before executing and never consumes
-        RNG during a run); execution is then free to proceed in group
-        order.  Results are re-emitted in trial order so outcome counts,
-        the latency tuple, and ``on_trial`` callbacks are indistinguishable
-        from the scalar path.
-        """
-        tel = get_telemetry()
-        rng = make_rng(seed, "fault-campaign", shard_index)
-        plans: list[TrialPlan] = []
-        total_faults = 0
-        for t in range(shard_trials):
-            faults = self.faults_for_trial(rng, reference_dyn)
-            total_faults += len(faults)
-            plans.append(TrialPlan(index=t, faults=faults))
-
-        runner = self.batch_runner()
-        results: dict[int, RunResult] = {}
-        stats = GroupStats()
-        counts: dict[Outcome, int] = {}
-        latencies: list[int] = []
-        with tel.span(
-            "shard", cat="campaign", timer="campaign.shard.seconds",
-            shard=shard_index, trials=shard_trials, batch=True,
-        ) as sp:
-            for group in runner.plan(plans):
-                # One span per *group*, not per trial: batch lanes in the
-                # Chrome trace show the shared-prefix amortization without
-                # breaking the per-shard telemetry batching contract.
-                with tel.span(
-                    "batch:group", cat="batch", snap=group.snap_index,
-                    trials=len(group.trials),
-                ):
-                    runner.run_group(
-                        group,
-                        lambda plan, result: results.__setitem__(
-                            plan.index, result
-                        ),
-                        stats,
-                    )
+            results = self._execute(plans, stats)
             for plan in plans:
                 result = results[plan.index]
                 outcome = classify(self.golden, result)
@@ -770,11 +622,12 @@ class FaultInjector:
             if stats.restores:
                 tel.count("campaign.snapshot_restores", stats.restores)
                 tel.count("campaign.cycles_skipped", stats.skipped_dyn)
-            tel.count("campaign.batch_groups", stats.groups)
-            tel.count("campaign.batch_trials", shard_trials)
-            tel.count("campaign.batch_converged", stats.converged)
-            tel.count("campaign.batch_golden_dyn", stats.golden_advanced)
-            tel.count("campaign.batch_guided_visits", stats.guided_visits)
+            if stats.groups:
+                tel.count("campaign.batch_groups", stats.groups)
+                tel.count("campaign.batch_trials", shard_trials)
+                tel.count("campaign.batch_converged", stats.converged)
+                tel.count("campaign.batch_golden_dyn", stats.golden_advanced)
+                tel.count("campaign.batch_guided_visits", stats.guided_visits)
             sp.set(
                 faults=total_faults, groups=stats.groups,
                 restores=stats.restores, skipped_dyn=stats.skipped_dyn,
@@ -801,7 +654,6 @@ class FaultInjector:
         retries: int = SHARD_RETRIES,
         retry_backoff: float = SHARD_RETRY_BACKOFF,
         shard_timeout: float | None = None,
-        batch: bool | None = None,
     ) -> CampaignResult:
         """Run ``trials`` Monte-Carlo trials and aggregate the outcomes.
 
@@ -833,15 +685,10 @@ class FaultInjector:
         ``campaign.detection_latency`` histogram, and in serial mode every
         trial additionally emits one instant event carrying its outcome
         and fault count.
-
-        ``batch`` selects the batched group engine for each shard (``None``
-        resolves via ``REPRO_BATCH`` and the backend default — see
-        :meth:`resolve_batch`); outcome counts are bit-identical either
-        way.
         """
         tel = get_telemetry()
         jobs = resolve_jobs(jobs)
-        batch = self.resolve_batch(batch)
+        backend = self.interp.backend
         shard_plan = plan_shards(trials, SHARD_TRIALS)
         counts: dict[Outcome, int] = {}
         state = {"faults": 0, "latency_sum": 0, "latency_n": 0}
@@ -890,13 +737,13 @@ class FaultInjector:
         tel.event(
             "campaign-start", trials=trials, seed=seed, jobs=jobs,
             shards=len(shard_plan), fault_model=self.fault_model,
-            resumed_shards=len(done), batch=batch,
+            resumed_shards=len(done), backend=backend,
         )
         with tel.span(
             "campaign", cat="campaign", timer="campaign.seconds",
             trials=trials, seed=seed, jobs=jobs, shards=len(shard_plan),
             fault_model=self.fault_model, resumed_shards=len(done),
-            golden_dyn=self.golden.dyn_instructions, batch=batch,
+            golden_dyn=self.golden.dyn_instructions, backend=backend,
         ) as sp:
             for index in sorted(done):
                 absorb(done[index], fresh=False)
@@ -907,13 +754,12 @@ class FaultInjector:
                 self._run_shards_serial(
                     remaining, seed, reference_dyn, tracker, counts, tel,
                     state, ckpt, progress_on=progress is not None,
-                    batch=batch,
                 )
             else:
                 self._run_shards_pool(
                     remaining, seed, reference_dyn, jobs, absorb, lost_shards,
                     retries=retries, retry_backoff=retry_backoff,
-                    shard_timeout=shard_timeout, batch=batch,
+                    shard_timeout=shard_timeout,
                 )
             lost_trials = sum(shard_plan[index] for index in lost_shards)
             completed = sum(counts.values())
@@ -961,7 +807,6 @@ class FaultInjector:
         state: dict[str, int],
         ckpt: CampaignCheckpoint | None,
         progress_on: bool,
-        batch: bool = False,
     ) -> None:
         """In-process shard loop with per-trial telemetry + heartbeats.
 
@@ -991,7 +836,7 @@ class FaultInjector:
 
             sr = self.run_shard(
                 shard_index, shard_trials, seed, reference_dyn,
-                on_trial=on_trial, batch=batch,
+                on_trial=on_trial,
             )
             state["faults"] += sr.faults
             state["latency_sum"] += sum(sr.latencies)
@@ -1017,7 +862,6 @@ class FaultInjector:
         retries: int,
         retry_backoff: float,
         shard_timeout: float | None = None,
-        batch: bool = False,
     ) -> None:
         """Fan shards out over a process pool; merge as they complete.
 
@@ -1027,12 +871,12 @@ class FaultInjector:
         once otherwise):
 
         1. a *calibration* wave of up to ``jobs`` single-shard tasks, whose
-           measured wall cost replaces the golden-run-derived estimate;
+           wall cost is measured;
         2. the rest, grouped by :func:`~repro.parallel.plan_task_groups`
            around the **median measured** per-shard cost (see
            :data:`MIN_TASK_SECONDS`), so dispatch granularity tracks what
-           shards actually cost on this machine rather than a static
-           guess.
+           shards actually cost on this machine.  When no calibration task
+           returned, every remaining task carries a single shard.
 
         Grouping and wave boundaries only decide *dispatch*; the shard
         remains the RNG / checkpoint / retry-accounting unit — a lost task
@@ -1048,7 +892,7 @@ class FaultInjector:
             shards: list[tuple[int, int]], groups: list[range]
         ) -> None:
             tasks = [
-                (spec, [shards[i] for i in g], seed, reference_dyn, batch)
+                (spec, [shards[i] for i in g], seed, reference_dyn)
                 for g in groups
             ]
 
@@ -1089,9 +933,7 @@ class FaultInjector:
             rest = remaining[first:]
             if rest:
                 est = (
-                    statistics.median(measured)
-                    if measured
-                    else self.estimated_shard_seconds(batch)
+                    statistics.median(measured) if measured else MIN_TASK_SECONDS
                 )
                 run_wave(
                     rest,
@@ -1102,7 +944,7 @@ class FaultInjector:
 
 
 def _campaign_task_worker(
-    task: tuple[CampaignWorkerSpec, list[tuple[int, int]], int, int | None, bool],
+    task: tuple[CampaignWorkerSpec, list[tuple[int, int]], int, int | None],
 ) -> tuple[float, list[ShardResult]]:
     """Run a cost-calibrated group of shards in one pool dispatch.
 
@@ -1114,16 +956,14 @@ def _campaign_task_worker(
     """
     from repro.chaos import chaos_point
 
-    spec, shards, seed, reference_dyn, batch = task
+    spec, shards, seed, reference_dyn = task
     injector: FaultInjector = worker_cached(spec.key, spec.build)
     out: list[ShardResult] = []
     t0 = time.perf_counter()
     for shard_index, shard_trials in shards:
         chaos_point("worker.shard")
         out.append(
-            injector.run_shard(
-                shard_index, shard_trials, seed, reference_dyn, batch=batch
-            )
+            injector.run_shard(shard_index, shard_trials, seed, reference_dyn)
         )
     return (time.perf_counter() - t0, out)
 
@@ -1142,18 +982,16 @@ def run_campaign(
     checkpoint: str | Path | None = None,
     resume: bool = False,
     backend: str | None = None,
-    snapshots: bool = True,
     shard_timeout: float | None = None,
-    batch: bool | None = None,
 ) -> CampaignResult:
     """Convenience wrapper: profile + campaign in one call."""
     injector = FaultInjector(
         program, mem_words=mem_words, frame_words=frame_words,
-        fault_model=fault_model, backend=backend, snapshots=snapshots,
+        fault_model=fault_model, backend=backend,
     )
     return injector.run_campaign(
         trials, seed, reference_dyn=reference_dyn,
         progress=progress, heartbeat=heartbeat, jobs=jobs,
         checkpoint=checkpoint, resume=resume,
-        shard_timeout=shard_timeout, batch=batch,
+        shard_timeout=shard_timeout,
     )

@@ -131,7 +131,7 @@ class ConvergenceIndex:
     with its own synthesized output.  Purely an early exit either way: a
     run that never matches is byte-identical to one executed without the
     index, and a run that matches returns exactly what executing the
-    suffix would have produced (asserted by the three-way parity tests).
+    suffix would have produced (asserted by the engine/oracle parity tests).
 
     ``hits`` counts early exits taken against this index (telemetry only).
     """
@@ -689,9 +689,9 @@ class Interpreter:
         that keep matching the golden control flow run through a tight
         chunked loop instead of the general dispatch loop, falling back
         here the moment a jump disagrees with the trace.  Purely a faster
-        engine for the same instruction stream (see :class:`TraceGuide`);
-        ignored on unfused backends and for trace-recording/snapshotting
-        runs, which need per-block bookkeeping.
+        engine for the same instruction stream (see :class:`TraceGuide`).
+        Only the compiled trial engine passes one, and never together with
+        trace recording or snapshotting, which need per-block bookkeeping.
         """
         R, M, O = self._R, self._M, self._O
         if resume_from is None:
@@ -723,12 +723,7 @@ class Interpreter:
         g_vds = g_labels = g_occ = g_keyvisits = None
         g_nkeys = g_last = 0
         g_floor = g_fails = g_skip = 0
-        if (
-            guide is not None
-            and trace is None
-            and next_mark < 0
-            and fused is not None
-        ):
+        if guide is not None:
             g_pairs = guide.pairs
             g_vds = guide.vds
             g_labels = guide.labels

@@ -115,7 +115,6 @@ def _handle_inject(job: Job, ctx: RunContext) -> dict:
         frame_words=compiled.frame_words,
         fault_model=spec.get("fault_model", "reg-bit"),
         backend=spec.get("backend"),
-        snapshots=bool(spec.get("snapshots", True)),
     )
     ctx.check()
 
@@ -133,7 +132,6 @@ def _handle_inject(job: Job, ctx: RunContext) -> dict:
         checkpoint=ctx.store.checkpoint_path(job.id),
         resume=True,  # a fresh job simply finds no prior shards
         shard_timeout=ctx.shard_timeout,
-        batch=spec.get("batch"),
     )
     result = {
         "kind": "inject",

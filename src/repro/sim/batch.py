@@ -3,9 +3,8 @@
 Every trial in a Monte-Carlo campaign shares the golden control flow until
 its first injected fault diverges — the same amortize-the-redundancy
 structure MEEK exploits for cheap parallel error detection and RepTFD
-exploits by replaying against a single reference trace.  The scalar path
-already leans on it once (each trial resumes from the nearest golden
-snapshot); this module leans on it *per group*:
+exploits by replaying against a single reference trace.  This module
+leans on it *per group*:
 
 1. **Group planning** (:func:`plan_groups`): a shard's trials are bucketed
    by the nearest golden snapshot at or before their earliest fault, then
@@ -17,22 +16,25 @@ snapshot); this module leans on it *per group*:
    instead of each trial re-executing the prefix privately.
 3. **Divergence peel-off**: at the block boundary where a trial's first
    fault lands, its state is forked (trials whose faults share a block
-   share the fork) and the trial peels off to the existing scalar
-   :meth:`~repro.ir.interp.Interpreter.run` path, which applies faults
-   byte-identically to a scalar campaign.
+   share the fork) and the trial peels off to
+   :meth:`~repro.ir.interp.Interpreter.run`, which applies faults exactly
+   as a replay from reset does, and runs its suffix trace-guided.
 4. **Golden re-convergence early exit**: peeled trials carry a
    :class:`~repro.ir.interp.ConvergenceIndex`; once all faults are applied
    a trial whose state matches the golden state at a snapshot boundary is
    finished immediately with the golden final result (masked faults stop
    costing a full program suffix).
 
-Each step preserves the determinism contract: faults are pre-drawn in
-trial order from the untouched per-shard RNG stream, peel-off runs are the
-scalar path itself, and the convergence exit returns exactly the
-:class:`RunResult` a full replay would have produced — so a batched
-campaign's :class:`~repro.faults.injector.CampaignResult` is bit-identical
-to scalar and interp runs (asserted across the workload x scheme x fault
-model matrix in ``tests/test_batch.py``).  See ``docs/performance.md``.
+This is the compiled backend's only campaign engine; a single trial is a
+one-trial group.  Each step preserves the determinism contract: faults are
+pre-drawn in trial order from the untouched per-shard RNG stream, peel-off
+applies faults through the same run loop a replay from reset uses, and
+the convergence exit returns exactly the :class:`RunResult` a full replay
+would have produced — so a campaign's
+:class:`~repro.faults.injector.CampaignResult` is bit-identical to the
+interp backend's replay-from-zero oracle (asserted across the workload x
+scheme x fault model matrix in ``tests/test_batch.py``).  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -91,8 +93,6 @@ class GroupStats:
     skipped_dyn: int = 0
     #: Trials finished by the golden re-convergence early exit.
     converged: int = 0
-    #: Trials peeled off to the scalar path (all of them, by construction).
-    peeled: int = 0
     #: Post-fault block visits executed by the trace-guided fast path.
     guided_visits: int = 0
 
@@ -103,8 +103,10 @@ def plan_groups(
     """Bucket trials by nearest snapshot at or before their earliest fault.
 
     A pure function of the trial plans and the snapshot positions — the
-    grouping never touches the RNG, so batched and scalar campaigns draw
-    identical fault sequences.  Groups are returned in snapshot order and
+    grouping never touches the RNG, so the engine and the interp oracle
+    draw identical fault sequences.  A fault at ``dyn_index`` fires once
+    ``dyn_index + 1`` instructions have committed, so any snapshot with
+    ``dyn <= dyn_index`` is a safe resume point.  Groups are returned in snapshot order and
     trials inside a group in (first fault, trial index) order, which makes
     the shared prefix advance strictly forward.
     """
@@ -126,10 +128,11 @@ def plan_groups(
 class BatchRunner:
     """Run planned trial groups against one profiled golden execution.
 
-    Built once per :class:`~repro.faults.injector.FaultInjector` (lazily,
-    on the first batched shard) from the injector's golden run, snapshot
-    list and visit table; stateless across shards apart from the shared
-    interpreter whose state every run resets or restores anyway.
+    Built once per compiled-backend
+    :class:`~repro.faults.injector.FaultInjector` (lazily, on its first
+    trial) from the injector's golden run, snapshot list and visit table;
+    stateless across shards apart from the shared interpreter whose state
+    every run resets or restores anyway.
     """
 
     def __init__(
@@ -139,7 +142,6 @@ class BatchRunner:
         snapshots: list[Snapshot],
         visit_dyn_start: np.ndarray,
         max_steps: int,
-        converge: ConvergenceIndex | None = None,
     ) -> None:
         self.interp = interp
         self.golden = golden
@@ -149,20 +151,11 @@ class BatchRunner:
         self.max_steps = max_steps
         self._trace = golden.block_trace
         self._advancer = TraceAdvancer(interp, golden.block_trace)
-        # An owner that rebuilds runners (e.g. an injector whose batch
-        # runner is recreated) can pass its ConvergenceIndex handle so the
-        # per-snapshot state hashing is paid once, not per rebuild.
         self._converge = (
-            converge
-            if converge is not None
-            else (ConvergenceIndex(snapshots, golden) if snapshots else None)
+            ConvergenceIndex(snapshots, golden) if snapshots else None
         )
-        # Trace-guided suffix execution needs the fused (compiled) backend;
-        # the interp backend stays the plain differential oracle.
-        self._guide = (
-            TraceGuide(interp, golden, visit_dyn_start, self.snap_keys)
-            if interp._fused is not None and golden.block_trace
-            else None
+        self._guide: TraceGuide | None = TraceGuide(
+            interp, golden, visit_dyn_start, self.snap_keys
         )
 
     def plan(self, plans: list[TrialPlan]) -> list[BatchGroup]:
@@ -220,8 +213,8 @@ class BatchRunner:
             stats.skipped_dyn += fork.dyn
         stats.golden_advanced += int(vds[cur_visit]) - start_dyn
 
-        # Phase 2 — divergence peel-off: each trial runs the scalar path
-        # from its fork, with the convergence index as its early exit.
+        # Phase 2 — divergence peel-off: each trial runs from its fork,
+        # trace-guided, with the convergence index as its early exit.
         converge = self._converge
         guide = self._guide
         hits0 = converge.hits if converge is not None else 0
@@ -234,20 +227,8 @@ class BatchRunner:
                 converge=converge,
                 guide=guide,
             )
-            stats.peeled += 1
             emit(plan, result)
         if converge is not None:
             stats.converged += converge.hits - hits0
         if guide is not None:
             stats.guided_visits += guide.visits - guided0
-
-    def run_shard_plans(
-        self,
-        plans: list[TrialPlan],
-        emit: Callable[[TrialPlan, RunResult], None],
-    ) -> GroupStats:
-        """Plan and run one shard's trials; returns the amortization stats."""
-        stats = GroupStats()
-        for group in self.plan(plans):
-            self.run_group(group, emit, stats)
-        return stats

@@ -359,9 +359,7 @@ class TraceAdvancer:
     block trace), none of the interpreter run loop's bookkeeping — fault
     scheduling, watchdog accounting, jump decoding — is needed: the prefix
     is a flat list of the pre-fused superblock callables, and advancing is
-    one Python-level loop over a slice of it.  On the interp backend the
-    per-visit callable is the block's closure loop instead, so the advancer
-    works (more slowly) under either backend.
+    one Python-level loop over a slice of it.
 
     The callables close over the interpreter's live register/memory/output
     arrays, so the advanced state is byte-identical to running the same
@@ -372,14 +370,7 @@ class TraceAdvancer:
 
     def __init__(self, interp, trace: tuple[str, ...]) -> None:
         fused = interp._fused
-        if fused is not None:
-            per_label = fused
-        else:
-            per_label = {
-                label: _loop_fallback(cb.fns)
-                for label, cb in interp._blocks.items()
-            }
-        self._fns = [per_label[label] for label in trace]
+        self._fns = [fused[label] for label in trace]
 
     def advance(self, start_visit: int, stop_visit: int) -> None:
         """Execute golden trace visits ``[start_visit, stop_visit)``."""

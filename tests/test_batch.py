@@ -1,19 +1,20 @@
-"""Batched fault-trial execution: planner units and engine parity.
+"""Batched fault-trial execution: planner units and engine/oracle parity.
 
-The batched engine (``repro.sim.batch``) restructures *how* campaign
-trials execute — snapshot-bucketed groups, one shared golden-prefix
+The compiled backend's campaign engine (``repro.sim.batch``) restructures
+*how* trials execute — snapshot-bucketed groups, one shared golden-prefix
 advance per group, trace-guided suffixes, golden re-convergence early
 exits — while promising bit-identical :class:`CampaignResult`s.  These
-tests hold it to that promise three ways at once (batched vs the scalar
-compiled loop vs the interp differential oracle) across the full
-workload x scheme matrix and every fault model, and exercise the pieces
-the promise rests on: group planning never reorders RNG consumption,
-checkpoint/resume composes with batching mid-campaign, and the trace
-guide is a pure engine swap (disabling it changes nothing but speed).
+tests hold it to that promise against the interp backend, which replays
+every trial from reset and serves as the oracle, across the full workload
+x scheme matrix and every fault model, and exercise the pieces the promise
+rests on: group planning never reorders RNG consumption, checkpoints move
+between the oracle and the engine mid-campaign, and the trace guide is a
+pure engine swap (disabling it changes nothing but speed).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.faults.injector import MIN_TASK_SECONDS, FaultInjector
@@ -129,48 +130,45 @@ class TestPlanTaskGroups:
     "scheme", [Scheme.NOED, Scheme.SCED, Scheme.DCED, Scheme.CASTED]
 )
 class TestThreeWayParityMatrix:
-    """Batched == scalar == interp on every workload x scheme cell."""
+    """Compiled engine == interp oracle on every workload x scheme cell."""
 
     def test_three_way_parity(self, workload, scheme):
         cp = _compiled(workload, scheme)
-        interp = _injector(cp, backend="interp").run_campaign(
-            TRIALS, SEED, jobs=1, batch=False
-        )
-        scalar = _injector(cp, backend="compiled").run_campaign(
-            TRIALS, SEED, jobs=1, batch=False
-        )
-        batched = _injector(cp, backend="compiled").run_campaign(
-            TRIALS, SEED, jobs=1, batch=True
-        )
-        assert _signature(scalar) == _signature(interp)
-        assert _signature(batched) == _signature(interp)
+        oracle = _injector(cp, backend="interp").run_campaign(TRIALS, SEED)
+        engine = _injector(cp, backend="compiled").run_campaign(TRIALS, SEED)
+        assert _signature(engine) == _signature(oracle)
 
 
 @pytest.mark.parametrize("model", fault_model_names())
 def test_three_way_parity_per_fault_model(model):
     cp = _compiled("parser", Scheme.CASTED)
-    results = [
-        _injector(cp, backend=backend, fault_model=model).run_campaign(
-            30, SEED, jobs=1, batch=batch
-        )
-        for backend, batch in (
-            ("interp", False), ("compiled", False), ("compiled", True)
-        )
-    ]
-    assert _signature(results[1]) == _signature(results[0])
-    assert _signature(results[2]) == _signature(results[0])
+    oracle, engine = (
+        _injector(cp, backend=backend, fault_model=model).run_campaign(30, SEED)
+        for backend in ("interp", "compiled")
+    )
+    assert _signature(engine) == _signature(oracle)
+
+
+def test_run_trial_is_a_one_trial_group_matching_the_oracle():
+    cp = _compiled("parser", Scheme.CASTED)
+    oracle = _injector(cp, backend="interp")
+    engine = _injector(cp, backend="compiled")
+    rng = np.random.default_rng(SEED)
+    for _ in range(20):
+        faults = (engine.sample_fault(rng),)
+        assert engine.run_trial(faults) == oracle.run_trial(faults)
+    assert engine._batch_runner is not None
+    assert oracle._batch_runner is None
 
 
 class TestCheckpointResumeMidBatch:
     def test_resume_mid_campaign_is_bit_identical(self, tmp_path):
         cp = _compiled("parser", Scheme.CASTED)
-        full = _injector(cp, backend="compiled").run_campaign(
-            75, SEED, jobs=1, batch=True
-        )
+        full = _injector(cp, backend="compiled").run_campaign(75, SEED)
 
         ckpt = tmp_path / "campaign.ckpt"
         _injector(cp, backend="compiled").run_campaign(
-            75, SEED, jobs=1, batch=True, checkpoint=str(ckpt)
+            75, SEED, checkpoint=str(ckpt)
         )
         # Simulate an interruption after the first completed shard: keep
         # the header line and one shard record.
@@ -178,26 +176,25 @@ class TestCheckpointResumeMidBatch:
         ckpt.write_text("\n".join(lines[:2]) + "\n")
 
         resumed = _injector(cp, backend="compiled").run_campaign(
-            75, SEED, jobs=1, batch=True, checkpoint=str(ckpt), resume=True
+            75, SEED, checkpoint=str(ckpt), resume=True
         )
         assert _signature(resumed) == _signature(full)
 
     def test_scalar_checkpoint_resumes_into_batched_run(self, tmp_path):
-        """Shards are the checkpoint unit, so the engine can change."""
+        """Shards are the checkpoint unit, so a checkpoint written by the
+        interp oracle's scalar replay resumes on the compiled engine."""
         cp = _compiled("parser", Scheme.CASTED)
-        full = _injector(cp, backend="compiled").run_campaign(
-            75, SEED, jobs=1, batch=False
-        )
+        full = _injector(cp, backend="compiled").run_campaign(75, SEED)
 
         ckpt = tmp_path / "campaign.ckpt"
-        _injector(cp, backend="compiled").run_campaign(
-            75, SEED, jobs=1, batch=False, checkpoint=str(ckpt)
+        _injector(cp, backend="interp").run_campaign(
+            75, SEED, checkpoint=str(ckpt)
         )
         lines = ckpt.read_text().splitlines()
         ckpt.write_text("\n".join(lines[:2]) + "\n")
 
         resumed = _injector(cp, backend="compiled").run_campaign(
-            75, SEED, jobs=1, batch=True, checkpoint=str(ckpt), resume=True
+            75, SEED, checkpoint=str(ckpt), resume=True
         )
         assert _signature(resumed) == _signature(full)
 
@@ -208,34 +205,18 @@ class TestEngineKnobs:
         guided = _injector(cp, backend="compiled")
         unguided = _injector(cp, backend="compiled")
         unguided.batch_runner()._guide = None
-        r1 = guided.run_campaign(50, SEED, jobs=1, batch=True)
-        r2 = unguided.run_campaign(50, SEED, jobs=1, batch=True)
+        r1 = guided.run_campaign(50, SEED)
+        r2 = unguided.run_campaign(50, SEED)
         assert _signature(r1) == _signature(r2)
         assert guided.batch_runner()._guide.visits > 0
 
-    def test_batch_defaults_follow_backend(self):
-        cp = _compiled("parser", Scheme.CASTED)
-        assert _injector(cp, backend="compiled").resolve_batch(None) is True
-        assert _injector(cp, backend="interp").resolve_batch(None) is False
-        assert _injector(cp, backend="compiled").resolve_batch(False) is False
-
-    def test_batch_env_override(self, monkeypatch):
-        cp = _compiled("parser", Scheme.CASTED)
-        inj = _injector(cp, backend="compiled")
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert inj.resolve_batch(None) is False
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert inj.resolve_batch(None) is True
-        # An explicit argument beats the environment.
-        assert inj.resolve_batch(False) is False
-
     def test_batched_pool_campaign_matches_serial(self):
         cp = _compiled("parser", Scheme.CASTED)
-        serial = _injector(cp, backend="compiled").run_campaign(
-            75, SEED, jobs=1, batch=True
+        serial = _injector(cp, backend="interp").run_campaign(
+            75, SEED, jobs=1
         )
         pooled = _injector(cp, backend="compiled").run_campaign(
-            75, SEED, jobs=2, batch=True
+            75, SEED, jobs=2
         )
         assert _signature(pooled) == _signature(serial)
 

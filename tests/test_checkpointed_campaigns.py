@@ -1,11 +1,12 @@
 """Checkpointed fault injection: snapshot/resume determinism.
 
-A checkpointing injector replays the golden run once, records architectural
-snapshots, and then starts every trial from the nearest snapshot at or
-before its earliest fault.  The whole feature is only admissible because it
-is *invisible* in the results: every test here asserts bit-identical
-outcomes between replay-from-zero and snapshot-resume, across snapshot
-intervals, backends, fault models and ``jobs`` settings.
+The compiled backend's injector replays the golden run once, records
+architectural snapshots, and then starts every trial group from the
+nearest snapshot at or before its earliest fault.  The whole feature is
+only admissible because it is *invisible* in the results: every test here
+asserts bit-identical outcomes between the interp oracle's replay-from-zero
+and the compiled engine's snapshot-resume, across snapshot intervals,
+fault models and ``jobs`` settings.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.frontend import compile_source
+from repro.faults import injector as injector_mod
 from repro.faults.injector import FaultInjector
-from repro.ir.interp import FaultSpec, Interpreter, Snapshot
+from repro.frontend import compile_source
+from repro.ir.interp import FaultSpec, Snapshot
 from repro.machine.config import MachineConfig
 from repro.pipeline import Scheme, compile_program
+from repro.sim.batch import GroupStats, TrialPlan, plan_groups
 
 # Small but snapshot-eligible kernel (~19k dynamic instructions, well above
 # SNAPSHOT_MIN_DYN): memory traffic, data-dependent branches and output on
@@ -53,10 +56,16 @@ def casted():
     return compile_program(compile_source(_SRC), Scheme.CASTED, MACHINE)
 
 
-def _injector(cp, **kwargs) -> FaultInjector:
+def _injector(cp, backend: str = "compiled", **kwargs) -> FaultInjector:
     return FaultInjector(
-        cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words, **kwargs
+        cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
+        backend=backend, **kwargs,
     )
+
+
+def _oracle(cp, **kwargs) -> FaultInjector:
+    """The interp backend: every trial replays from reset."""
+    return _injector(cp, backend="interp", **kwargs)
 
 
 def _signature(res) -> tuple:
@@ -101,19 +110,21 @@ class TestSnapshotCapture:
         )
         inj = _injector(cp=cp)
         assert inj._snapshots == []
-        # ...and trials still work through the replay-from-zero path.
+        # ...and trials still run, as groups resuming from reset state.
         res = inj.run_campaign(trials=3, seed=9)
         assert res.trials == 3
 
-    def test_snapshots_disabled_on_request(self, casted):
-        inj = _injector(cp=casted, snapshots=False)
+    def test_snapshots_disabled_on_request(self, casted, monkeypatch):
+        """Raising the eligibility floor past the run records none."""
+        monkeypatch.setattr(injector_mod, "SNAPSHOT_MIN_DYN", 10**9)
+        inj = _injector(cp=casted)
         assert inj._snapshots == []
 
 
 class TestTrialEquivalence:
     def test_single_trials_identical_with_and_without_snapshots(self, casted):
         """Same faults, same RunResult, whether replayed or resumed."""
-        plain = _injector(cp=casted, snapshots=False)
+        plain = _oracle(cp=casted)
         ckpt = _injector(cp=casted)
         golden_dyn = plain.golden.dyn_instructions
         probe_points = [
@@ -123,51 +134,52 @@ class TestTrialEquivalence:
             for kind, arg in (("reg", None), ("cf", None), ("mem", 5)):
                 faults = (FaultSpec(dyn_index=dyn_index, bit=3, kind=kind, arg=arg),)
                 a = plain.interp.run(faults=faults, max_steps=plain.max_steps)
-                snap = ckpt._snapshot_for(faults)
-                b = ckpt.interp.run(
-                    faults=faults, max_steps=ckpt.max_steps, resume_from=snap
-                )
+                (b,) = ckpt._execute(
+                    [TrialPlan(index=0, faults=faults)], GroupStats()
+                ).values()
                 assert (a.kind, a.exit_code, a.output, a.dyn_instructions) == (
                     b.kind, b.exit_code, b.output, b.dyn_instructions
                 ), (dyn_index, kind)
 
     def test_snapshot_selection_never_overshoots_fault(self, casted):
         inj = _injector(cp=casted)
+        keys = [s.dyn for s in inj._snapshots]
+
+        def resume_dyn(faults: tuple[FaultSpec, ...]) -> int:
+            (group,) = plan_groups([TrialPlan(index=0, faults=faults)], keys)
+            return keys[group.snap_index] if group.snap_index >= 0 else 0
+
         for dyn_index in (0, 7, 1000, inj.golden.dyn_instructions - 1):
-            snap = inj._snapshot_for((FaultSpec(dyn_index=dyn_index),))
-            if snap is not None:
-                assert snap.dyn <= dyn_index
+            assert resume_dyn((FaultSpec(dyn_index=dyn_index),)) <= dyn_index
             # multi-fault trials key off the earliest fault
             faults = (
                 FaultSpec(dyn_index=dyn_index),
                 FaultSpec(dyn_index=max(0, dyn_index // 2)),
             )
-            snap = inj._snapshot_for(faults)
-            if snap is not None:
-                assert snap.dyn <= min(f.dyn_index for f in faults)
+            assert resume_dyn(faults) <= min(f.dyn_index for f in faults)
+        # ...and the latest eligible snapshot is the one chosen.
+        last = inj.golden.dyn_instructions - 1
+        assert resume_dyn((FaultSpec(dyn_index=last),)) == keys[-1]
 
 
 class TestCampaignDeterminism:
     TRIALS = 60
     SEED = 2013
 
-    def test_counts_identical_across_snapshot_intervals(self, casted):
-        reference = _injector(cp=casted, snapshots=False).run_campaign(
-            self.TRIALS, self.SEED
-        )
-        for snapshot_count in (1, 4, 16):
-            res = _injector(cp=casted, snapshot_count=snapshot_count).run_campaign(
-                self.TRIALS, self.SEED
-            )
+    def test_counts_identical_across_snapshot_intervals(
+        self, casted, monkeypatch
+    ):
+        reference = _oracle(cp=casted).run_campaign(self.TRIALS, self.SEED)
+        for snapshot_count in (2, 4, 16):
+            monkeypatch.setattr(injector_mod, "SNAPSHOT_COUNT", snapshot_count)
+            inj = _injector(cp=casted)
+            assert 0 < len(inj._snapshots) <= snapshot_count
+            res = inj.run_campaign(self.TRIALS, self.SEED)
             assert _signature(res) == _signature(reference), snapshot_count
 
     def test_counts_identical_across_backends(self, casted):
-        reference = _injector(
-            cp=casted, backend="interp", snapshots=False
-        ).run_campaign(self.TRIALS, self.SEED)
-        res = _injector(cp=casted, backend="compiled").run_campaign(
-            self.TRIALS, self.SEED
-        )
+        reference = _oracle(cp=casted).run_campaign(self.TRIALS, self.SEED)
+        res = _injector(cp=casted).run_campaign(self.TRIALS, self.SEED)
         assert _signature(res) == _signature(reference)
 
     def test_counts_identical_across_jobs(self, casted):
@@ -179,7 +191,7 @@ class TestCampaignDeterminism:
     def test_counts_identical_under_rate_matching(self, casted):
         """Multi-fault (binomial rate-matched) trials resume correctly too."""
         reference_dyn = 3000  # << golden dyn => several faults per trial
-        plain = _injector(cp=casted, snapshots=False).run_campaign(
+        plain = _oracle(cp=casted).run_campaign(
             self.TRIALS, self.SEED, reference_dyn=reference_dyn
         )
         ckpt = _injector(cp=casted).run_campaign(
@@ -190,9 +202,7 @@ class TestCampaignDeterminism:
 
     @pytest.mark.parametrize("model", ["burst", "cf", "mem", "opcode"])
     def test_counts_identical_per_fault_model(self, casted, model):
-        plain = _injector(
-            cp=casted, fault_model=model, snapshots=False
-        ).run_campaign(30, self.SEED)
+        plain = _oracle(cp=casted, fault_model=model).run_campaign(30, self.SEED)
         ckpt = _injector(cp=casted, fault_model=model).run_campaign(30, self.SEED)
         assert _signature(ckpt) == _signature(plain)
 
@@ -210,11 +220,30 @@ class TestTelemetry:
         assert 0 < restores <= 25
         assert skipped > 0
 
-    def test_no_restore_counters_without_snapshots(self, casted):
-        inj = _injector(cp=casted, snapshots=False)
+    def test_no_restore_counters_without_snapshots(self, casted, monkeypatch):
+        monkeypatch.setattr(injector_mod, "SNAPSHOT_MIN_DYN", 10**9)
+        inj = _injector(cp=casted)
         tel = obs.configure()
         try:
             inj.run_campaign(25, seed=4)
-            assert "campaign.snapshot_restores" not in tel.metrics.counters
+            counters = dict(tel.metrics.counters)
         finally:
             obs.reset()
+        assert "campaign.snapshot_restores" not in counters
+        assert counters["campaign.batch_trials"] == 25
+
+    def test_interp_oracle_takes_no_engine_shortcuts(self, casted):
+        """No snapshots, restores, convergence exits or guided visits."""
+        inj = _oracle(cp=casted)
+        assert inj._snapshots == []
+        tel = obs.configure()
+        try:
+            res = inj.run_campaign(25, seed=4)
+            counters = dict(tel.metrics.counters)
+        finally:
+            obs.reset()
+        assert res.trials == 25
+        assert inj._batch_runner is None
+        assert not [k for k in counters if k.startswith("campaign.batch_")]
+        assert "campaign.snapshot_restores" not in counters
+        assert "campaign.cycles_skipped" not in counters

@@ -224,9 +224,9 @@ class TestDifferentialFuzz:
     def test_checkpointed_campaigns_match_replay_on_fuzzed_programs(
         self, source, seed
     ):
-        """Snapshot-resume campaigns are bit-identical to replay-from-zero,
-        whatever the program shape (snapshots forced on even for tiny
-        programs by zeroing the eligibility floor)."""
+        """Compiled-engine campaigns are bit-identical to the interp oracle's
+        replay-from-zero, whatever the program shape (snapshots forced on
+        even for tiny programs by zeroing the eligibility floor)."""
         from repro.faults import injector as injector_mod
         from repro.faults.injector import FaultInjector
 
@@ -240,17 +240,17 @@ class TestDifferentialFuzz:
             return
         plain = FaultInjector(
             cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
-            snapshots=False,
+            backend="interp",
         )
-        saved = injector_mod.SNAPSHOT_MIN_DYN
-        injector_mod.SNAPSHOT_MIN_DYN = 0
+        saved = injector_mod.SNAPSHOT_MIN_DYN, injector_mod.SNAPSHOT_COUNT
+        injector_mod.SNAPSHOT_MIN_DYN, injector_mod.SNAPSHOT_COUNT = 0, 8
         try:
             ckpt = FaultInjector(
                 cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
-                snapshot_count=8,
+                backend="compiled",
             )
         finally:
-            injector_mod.SNAPSHOT_MIN_DYN = saved
+            injector_mod.SNAPSHOT_MIN_DYN, injector_mod.SNAPSHOT_COUNT = saved
         a = plain.run_campaign(trials=6, seed=seed)
         b = ckpt.run_campaign(trials=6, seed=seed)
         assert (a.counts, a.total_faults_injected, a.detection_latency_sum) == (

@@ -390,6 +390,21 @@ class TestInjectLedgerCLI:
         kinds = [e["kind"] for e in read_events(rec.events_path)]
         assert "campaign-start" in kinds and "campaign-end" in kinds
 
+    def test_manifest_records_resolved_backend(self, tmp_path, monkeypatch):
+        """An empty REPRO_SIM_BACKEND resolves to compiled, and says so."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "")
+        runs_dir = str(tmp_path / "runs")
+        rc = main(
+            ["inject", "workload:cjpeg", "--scheme", "noed", "--trials", "5",
+             "--issue", "2", "--delay", "1", "--ledger", "--runs-dir", runs_dir]
+        )
+        assert rc == 0
+        (rec,) = RunLedger(runs_dir).list_runs()
+        assert rec.manifest["backend"] == "compiled"
+        assert "batch" not in rec.manifest and "snapshots" not in rec.manifest
+
     def test_metrics_out_and_events_flags(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -489,13 +489,6 @@ class TestResumeOnRestartHeavy:
         assert final["state"] == "done"
         assert final["result"]["counts"] == reference_counts(75, 7)
 
-    def test_restart_deterministic_batched(self, tmp_path):
-        spec = dict(INJECT_SPEC, backend="compiled", batch=True)
-        job_id = _submit_and_die(tmp_path, "daemon.heartbeat:2", spec)
-        final = _restart_and_finish(tmp_path, job_id)
-        assert final["state"] == "done"
-        assert final["result"]["counts"] == reference_counts(75, 7)
-
     def test_double_kill_then_restart(self, tmp_path):
         """Two consecutive crashes still converge to the exact counts."""
         job_id = _submit_and_die(tmp_path, "daemon.heartbeat:2", INJECT_SPEC)

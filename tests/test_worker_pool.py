@@ -55,7 +55,7 @@ def _injector() -> FaultInjector:
     )
     return FaultInjector(
         cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
-        backend="compiled", snapshots=True,
+        backend="compiled",
     )
 
 
