@@ -2,15 +2,14 @@
 
 :mod:`repro.faults.injector` flips bits in the *simulated* architecture;
 this module does the same to the harness itself.  Instrumented code calls
-:func:`chaos_point` at named lifecycle points (``daemon.job-start``,
-``daemon.heartbeat``, ``worker.shard``, ...); the ``REPRO_CHAOS``
+:func:`chaos_point` at named lifecycle points (``worker.shard``, reached
+by a pool worker before each campaign shard); the ``REPRO_CHAOS``
 environment variable arms one or more of them::
 
-    REPRO_CHAOS="daemon.heartbeat:2"            # SIGKILL self on the 2nd
-                                                # daemon heartbeat
+    REPRO_CHAOS="worker.shard:3"                # SIGKILL every worker on
+                                                # its 3rd shard
     REPRO_CHAOS="worker.shard:1:once"           # SIGKILL the first worker
                                                 # that starts a shard, once
-    REPRO_CHAOS="daemon.job-start:1,worker.shard:3"
 
 Each entry is ``point:nth[:once]`` — the process SIGKILLs *itself* the
 ``nth`` time it reaches ``point`` (counted per process, so every pool
@@ -22,8 +21,8 @@ that is how a test injects a *transient* crash that retries must survive,
 as opposed to a deterministic crasher that must exhaust its budget.
 
 SIGKILL, deliberately: no ``atexit``, no ``finally``, no flush — the
-harshest crash the OS can deliver, which is exactly what resume-on-restart
-and checkpoint healing claim to survive.  Unarmed (no ``REPRO_CHAOS``),
+harshest crash the OS can deliver, which is exactly what shard retry and
+checkpoint resume claim to survive.  Unarmed (no ``REPRO_CHAOS``),
 :func:`chaos_point` is a dictionary lookup and an early return.
 """
 

@@ -21,6 +21,8 @@ Commands
     Compile and execute on the cycle-level simulator.
 ``inject FILE|workload:NAME``
     Monte-Carlo fault-injection campaign with outcome breakdown.
+    ``--checkpoint FILE`` records each completed shard; after a crash or
+    kill, ``--resume`` finishes the campaign bit-identically.
 ``sweep workload:NAME``
     Slowdown table over the (issue width x delay) grid, all schemes.
 ``report {table1,table2,table3,fig6,fig8,fig9,fig10}``
@@ -28,9 +30,6 @@ Commands
 ``report trace --file FILE``
     Summarize a captured telemetry trace (``--chrome OUT.json`` exports it
     for chrome://tracing / Perfetto).
-``serve``
-    Fault-tolerant campaign service: JSON HTTP API, durable job queue,
-    retries with backoff, resume-on-restart (see ``docs/serve.md``).
 
 Every command accepts ``--scheme/--issue/--delay`` where meaningful, plus
 the telemetry flags ``--trace FILE`` (JSON-lines span trace) and
@@ -641,41 +640,6 @@ def cmd_runs(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    """Run the fault-tolerant campaign service daemon (``docs/serve.md``)."""
-    import signal
-
-    from repro.serve.daemon import make_server
-
-    server = make_server(
-        host=args.host,
-        port=args.port,
-        state_dir=args.state_dir,
-        jobs=_jobs(args),
-        queue_limit=args.queue_limit,
-        max_per_client=args.max_per_client,
-        shard_timeout=args.shard_timeout,
-        job_timeout=args.job_timeout,
-    )
-    host, port = server.server_address[:2]
-    # The exact line the smoke/chaos harnesses wait for; keep it stable.
-    print(f"[serve] listening on http://{host}:{port}", flush=True)
-    print(f"[serve] state dir: {server.app.store.root}", flush=True)
-
-    def _term(_signum, _frame):  # pragma: no cover - signal path
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _term)
-    try:
-        server.serve_forever(poll_interval=0.2)
-    except KeyboardInterrupt:
-        print("[serve] shutting down (requeueing current job)", flush=True)
-    finally:
-        server.app.shutdown(requeue=True)
-        server.server_close()
-    return 0
-
-
 def cmd_report(args) -> int:
     from repro.eval.experiment import Evaluator
     from repro.eval import figures, tables
@@ -968,40 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run-ledger directory (default: $REPRO_RUNS_DIR or results/runs)",
     )
     p.set_defaults(fn=cmd_runs)
-
-    p = sub.add_parser(
-        "serve",
-        help="fault-tolerant campaign service (job queue, retries, resume)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port", type=int, default=8321,
-        help="listen port (0 = pick an ephemeral port; default: 8321)",
-    )
-    p.add_argument(
-        "--state-dir", metavar="DIR", default=None,
-        help="durable job-store directory "
-        "(default: $REPRO_SERVE_DIR or results/serve)",
-    )
-    _add_jobs(p)
-    p.add_argument(
-        "--queue-limit", type=int, default=16,
-        help="max queued jobs before submissions get 429 (default: 16)",
-    )
-    p.add_argument(
-        "--max-per-client", type=int, default=0,
-        help="per-client queued-job cap (0 = unlimited, default)",
-    )
-    p.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="S",
-        help="per-shard hung-worker deadline in seconds (default: off)",
-    )
-    p.add_argument(
-        "--job-timeout", type=float, default=None, metavar="S",
-        help="default per-job deadline in seconds; an over-deadline job "
-        "degrades to a partial result marked incomplete (default: off)",
-    )
-    p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
         "report", help="regenerate a paper table/figure, or summarize a trace"

@@ -25,7 +25,10 @@ uninterrupted run at any worker count.
 
 Resuming against a checkpoint whose header does not match the requested
 campaign (different seed, trial budget, fault model, binary, or shard size)
-raises: silently mixing streams would corrupt the statistics.
+raises: silently mixing streams would corrupt the statistics.  So does a
+shard record outside the header's shard plan (an index not in
+``[0, n_shards)``, or a trial count other than the plan's for that index):
+merging it would report more trials than the campaign asked for.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.faults.classify import Outcome
+from repro.parallel import plan_shards
 
 logger = logging.getLogger(__name__)
 
@@ -124,6 +128,7 @@ class CampaignCheckpoint:
                     f"checkpoint {self.path} belongs to a different campaign: "
                     f"{key}={header.get(key)!r} != {self.header[key]!r}"
                 )
+        plan = plan_shards(header["trials"], header["shard_trials"])
         records: dict[int, dict[str, Any]] = {}
         torn_line: str | None = None
         for lineno, line in enumerate(lines[1:], start=2):
@@ -145,6 +150,12 @@ class CampaignCheckpoint:
                 raise CheckpointError(
                     f"checkpoint {self.path} line {lineno} is corrupt"
                 ) from None
+            if not 0 <= index < len(plan) or rec["trials"] != plan[index]:
+                raise CheckpointError(
+                    f"checkpoint {self.path} line {lineno}: shard {index} "
+                    f"with {rec['trials']} trials is not in the campaign's "
+                    f"{len(plan)}-shard plan"
+                )
             # Identical by determinism if duplicated; last write wins.
             records[index] = rec
         for rec in records.values():

@@ -711,7 +711,6 @@ class FaultInjector:
             done = {
                 index: ShardResult.from_json(rec)
                 for index, rec in ckpt.load(resume).items()
-                if index < len(shard_plan)
             }
 
         def absorb(sr: ShardResult, fresh: bool) -> None:
@@ -867,7 +866,7 @@ class FaultInjector:
 
         Dispatch happens in two waves over one :func:`ensure_pool` scope
         (reusing an ambient :class:`~repro.parallel.WorkerPool` when the
-        caller installed one — CLI, serve, bench — and spawning exactly
+        caller installed one — CLI, bench — and spawning exactly
         once otherwise):
 
         1. a *calibration* wave of up to ``jobs`` single-shard tasks, whose

@@ -4,10 +4,10 @@ The telemetry :class:`~repro.obs.metrics.MetricsRegistry` is in-process and
 flat; this module turns one registry snapshot into the two interchange
 formats the rest of the tooling consumes:
 
-* **Prometheus text exposition format** (version 0.0.4) — the format a
-  future ``repro serve`` daemon will answer ``GET /metrics`` with, and the
-  one scrapeable by any Prometheus/OpenMetrics collector today via the
-  node-exporter textfile collector;
+* **Prometheus text exposition format** (version 0.0.4) — what the CLI's
+  ``--metrics-out FILE.prom`` writes, scrapeable by any
+  Prometheus/OpenMetrics collector via the node-exporter textfile
+  collector;
 * **JSON** — the ``metrics.json`` artifact stored per run in the run
   ledger (:mod:`repro.obs.ledger`).
 

@@ -226,8 +226,7 @@ def ensure_worker_capture(on: bool) -> None:
 
     Workers in a *persistent* pool outlive the telemetry configuration they
     were spawned under: the parent may run one map with telemetry live and
-    the next without (or vice versa — a serve daemon swaps per-job
-    telemetries in and out).  Called at the top of every pooled task, this
+    the next without (or vice versa).  Called at the top of every pooled task, this
     turns capture on or off to match, and is a no-op when already aligned —
     in particular it never clears an active capture's pending buffers.
     """

@@ -15,8 +15,8 @@ this module provides the pieces everything else builds on:
 * :class:`WorkerPool` — a persistent, lazily spawned process pool that
   stays alive across maps.  Spawning workers and re-importing the world
   in each of them is pure fixed overhead; a campaign's two dispatch waves,
-  a sweep following a campaign, or a ``repro serve`` daemon executing many
-  jobs all reuse one pool (``pool.reuses`` counts how often that pays).
+  a sweep following a campaign, or every map under one CLI command all
+  reuse one pool (``pool.reuses`` counts how often that pays).
   Crash/hang semantics are preserved: a broken pool is discarded and
   respawned for the retry round, and the per-task ``timeout`` watchdog
   still SIGKILLs hung workers;
@@ -189,31 +189,23 @@ def plan_task_groups(
     return [range(i, min(i + per, n_items)) for i in range(0, n_items, per)]
 
 
-def _pool_bootstrap(
-    initializer: Callable[..., None] | None,
-    initargs: tuple,
-    capture: bool = False,
-) -> None:
+def _pool_bootstrap(capture: bool) -> None:
     """Run in every worker before its first task.
 
     Telemetry objects forked from the parent share its trace-file handle;
     writing to it from several processes would interleave JSON lines, so
     workers never inherit the parent's sinks.  With ``capture`` on (the
     parent has live telemetry) the worker instead records into an
-    in-memory capture telemetry — installed *before* the user initializer
-    so expensive per-worker setup (program re-decode, golden-run
-    profiling) is visible in the merged trace; its spans ride back with
-    the worker's first task result.  A persistent pool can outlive this
-    initial choice, so :func:`_pool_call` re-asserts the capture mode at
-    every task.
+    in-memory capture telemetry; its spans ride back with the worker's
+    first task result.  A persistent pool can outlive this initial
+    choice, so :func:`_pool_call` re-asserts the capture mode at every
+    task.
     """
     from repro import obs
 
     obs.reset()
     if capture:
         obs.configure_worker_capture()
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _noop() -> None:
@@ -258,9 +250,8 @@ def _pool_call(fn: Callable[[Any], Any], capture: bool, task: Any) -> Any:
     """Worker-side task wrapper for persistent pools.
 
     Re-asserts the telemetry capture mode the *current* map decided (a
-    long-lived worker may have been spawned under a different one — e.g. a
-    serve daemon whose per-job telemetry came and went), then runs the
-    task, captured or plain.
+    long-lived worker may have been spawned while the parent's telemetry
+    was in the other state), then runs the task, captured or plain.
     """
     from repro.obs.telemetry import ensure_worker_capture
 
@@ -366,27 +357,17 @@ class WorkerPool:
     times the spawn, including one warm-up round trip) and stay alive until
     :meth:`shutdown` — later maps reuse them (``pool.reuses``), which is
     what lets worker-resident state (:func:`worker_cached`) amortize across
-    a whole campaign + sweep + serve-job sequence.  A broken or watchdog-
-    killed pool is discarded and respawned for the retry round
-    (``pool.respawns``); the pool object itself survives any number of
-    worker crashes.
+    a whole campaign + sweep sequence.  A broken or watchdog-killed pool
+    is discarded and respawned for the retry round (``pool.respawns``);
+    the pool object itself survives any number of worker crashes.
 
     Use as a context manager (``with WorkerPool(4):``) to install it as the
     thread's *ambient* pool: every :func:`parallel_map` in the block routes
-    onto it.  :meth:`activate` does the same without tying the pool's
-    lifetime to the block — the serve runner holds one pool across jobs.
-    Not safe for concurrent maps from multiple threads.
+    onto it.  Not safe for concurrent maps from multiple threads.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        self._initializer = initializer
-        self._initargs = initargs
         self._pool: ProcessPoolExecutor | None = None
         #: Executor spawns (1 for a pool that never lost a worker).
         self.spawns = 0
@@ -404,8 +385,7 @@ class WorkerPool:
         t0 = time.perf_counter()
         self._pool = ProcessPoolExecutor(
             max_workers=self.jobs,
-            initializer=_pool_bootstrap,
-            initargs=(self._initializer, self._initargs, capture),
+            initializer=partial(_pool_bootstrap, capture),
         )
         # One warm-up round trip: ProcessPoolExecutor forks its workers on
         # first submit, so without this the spawn cost would be silently
@@ -445,22 +425,6 @@ class WorkerPool:
         if self in stack:
             stack.remove(self)
         self.shutdown()
-
-    @contextmanager
-    def activate(self) -> Iterator["WorkerPool"]:
-        """Install as the ambient pool *without* shutting down on exit.
-
-        For owners with a longer lifetime than one scope — the serve
-        runner activates its pool around each job and shuts it down once,
-        when the daemon stops.
-        """
-        stack = _ambient_stack()
-        stack.append(self)
-        try:
-            yield self
-        finally:
-            if self in stack:
-                stack.remove(self)
 
     # -- mapping -----------------------------------------------------------------
     def map(
@@ -684,8 +648,8 @@ def ensure_pool(jobs: int | None = None) -> Iterator[WorkerPool | None]:
 
     The reuse-or-create idiom every multi-map driver wants: ``run_campaign``
     wraps its dispatch waves in ``ensure_pool(jobs)`` so they share one
-    spawn, and when the CLI (or the serve runner) already installed a
-    longer-lived pool the campaign transparently borrows it instead.
+    spawn, and when the CLI already installed a longer-lived pool the
+    campaign transparently borrows it instead.
     Yields ``None`` without creating anything when ``jobs`` resolves to 1 —
     serial execution stays process-pool-free.  A newly created pool spawns
     lazily (on the first real map) and is shut down on exit; a borrowed one
@@ -706,8 +670,6 @@ def parallel_map(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
     jobs: int | None = 1,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
     on_result: Callable[[int, Any], None] | None = None,
     retries: int = 0,
     retry_backoff: float = 0.0,
@@ -718,13 +680,10 @@ def parallel_map(
     """Map ``fn`` over ``tasks``, preserving task order in the result list.
 
     With ``jobs <= 1`` (or fewer than two tasks and no ambient pool)
-    everything runs inline in the calling process and ``initializer`` is
-    **not** invoked — inline callers must not rely on worker-only globals.
-    Otherwise tasks are distributed over a process pool: the thread's
-    ambient :class:`WorkerPool` when one is installed (and no
-    ``initializer`` is requested — per-spawn initializers cannot apply to
-    already-running workers), else an ephemeral pool torn down when the map
-    returns.
+    everything runs inline in the calling process.  Otherwise tasks are
+    distributed over a process pool: the thread's ambient
+    :class:`WorkerPool` when one is installed, else an ephemeral pool torn
+    down when the map returns.
 
     ``on_result(index, result)`` fires as each task finishes (completion
     order, not task order) — the hook the campaign and sweep drivers use to
@@ -761,7 +720,7 @@ def parallel_map(
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
-    ambient = current_pool() if initializer is None else None
+    ambient = current_pool()
     if jobs <= 1 or (len(tasks) <= 1 and ambient is None):
         results = []
         for i, task in enumerate(tasks):
@@ -787,9 +746,7 @@ def parallel_map(
             retry_backoff=retry_backoff, retry_jitter=retry_jitter,
             timeout=timeout, on_failure=on_failure,
         )
-    ephemeral = WorkerPool(
-        min(jobs, len(tasks)), initializer=initializer, initargs=initargs
-    )
+    ephemeral = WorkerPool(min(jobs, len(tasks)))
     try:
         return ephemeral.map(
             fn, tasks, on_result=on_result, retries=retries,

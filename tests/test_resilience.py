@@ -11,6 +11,11 @@ turns exhausted shards into a ``partial`` result.
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +24,8 @@ from repro.faults.checkpoint import CampaignCheckpoint, CheckpointError
 from repro.faults.injector import CampaignResult, FaultInjector
 from repro.parallel import parallel_map
 from tests.conftest import build_loop_program
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _double(x):
@@ -179,6 +186,23 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="line 2"):
             CampaignCheckpoint(path, HEADER).load(resume=True)
 
+    @pytest.mark.parametrize("index,trials", [
+        (-1, 25),  # negative index
+        (2, 25),   # one past the 2-shard plan
+        (1, 24),   # in the plan, wrong size
+    ], ids=["negative-index", "index-past-end", "wrong-size"])
+    def test_record_outside_plan_raises(self, tmp_path, index, trials):
+        path = tmp_path / "c.jsonl"
+        ck = CampaignCheckpoint(path, HEADER)
+        ck.load(resume=False)
+        ck.append({"shard": 0, "trials": 25, "counts": {"benign": 25},
+                   "faults": 25, "latencies": []})
+        ck.append({"shard": index, "trials": trials,
+                   "counts": {"benign": trials}, "faults": trials,
+                   "latencies": []})
+        with pytest.raises(CheckpointError, match="plan"):
+            CampaignCheckpoint(path, HEADER).load(resume=True)
+
     def test_unknown_outcome_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         ck = CampaignCheckpoint(path, HEADER)
@@ -242,17 +266,96 @@ class TestCampaignCheckpointResume:
             )
 
 
+def _shard_records(path):
+    """Complete shard lines in a checkpoint file (0 while it is absent)."""
+    try:
+        return max(0, path.read_text().count("\n") - 1)
+    except OSError:
+        return 0
+
+
+class TestInjectKillResume:
+    """SIGKILL a real ``repro inject`` twice mid-campaign, then resume.
+
+    Nothing inside the campaign cooperates: the test polls the checkpoint
+    file and kills the CLI's whole process group (pool workers included)
+    from outside once enough shards have landed.  The finishing
+    ``--resume`` run must print exactly what an uninterrupted run prints.
+    """
+
+    ARGS = ("inject", "workload:parser", "--scheme", "casted",
+            "--trials", "300", "--seed", "7")
+    SHARDS = 12  # 300 trials / SHARD_TRIALS=25
+
+    def _cmd(self, *extra):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        for var in ("REPRO_CHAOS", "REPRO_CHAOS_FLAG", "REPRO_JOBS"):
+            env.pop(var, None)
+        return [sys.executable, "-m", "repro", *self.ARGS, *extra], env
+
+    def _run(self, *extra):
+        cmd, env = self._cmd(*extra)
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    def _kill_at(self, ckpt, records, *extra):
+        """Start the campaign; SIGKILL it once ``ckpt`` holds ``records``."""
+        cmd, env = self._cmd(*extra)
+        proc = subprocess.Popen(
+            cmd, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 300
+            while _shard_records(ckpt) < records:
+                assert proc.poll() is None, (
+                    f"campaign exited (rc={proc.returncode}) before "
+                    f"{records} shard records landed"
+                )
+                assert time.monotonic() < deadline, "campaign stalled"
+                time.sleep(0.001)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # exited and reaped: the assert says why
+                pass
+        return proc.wait(timeout=30)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self):
+        return self._run("--jobs", "1")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_double_kill9_then_resume_byte_identical(
+        self, uninterrupted, tmp_path, jobs
+    ):
+        ckpt = tmp_path / "campaign.ckpt"
+        common = ("--jobs", jobs, "--checkpoint", str(ckpt))
+
+        rc = self._kill_at(ckpt, 2, *common)
+        first = _shard_records(ckpt)
+        assert rc == -signal.SIGKILL
+        assert 2 <= first < self.SHARDS
+
+        # The resumed run must make progress of its own before dying again.
+        rc = self._kill_at(ckpt, max(5, first + 1), *common, "--resume")
+        second = _shard_records(ckpt)
+        assert rc == -signal.SIGKILL
+        assert first < second < self.SHARDS
+
+        assert self._run(*common, "--resume") == uninterrupted
+        assert _shard_records(ckpt) == self.SHARDS
+
+
 class TestCampaignDegradation:
     """Shard loss (all retries exhausted) must not lose the campaign."""
 
     def _lossy_parallel_map(self, lost_task_index):
         """A parallel_map that computes inline but 'loses' one task."""
 
-        def fake(fn, tasks, jobs=1, initializer=None, initargs=(),
-                 on_result=None, retries=0, retry_backoff=0.0,
-                 timeout=None, on_failure=None, **kwargs):
-            if initializer is not None:
-                initializer(*initargs)
+        def fake(fn, tasks, jobs=1, on_result=None, retries=0,
+                 retry_backoff=0.0, timeout=None, on_failure=None, **kwargs):
             results = []
             for i, task in enumerate(tasks):
                 if i == lost_task_index:
@@ -304,9 +407,9 @@ class TestCampaignDegradation:
         assert CampaignResult(trials=0).coverage == 0.0
 
     def test_all_shards_lost_yields_empty_partial(self, loop_injector, monkeypatch):
-        def lose_all(fn, tasks, jobs=1, initializer=None, initargs=(),
-                     on_result=None, retries=0, retry_backoff=0.0,
-                     timeout=None, on_failure=None, **kwargs):
+        def lose_all(fn, tasks, jobs=1, on_result=None, retries=0,
+                     retry_backoff=0.0, timeout=None, on_failure=None,
+                     **kwargs):
             for i in range(len(tasks)):
                 on_failure(i, RuntimeError("worker died"))
             return [None] * len(tasks)

@@ -1,8 +1,8 @@
 """Persistent WorkerPool engine: reuse, determinism, crash survival.
 
-The pool is the PR's tentpole: campaigns, sweeps and serve jobs share one
-long-lived set of workers instead of forking a fresh pool per call.  These
-tests pin down the contract that makes that safe:
+Campaigns and sweeps share one long-lived set of workers instead of
+forking a fresh pool per call.  These tests pin down the contract that
+makes that safe:
 
 * **bit-identity** — a campaign or sweep run on a reused pool produces
   exactly the results of a fresh-pool run and of a serial run (the shard
