@@ -21,8 +21,15 @@ Three concrete analyses ship here because several subsystems share them:
   verifier's use-before-def check);
 * :class:`ReachingDefs` — which definitions (``(reg, uid)`` pairs) may reach
   a point; :func:`def_use_chains` derives use -> defs chains from it;
-* :class:`LiveVars` — classic backward liveness,
-  :func:`repro.ir.liveness.compute_liveness` is now a thin wrapper over it.
+* :class:`LiveVars` — classic backward liveness;
+  :func:`repro.ir.liveness.compute_liveness` solves its
+  :class:`SummarizedLiveVars` form, whose block transfer is one
+  ``(fact - defs) | uses`` step.
+
+Analyses whose block transfer has a closed form (``MustDefined``,
+``SummarizedLiveVars``) override :meth:`DataflowAnalysis.transfer_block`;
+it must equal the fold of :meth:`~DataflowAnalysis.transfer_insn`, which
+``tests/test_compile_equivalence.py`` checks.
 
 The protection linter (:mod:`repro.analysis.protection`) builds its
 "available shadow-check" must-analysis on the same base class.
@@ -36,11 +43,12 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.ir.basic_block import BasicBlock
 from repro.ir.cfg import CFG
 from repro.ir.function import Function
+from repro.ir.liveness import block_use_def
 from repro.isa.instruction import Instruction
 from repro.isa.registers import Reg
 
@@ -171,25 +179,22 @@ def solve(
     out_state: dict[str, Fact] = {b.label: top for b in function.blocks()}
 
     reachable = set(order)
+    neighbours: Mapping[str, Sequence[str]] = cfg.preds if forward else cfg.succs
+    edges = {lb: [e for e in neighbours[lb] if e in reachable] for lb in order}
+    blocks = {lb: function.block(lb) for lb in order}
     boundary_labels = (
-        {cfg.entry_label}
-        if forward
-        else {lb for lb in order if not [s for s in cfg.succs[lb] if s in reachable]}
+        {cfg.entry_label} if forward else {lb for lb in order if not edges[lb]}
     )
 
     changed = True
     while changed:
         changed = False
         for label in order:
-            if forward:
-                edges = [p for p in cfg.preds[label] if p in reachable]
-            else:
-                edges = [s for s in cfg.succs[label] if s in reachable]
-            incoming = [out_state[e] for e in edges]
+            incoming = [out_state[e] for e in edges[label]]
             if label in boundary_labels:
                 incoming.append(boundary)
             fact = analysis.meet(incoming) if incoming else top
-            new_out = analysis.transfer_block(function.block(label), fact)
+            new_out = analysis.transfer_block(blocks[label], fact)
             if fact != state[label] or new_out != out_state[label]:
                 state[label] = fact
                 out_state[label] = new_out
@@ -225,16 +230,22 @@ class MustDefined(DataflowAnalysis):
 
     Forward, intersection meet.  A use of a register not in the incoming
     fact may execute before any definition — the verifier's use-before-def
-    condition.
+    condition.  Definitions only ever add to the fact, so a whole block's
+    transfer is one union with the registers it writes (its *gen* set).
     """
 
     direction = Direction.FORWARD
 
     def __init__(self, function: Function) -> None:
         regs: set[Reg] = set()
-        for _, _, insn in function.all_instructions():
-            regs.update(insn.reads())
-            regs.update(insn.writes())
+        self._gen: dict[str, Fact] = {}
+        for block in function.blocks():
+            gen: set[Reg] = set()
+            for insn in block.instructions:
+                regs.update(insn.reads())
+                gen.update(insn.writes())
+            regs |= gen
+            self._gen[block.label] = frozenset(gen)
         self._all_regs: Fact = frozenset(regs)
 
     def boundary(self, function: Function) -> Fact:
@@ -254,6 +265,9 @@ class MustDefined(DataflowAnalysis):
     def transfer_insn(self, insn: Instruction, fact: Fact) -> Fact:
         writes = insn.writes()
         return fact | frozenset(writes) if writes else fact
+
+    def transfer_block(self, block: BasicBlock, fact: Fact) -> Fact:
+        return fact | self._gen[block.label]
 
 
 class ReachingDefs(_UnionMeet):
@@ -284,6 +298,26 @@ class LiveVars(_UnionMeet):
         fact = fact - frozenset(insn.writes())
         reads = insn.reads()
         return fact | frozenset(reads) if reads else fact
+
+
+class SummarizedLiveVars(LiveVars):
+    """:class:`LiveVars` with each block's transfer collapsed to one step.
+
+    The fold of :meth:`LiveVars.transfer_insn` over a block is
+    ``(fact - defs) | uses`` with the block's definitions and
+    upward-exposed uses, which are computed once here and kept as
+    :attr:`defs` and :attr:`uses`.  Per-instruction replay is inherited
+    unchanged.
+    """
+
+    def __init__(self, function: Function) -> None:
+        use_sets, def_sets = block_use_def(function)
+        self.uses: dict[str, Fact] = {lb: frozenset(s) for lb, s in use_sets.items()}
+        self.defs: dict[str, Fact] = {lb: frozenset(s) for lb, s in def_sets.items()}
+
+    def transfer_block(self, block: BasicBlock, fact: Fact) -> Fact:
+        label = block.label
+        return (fact - self.defs[label]) | self.uses[label]
 
 
 #: A use site: (block label, instruction index, instruction uid, register).
@@ -320,8 +354,12 @@ def undefined_uses(
     for block in function.blocks():
         if block.label not in reachable:
             continue
-        for idx, insn, fact in facts.instruction_facts(block.label):
+        # Replay the block with one mutable set: the same facts
+        # ``instruction_facts`` would yield, without a frozenset per step.
+        defined = set(facts.entry[block.label])
+        for idx, insn in enumerate(block.instructions):
             for r in insn.reads():
-                if r not in fact:
+                if r not in defined:
                     bad.append((block.label, idx, insn, r))
+            defined.update(insn.writes())
     return bad

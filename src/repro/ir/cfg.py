@@ -28,13 +28,23 @@ class CFG:
             self.succs[block.label] = targets
             for t in targets:
                 self.preds[t].append(block.label)
+        self._rpo: tuple[str, ...] | None = None
 
     @property
     def entry_label(self) -> str:
         return self.function.entry.label
 
     def reverse_postorder(self) -> list[str]:
-        """Reverse postorder from the entry (unreachable blocks excluded)."""
+        """Reverse postorder from the entry (unreachable blocks excluded).
+
+        Computed once per snapshot: the verifier, the dataflow solver and
+        the reachability queries below all share one traversal.
+        """
+        if self._rpo is None:
+            self._rpo = self._compute_reverse_postorder()
+        return list(self._rpo)
+
+    def _compute_reverse_postorder(self) -> tuple[str, ...]:
         visited: set[str] = set()
         postorder: list[str] = []
         # Iterative DFS to avoid recursion limits on long chains.
@@ -52,7 +62,7 @@ class CFG:
             else:
                 stack.pop()
                 postorder.append(label)
-        return postorder[::-1]
+        return tuple(postorder[::-1])
 
     def reachable(self) -> set[str]:
         return set(self.reverse_postorder())

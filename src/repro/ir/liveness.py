@@ -46,14 +46,18 @@ def block_use_def(function: Function) -> tuple[dict[str, set[Reg]], dict[str, se
 
 
 def compute_liveness(function: Function, cfg: CFG | None = None) -> LivenessInfo:
-    """Solve the backward liveness equations via the dataflow framework."""
-    from repro.analysis.dataflow import LiveVars, solve
+    """Solve the backward liveness equations via the dataflow framework.
 
-    facts = solve(function, LiveVars(), cfg)
-    use, defs = block_use_def(function)
+    Each block's transfer is its use/def summary, ``(live_out - defs) |
+    uses``, rather than a replay of every instruction.
+    """
+    from repro.analysis.dataflow import SummarizedLiveVars, solve
+
+    analysis = SummarizedLiveVars(function)
+    facts = solve(function, analysis, cfg)
     return LivenessInfo(
-        live_in={lb: facts.entry[lb] for lb in use},
-        live_out={lb: facts.exit[lb] for lb in use},
-        use={lb: frozenset(s) for lb, s in use.items()},
-        defs={lb: frozenset(s) for lb, s in defs.items()},
+        live_in={lb: facts.entry[lb] for lb in analysis.uses},
+        live_out={lb: facts.exit[lb] for lb in analysis.uses},
+        use=analysis.uses,
+        defs=analysis.defs,
     )

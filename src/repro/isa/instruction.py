@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import IRError
-from repro.isa.opcodes import OP_INFO, Opcode, OpInfo
+from repro.isa.opcodes import Opcode, OpInfo
 from repro.isa.registers import Reg
 
 _uid_counter = itertools.count(1)
@@ -63,7 +63,7 @@ class Instruction:
     # -- structure ---------------------------------------------------------
     @property
     def info(self) -> OpInfo:
-        return OP_INFO[self.opcode]
+        return self.opcode.info
 
     def validate(self) -> None:
         """Check operand shape against the opcode's ``OpInfo``."""

@@ -82,6 +82,10 @@ class Opcode(enum.Enum):
     CHKBR = "chkbr"
     NOP = "nop"
 
+    #: This opcode's ``OP_INFO`` entry, bound on every member once the
+    #: table is built, so hot paths reach it without hashing the enum.
+    info: OpInfo
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Opcode.{self.name}"
 
@@ -196,3 +200,7 @@ OP_INFO: dict[Opcode, OpInfo] = {
 MNEMONIC_TO_OPCODE: dict[str, Opcode] = {info.mnemonic: op for op, info in OP_INFO.items()}
 
 assert set(OP_INFO) == set(Opcode), "every opcode needs an OP_INFO entry"
+
+for _op, _info in OP_INFO.items():
+    _op.info = _info
+del _op, _info

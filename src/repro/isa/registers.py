@@ -8,12 +8,21 @@ cluster's register file (the paper's Table I: 64 GP + 32 PR per cluster; the
 A register is identified by ``(rclass, index, virtual)``.  Physical registers
 additionally carry the cluster that owns them.  ``Reg`` is immutable and
 hashable so it can key renaming tables (the paper's Fig. 4 data structures).
+
+The compiler hashes registers tens of millions of times per figure grid, so
+``Reg`` computes its hash once, at construction.  The value is exactly the
+one the generated dataclass hash would return,
+``hash((rclass, index, virtual, cluster))``: the iteration order of register
+sets follows it, and compiled output must not depend on how fast a hash is
+computed.  ``RegClass`` hashes by name, which ``PYTHONHASHSEED`` salts, so a
+pickled register is rebuilt through its constructor and rehashed in the
+receiving process; the cached int never crosses a process boundary.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class RegClass(enum.Enum):
@@ -47,6 +56,7 @@ class Reg:
     index: int
     virtual: bool = True
     cluster: int = -1
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -55,6 +65,15 @@ class Reg:
             raise ValueError("physical register requires a cluster")
         if self.virtual and self.cluster >= 0:
             raise ValueError("virtual register must not carry a cluster")
+        object.__setattr__(
+            self, "_hash", hash((self.rclass, self.index, self.virtual, self.cluster))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[type[Reg], tuple[RegClass, int, bool, int]]:
+        return (Reg, (self.rclass, self.index, self.virtual, self.cluster))
 
     @property
     def is_gp(self) -> bool:

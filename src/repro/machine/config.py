@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.errors import MachineConfigError
-from repro.isa.opcodes import OP_INFO, LatencyClass, Opcode
+from repro.isa.opcodes import LatencyClass, Opcode
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class MachineConfig:
     # -- queries ---------------------------------------------------------------
     def latency_of(self, opcode: Opcode) -> int:
         """Static (best-case) latency in cycles of ``opcode``."""
-        return self.latencies[OP_INFO[opcode].latency]
+        return self.latencies[opcode.info.latency]
 
     def with_(self, **changes) -> "MachineConfig":
         """Functional update (sweeps mutate issue width / delay a lot)."""

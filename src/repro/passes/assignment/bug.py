@@ -19,12 +19,12 @@ import heapq
 from dataclasses import dataclass
 
 from repro.ir.basic_block import BasicBlock
-from repro.ir.dfg import DFG, DepKind
+from repro.ir.dfg import DepKind
 from repro.isa.registers import Reg
 from repro.machine.config import MachineConfig
 from repro.machine.reservation import ReservationTable
 from repro.obs import get_telemetry
-from repro.passes.latency import edge_issue_latency, same_cluster_edge_latency
+from repro.passes.latency import BlockShape, block_shape, edge_issue_latency
 
 
 @dataclass
@@ -41,6 +41,7 @@ def bug_assign_block(
     pinned: dict[Reg, int],
     candidate_clusters: tuple[int, ...] | None = None,
     home_hints: dict[Reg, int] | None = None,
+    shape: BlockShape | None = None,
 ) -> BugBlockResult:
     """Assign ``insn.cluster`` for every instruction of ``block`` in place.
 
@@ -52,18 +53,20 @@ def bug_assign_block(
     ``home_hints`` supplies *predicted* homes (from a previous assignment
     iteration) for registers not pinned yet, so cross-block operand costs
     are priced even for blocks processed early.
+
+    ``shape`` is the block's :func:`~repro.passes.latency.block_shape`,
+    built here when not given.
     """
     hints = home_hints or {}
-    dfg = DFG(block)
+    if shape is None:
+        shape = block_shape(block, machine)
+    dfg = shape.dfg
+    # Critical-path priority: height under same-cluster latencies.
+    heights = shape.heights
     insns = block.instructions
     if candidate_clusters is None:
         candidate_clusters = tuple(range(machine.n_clusters))
     delay = machine.inter_cluster_delay
-
-    # Critical-path priority: height under same-cluster latencies.
-    heights = dfg.heights(
-        lambda e: same_cluster_edge_latency(e, insns[e.src], machine)
-    )
 
     table = ReservationTable(machine.n_clusters, machine.issue_width)
     issue_of: list[int] = [-1] * dfg.n
@@ -94,7 +97,7 @@ def bug_assign_block(
                 cands = (home,)
                 break
 
-        in_block_ops = {e.reg for e in dfg.preds[i] if e.kind is DepKind.DATA}
+        in_block_ops = shape.data_operands[i]
         # Choice key: earliest completion first (the Algorithm 2 heuristic),
         # then fewest cross-cluster operand reads, then the less loaded
         # cluster (ties mean the delay is irrelevant, so balance resources),

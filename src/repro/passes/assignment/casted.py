@@ -31,6 +31,7 @@ from repro.isa.registers import Reg
 from repro.machine.config import MachineConfig
 from repro.passes.assignment.bug import bug_assign_block
 from repro.passes.base import FunctionPass, PassContext
+from repro.passes.latency import BlockShape, block_shape
 from repro.passes.scheduler import schedule_block
 
 #: Assumed relative execution frequency per loop-nesting level.
@@ -100,13 +101,14 @@ class CastedAssignmentPass(FunctionPass):
         clusters: dict[str, list[int]],
         homes: dict[Reg, int],
         weight_of: dict[str, int],
+        shapes: dict[str, BlockShape],
     ) -> int:
         total = 0
         for label, cl in clusters.items():
             block = function.block(label)
             for insn, c in zip(block.instructions, cl):
                 insn.cluster = c
-            length = schedule_block(block, machine, homes).length
+            length = schedule_block(block, machine, homes, shapes[label]).length
             total += weight_of[label] * length
         return total
 
@@ -117,12 +119,14 @@ class CastedAssignmentPass(FunctionPass):
         order,
         checker: int,
         home_hints: dict[Reg, int],
+        shapes: dict[str, BlockShape],
     ) -> tuple[dict[str, list[int]], dict[Reg, int], dict[str, int]]:
         pinned: dict[Reg, int] = {}
         clusters: dict[str, list[int]] = {}
         chosen: dict[str, int] = {"unified": 0, "split": 0, "bug": 0}
         for label in order:
             block = function.block(label)
+            shape = shapes[label]
             best_name = None
             best_len = None
             best_clusters: list[int] = []
@@ -136,6 +140,7 @@ class CastedAssignmentPass(FunctionPass):
                         pins,
                         candidate_clusters=self.clusters,
                         home_hints=home_hints,
+                        shape=shape,
                     )
                 elif name == "split":
                     _fixed_assign(
@@ -144,7 +149,7 @@ class CastedAssignmentPass(FunctionPass):
                 else:
                     _fixed_assign(block, pins, lambda i: 0)
                 length = schedule_block(
-                    block, machine, {**home_hints, **pins}
+                    block, machine, {**home_hints, **pins}, shape
                 ).length
                 if best_len is None or length < best_len:
                     best_name, best_len = name, length
@@ -181,11 +186,16 @@ class CastedAssignmentPass(FunctionPass):
             key=lambda lb: (-weight_of[lb], layout_pos[lb]),
         )
         checker = 1 if machine.n_clusters > 1 else 0
+        # Every placement below reuses one shape per block: the DFG and its
+        # heights do not depend on where instructions are placed.
+        shapes = {lb: block_shape(function.block(lb), machine) for lb in order}
 
         # Iteration 1 discovers homes; iteration 2 re-decides with them.
-        _, homes1, _ = self._mixed_assign(function, machine, order, checker, {})
+        _, homes1, _ = self._mixed_assign(
+            function, machine, order, checker, {}, shapes
+        )
         mixed, homes2, chosen = self._mixed_assign(
-            function, machine, order, checker, homes1
+            function, machine, order, checker, homes1, shapes
         )
 
         candidates = [
@@ -203,7 +213,9 @@ class CastedAssignmentPass(FunctionPass):
 
         best = None
         for name, clusters, homes in candidates:
-            score = self._score(function, machine, clusters, homes, weight_of)
+            score = self._score(
+                function, machine, clusters, homes, weight_of, shapes
+            )
             if best is None or score < best[0]:
                 best = (score, name, clusters)
 

@@ -18,14 +18,22 @@ final schedule obeys.  This module is that single pricing function.
 * ``CTRL``  — 1 after a check's branch (it must resolve before the guarded
   instruction executes); producer's full latency for the terminator
   barrier (the block's branch leaves only after everything completed).
+
+:func:`block_shape` packages what both consumers derive from a block before
+pricing any placement: its DFG, the critical-path heights under
+same-cluster latencies, and each instruction's in-block DATA operands.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import ScheduleError
-from repro.ir.dfg import DepKind, Edge
+from repro.ir.basic_block import BasicBlock
+from repro.ir.dfg import DFG, DepKind, Edge
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
+from repro.isa.registers import Reg
 from repro.machine.config import MachineConfig
 
 
@@ -69,3 +77,34 @@ def same_cluster_edge_latency(edge: Edge, src: Instruction, machine: MachineConf
     if edge.kind is DepKind.DATA:
         return machine.latency_of(src.opcode)
     return edge_issue_latency(edge, src, machine, src_cluster=0, dst_cluster=0)
+
+
+@dataclass(frozen=True)
+class BlockShape:
+    """The cluster-independent facts BUG and the list scheduler need.
+
+    ``heights[i]`` is instruction ``i``'s critical-path height under
+    same-cluster latencies; ``data_operands[i]`` holds the registers it
+    reads through an in-block DATA edge.  None of it depends on the
+    cluster assignment, so CASTED builds one shape per block and reuses it
+    across every candidate placement it tries.  It is valid only while the
+    block's instruction list is unchanged.
+    """
+
+    dfg: DFG
+    heights: list[int]
+    data_operands: list[frozenset[Reg]]
+
+
+def block_shape(block: BasicBlock, machine: MachineConfig) -> BlockShape:
+    """Build ``block``'s dependence graph, heights and in-block operands."""
+    dfg = DFG(block)
+    insns = block.instructions
+    heights = dfg.heights(
+        lambda e: same_cluster_edge_latency(e, insns[e.src], machine)
+    )
+    data_operands = [
+        frozenset(e.reg for e in preds if e.kind is DepKind.DATA)
+        for preds in dfg.preds
+    ]
+    return BlockShape(dfg, heights, data_operands)

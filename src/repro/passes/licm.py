@@ -87,15 +87,18 @@ class LoopInvariantCodeMotion(FunctionPass):
             return 0
         preheader = function.block(outside_preds[0])
 
-        def defs_in_loop(reg: Reg) -> int:
-            return sum(defs_in_block[lb].get(reg, 0) for lb in body)
-
-        def uses_outside_loop(reg: Reg) -> int:
-            return sum(
-                uses_in_block[lb].get(reg, 0)
-                for lb in uses_in_block
-                if lb not in body
-            )
+        # This loop's def counts inside its body and use counts outside it,
+        # kept exact below as instructions move to the preheader.
+        defs_in_loop: dict[Reg, int] = {}
+        uses_outside_loop: dict[Reg, int] = {}
+        for lb, counts in defs_in_block.items():
+            if lb in body:
+                for r, n in counts.items():
+                    defs_in_loop[r] = defs_in_loop.get(r, 0) + n
+        for lb, counts in uses_in_block.items():
+            if lb not in body:
+                for r, n in counts.items():
+                    uses_outside_loop[r] = uses_outside_loop.get(r, 0) + n
 
         live_into_header = live.live_in[header]
         hoisted_regs: set[Reg] = set()
@@ -119,14 +122,17 @@ class LoopInvariantCodeMotion(FunctionPass):
                             len(preheader.instructions) - 1, insn
                         )
                         hoisted_regs.add(insn.dest)
-                        # keep the global maps exact for enclosing loops
+                        # keep the global maps exact for enclosing loops,
+                        # and this loop's counters exact for its next query
                         defs_in_block[label][insn.dest] -= 1
+                        defs_in_loop[insn.dest] -= 1
                         ph = defs_in_block[preheader.label]
                         ph[insn.dest] = ph.get(insn.dest, 0) + 1
                         phu = uses_in_block[preheader.label]
                         for r in insn.reads():
                             uses_in_block[label][r] -= 1
                             phu[r] = phu.get(r, 0) + 1
+                            uses_outside_loop[r] = uses_outside_loop.get(r, 0) + 1
                         hoisted += 1
                         changed = True
                     else:
@@ -144,13 +150,13 @@ class LoopInvariantCodeMotion(FunctionPass):
         dest = insn.dest
         if dest in live_into_header:
             return False  # loop-carried
-        if defs_in_loop(dest) != 1:
+        if defs_in_loop.get(dest, 0) != 1:
             return False
-        if uses_outside_loop(dest) != 0:
+        if uses_outside_loop.get(dest, 0) != 0:
             return False
         for r in insn.reads():
             if r in hoisted_regs:
                 continue
-            if defs_in_loop(r) != 0:
+            if defs_in_loop.get(r, 0) != 0:
                 return False
         return True

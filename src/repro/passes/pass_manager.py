@@ -12,8 +12,12 @@ from repro.passes.base import FunctionPass, PassContext
 class PassManager:
     """Runs passes in order; verifies the IR after each one when asked.
 
-    Verification after every pass is cheap at our program sizes and catches
-    pass bugs at their source, so it defaults to on.
+    Verification after every pass catches pass bugs at their source, so it
+    defaults to on.  It is not free: in a traced paper reproduction
+    (``benchmarks/e2e``, paper-repro, 341 compiles, 2 workers)
+    ``passes.verify`` took 14.2% of the run's worker capacity (13.9 s of
+    48.8 s of compile time) before the changes in ``docs/performance.md``,
+    "The compile pipeline", and 9.7% (6.3 s of 20.2 s) after them.
 
     When telemetry is enabled (see :mod:`repro.obs`), every pass emits a
     ``pass:<name>`` span carrying its wall time, instruction/block deltas,

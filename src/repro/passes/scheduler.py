@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.errors import ScheduleError
-from repro.ir.dfg import DFG, DepKind
+from repro.ir.basic_block import BasicBlock
 from repro.ir.program import Program
 from repro.isa.registers import Reg
 from repro.machine.config import MachineConfig
@@ -32,7 +32,7 @@ from repro.passes.assignment.base import (
     validate_assignment,
 )
 from repro.passes.base import FunctionPass, PassContext
-from repro.passes.latency import edge_issue_latency, same_cluster_edge_latency
+from repro.passes.latency import BlockShape, block_shape, edge_issue_latency
 
 
 @dataclass(frozen=True)
@@ -99,33 +99,36 @@ class ListScheduler(FunctionPass):
         )
         return True
 
-def schedule_block(block, machine: MachineConfig, homes: dict[Reg, int]) -> BlockSchedule:
+
+def schedule_block(
+    block: BasicBlock,
+    machine: MachineConfig,
+    homes: dict[Reg, int],
+    shape: BlockShape | None = None,
+) -> BlockSchedule:
     """List-schedule one block given every instruction's cluster.
 
     ``homes`` maps registers to their home cluster for the cross-block
     remote-operand rule; registers absent from the map are assumed local
     (the CASTED assignment pass also calls this with a *partial* map to
-    evaluate candidate placements).
+    evaluate candidate placements).  ``shape`` is the block's
+    :func:`~repro.passes.latency.block_shape`, built here when not given.
     """
-    dfg = DFG(block)
+    if shape is None:
+        shape = block_shape(block, machine)
+    dfg = shape.dfg
+    heights = shape.heights
     insns = block.instructions
     n = dfg.n
     delay = machine.inter_cluster_delay
 
-    heights = dfg.heights(
-        lambda e: same_cluster_edge_latency(e, insns[e.src], machine)
-    )
-
     # Earliest issue from cross-block remote operands.
     base_ready = [0] * n
     defined_in_block: set[Reg] = set()
-    in_block_data_ops: list[set[Reg]] = []
     for i, insn in enumerate(insns):
-        in_block_data_ops.append(
-            {e.reg for e in dfg.preds[i] if e.kind is DepKind.DATA}
-        )
+        data_ops = shape.data_operands[i]
         for r in insn.reads():
-            if r in in_block_data_ops[i] or r in defined_in_block:
+            if r in data_ops or r in defined_in_block:
                 continue
             home = homes.get(r)
             if home is not None and insn.cluster is not None and home != insn.cluster:
