@@ -345,8 +345,8 @@ class FaultInjector:
                 )
         else:
             # The profile span covers program decode (the compiled backend's
-            # superblock generation happens in the interpreter constructor)
-            # plus the golden run — in a pool worker this is the per-worker
+            # superblocks are fused on the interpreter's first run) plus the
+            # golden run — in a pool worker this is the per-worker
             # cost the worker cache exists to amortize away.
             with tel.span(
                 "injector:profile", cat="campaign", timer="campaign.profile.seconds"
@@ -444,8 +444,8 @@ class FaultInjector:
         ``compiled`` runs them as snapshot-bucketed groups through
         :class:`~repro.sim.batch.BatchRunner`, accumulating what the groups
         amortized into ``stats``.  ``interp`` is the oracle: every trial
-        replays from reset with no snapshot, convergence exit or trace
-        guide, and ``stats`` stays empty.
+        replays from reset with no snapshot, convergence index or chained
+        dispatch, and ``stats`` stays empty.
         """
         if self.interp.backend != "compiled":
             return {
@@ -626,12 +626,14 @@ class FaultInjector:
                 tel.count("campaign.batch_groups", stats.groups)
                 tel.count("campaign.batch_trials", shard_trials)
                 tel.count("campaign.batch_converged", stats.converged)
+                tel.count("campaign.batch_forwards", stats.forwards)
                 tel.count("campaign.batch_golden_dyn", stats.golden_advanced)
                 tel.count("campaign.batch_guided_visits", stats.guided_visits)
             sp.set(
                 faults=total_faults, groups=stats.groups,
                 restores=stats.restores, skipped_dyn=stats.skipped_dyn,
-                converged=stats.converged, guided=stats.guided_visits,
+                converged=stats.converged, forwards=stats.forwards,
+                guided=stats.guided_visits,
             )
         return ShardResult(
             index=shard_index,

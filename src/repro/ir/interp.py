@@ -28,8 +28,9 @@ from __future__ import annotations
 import enum
 import os
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from repro.errors import ArithmeticTrap, MemoryFault, SimError, SimTrap
@@ -118,25 +119,35 @@ class ConvergenceIndex:
     Built from the golden run's :class:`Snapshot` list (see
     :mod:`repro.sim.batch`).  When :meth:`Interpreter.run` is given one via
     ``converge`` it compares the live registers and memory against the
-    golden state each time execution crosses a snapshot boundary *after
-    every fault has been applied*.  A match means the remainder of the run
-    replays the golden continuation instruction for instruction — execution
-    is a deterministic function of (label, registers, memory), and output
-    is append-only — so the run finishes immediately with the golden final
-    kind / exit code / dyn count and ``output = emitted-so-far + the golden
-    output suffix past this boundary``.  A trial whose emitted output
-    already equals the golden prefix gets the shared ``final`` object; one
-    that diverged in output alone (the silent-corruption shape: a wrong
-    value was printed, the architectural state healed) still exits early
-    with its own synthesized output.  Purely an early exit either way: a
-    run that never matches is byte-identical to one executed without the
-    index, and a run that matches returns exactly what executing the
-    suffix would have produced (asserted by the engine/oracle parity tests).
+    golden state each time execution crosses a snapshot boundary.  A match
+    means the run replays the golden continuation instruction for
+    instruction until its next fault fires — execution is a deterministic
+    function of (label, registers, memory), and output is append-only — so:
 
-    ``hits`` counts early exits taken against this index (telemetry only).
+    * with every fault applied, the run finishes immediately with the
+      golden final kind / exit code / dyn count and ``output =
+      emitted-so-far + the golden output suffix past this boundary``.  A
+      trial whose emitted output already equals the golden prefix gets the
+      shared ``final`` object; one that diverged in output alone (the
+      silent-corruption shape: a wrong value was printed, the architectural
+      state healed) still exits early with its own synthesized output;
+    * with a fault still pending, the run fast-forwards to the last golden
+      snapshot at or before that fault's ``dyn_index``, appending the golden
+      output between the two boundaries.
+
+    Purely a shortcut either way: a run that never matches is byte-identical
+    to one executed without the index, and a run that matches ends exactly
+    as executing the skipped stretch would have (asserted by the
+    engine/oracle parity tests).
+
+    ``hits`` counts early exits and ``forwards`` fast-forwards taken against
+    this index (telemetry only).
     """
 
-    __slots__ = ("keys", "labels", "regs", "mems", "out_lens", "final", "hits")
+    __slots__ = (
+        "keys", "labels", "regs", "mems", "out_lens", "final", "hits",
+        "forwards",
+    )
 
     def __init__(self, snapshots: list["Snapshot"], final: "RunResult") -> None:
         self.keys = [s.dyn for s in snapshots]
@@ -158,74 +169,7 @@ class ConvergenceIndex:
             block_trace=(),
         )
         self.hits = 0
-
-
-class TraceGuide:
-    """Golden-trace-guided execution plan for post-fault suffixes.
-
-    Fault trials overwhelmingly keep following the golden control flow even
-    after their architectural state diverged: benign faults rejoin it,
-    exception trials follow it until the trap, and silent corruption rides
-    along it for most of the suffix (the corrupted value flows through the
-    same branches).  The guide lets :meth:`Interpreter.run` execute such
-    suffixes as a tight loop over the recorded golden block trace — one
-    pre-fused callable plus one next-label comparison per block visit —
-    instead of the general dispatch loop, peeling back to it the moment a
-    block's actual jump disagrees with the trace.
-
-    Misprediction cannot corrupt a run: every callable in ``pairs`` is the
-    compiled body for the label recorded at that trace position, so any
-    visit the guided loop executes is architecturally exact regardless of
-    how the run is aligned against the trace; the trace only *predicts* the
-    next label.  Likewise the committed-instruction count stays exact
-    because ``vds`` deltas along the trace are the block lengths of the
-    visited labels.  Guided chunks stop at golden snapshot boundaries
-    (``key_visits``) so the convergence early exit fires at exactly the
-    positions the scalar loop would check, and a chunk is only entered when
-    it fits under the watchdog budget, so timeout accounting is untouched.
-
-    ``visits`` counts block visits executed under guidance (telemetry).
-    """
-
-    __slots__ = ("pairs", "vds", "labels", "occ", "key_visits", "last",
-                 "visits")
-
-    def __init__(
-        self,
-        interp: "Interpreter",
-        golden: "RunResult",
-        visit_dyn_start,
-        snap_keys: list[int],
-    ) -> None:
-        fused = interp._fused
-        if fused is None:
-            raise SimError("trace guide requires a fused (compiled) backend")
-        trace = golden.block_trace
-        if not trace:
-            raise SimError("trace guide requires a recorded golden trace")
-        n = len(trace)
-        # Interning lets the guided loop's `is` comparison short-circuit
-        # the common predicted-correctly case (generated code constants
-        # that look like identifiers are interned by CPython).
-        labels = [sys.intern(lb) for lb in trace]
-        self.labels = labels
-        self.pairs = [(fused[labels[i]], labels[i + 1]) for i in range(n - 1)]
-        vds = [int(x) for x in visit_dyn_start]
-        if len(vds) != n:
-            raise SimError("visit table does not match the golden trace")
-        self.vds = vds
-        occ: dict[str, list[int]] = {}
-        for i, lb in enumerate(labels):
-            occ.setdefault(lb, []).append(i)
-        self.occ = occ
-        kv: list[int] = []
-        for key in snap_keys:
-            j = bisect_left(vds, key)
-            if j < n and vds[j] == key:
-                kv.append(j)
-        self.key_visits = kv
-        self.last = n - 1
-        self.visits = 0
+        self.forwards = 0
 
 
 #: Recognized :attr:`FaultSpec.kind` values.
@@ -472,15 +416,36 @@ class Interpreter:
                 )
             cb.n = len(cb.fns)
             self._blocks[block.label] = cb
+        #: Longest block: a chained visit starting below ``x - _maxlen``
+        #: commits its whole block before instruction ``x``.
+        self._maxlen = max((cb.n for cb in self._blocks.values()), default=0)
+        #: Block visits :meth:`run` executed on its chained path (telemetry).
+        self.chained_visits = 0
 
         self.backend = resolve_backend(backend)
-        self._fused: dict[str, Callable[[], object]] | None = None
-        if self.backend == "compiled":
-            # Imported lazily: repro.sim.compiled imports helpers from this
-            # module, so a top-level import would be circular.
-            from repro.sim.compiled import fuse_functional_blocks
 
-            self._fused = fuse_functional_blocks(self)
+    @cached_property
+    def chain(self) -> dict[str, tuple[Callable[[], object], int]] | None:
+        """``label -> (fused superblock, block length)``, built on first use.
+
+        ``None`` on the ``interp`` backend.  Lazy because many interpreters
+        never run functionally (a :class:`~repro.sim.executor.VLIWExecutor`
+        only needs its embedded one for :meth:`functional_run`).  The fused
+        callables close over the live register/memory/output lists, so they
+        observe resets and restores.  Keys are interned so the chained
+        loop's lookups of the label constants the fused code returns hit on
+        identity.
+        """
+        if self.backend != "compiled":
+            return None
+        # Imported lazily: repro.sim.compiled imports helpers from this
+        # module, so a top-level import would be circular.
+        from repro.sim.compiled import fuse_functional_blocks
+
+        return {
+            sys.intern(label): (fn, self._blocks[label].n)
+            for label, fn in fuse_functional_blocks(self).items()
+        }
 
     # -- closure construction ---------------------------------------------------
     def _make_closure(self, insn) -> Callable[[], object]:
@@ -662,7 +627,6 @@ class Interpreter:
         snapshot_sink: list[Snapshot] | None = None,
         resume_from: Snapshot | None = None,
         converge: ConvergenceIndex | None = None,
-        guide: TraceGuide | None = None,
     ) -> RunResult:
         """Execute from the entry block and classify the ending.
 
@@ -678,20 +642,24 @@ class Interpreter:
         latency identical to a replay from zero.
 
         ``converge`` (a :class:`ConvergenceIndex`) enables the batched
-        engine's golden re-convergence early exit: once every fault has
-        been applied, crossing a golden snapshot boundary with state equal
-        to the golden state at that point returns the golden final result
-        immediately — the continuation would replay the golden run, so the
-        returned :class:`RunResult` is identical to executing the suffix.
+        engine's golden shortcuts: crossing a golden snapshot boundary with
+        state equal to the golden state there returns the golden final
+        result immediately once every fault is applied, and fast-forwards
+        to the golden state just before the next fault otherwise.  Either
+        way the returned :class:`RunResult` is identical to executing the
+        skipped instructions.  It cannot be combined with trace or snapshot
+        recording, whose per-block bookkeeping a shortcut would skip.
 
-        ``guide`` (a :class:`TraceGuide`) turns the post-fault suffix into
-        trace-guided execution: once every fault is applied, block visits
-        that keep matching the golden control flow run through a tight
-        chunked loop instead of the general dispatch loop, falling back
-        here the moment a jump disagrees with the trace.  Purely a faster
-        engine for the same instruction stream (see :class:`TraceGuide`).
-        Only the compiled trial engine passes one, and never together with
-        trace recording or snapshotting, which need per-block bookkeeping.
+        On the compiled backend without trace or snapshot recording, the
+        fault-free stretches of a run execute **chained**: visits run back
+        to back through :attr:`chain` with no per-visit bookkeeping, while
+        the committed count stays below ``stop``.  ``stop`` keeps the
+        longest block clear of the watchdog budget and of the next pending
+        fault, and ends at the next convergence boundary, so every block
+        that may time out or hold a fault, and every boundary check, still
+        runs through the general loop below.  A chained visit that traps
+        leaves ``dyn`` at its block start, and one that detects or halts
+        counts its whole block, exactly as the general loop does.
         """
         R, M, O = self._R, self._M, self._O
         if resume_from is None:
@@ -711,7 +679,7 @@ class Interpreter:
 
         trace: list[str] | None = [] if record_trace else None
         blocks = self._blocks
-        fused = self._fused
+        chain = self.chain
 
         next_mark = -1
         if snapshot_sink is not None and snapshot_every is not None:
@@ -719,30 +687,24 @@ class Interpreter:
                 raise SimError("snapshot_every must be >= 1")
             next_mark = snapshot_every
 
-        g_pairs = None
-        g_vds = g_labels = g_occ = g_keyvisits = None
-        g_nkeys = g_last = 0
-        g_floor = g_fails = g_skip = 0
-        if guide is not None:
-            g_pairs = guide.pairs
-            g_vds = guide.vds
-            g_labels = guide.labels
-            g_occ = guide.occ
-            g_keyvisits = guide.key_visits
-            g_nkeys = len(g_keyvisits)
-            g_last = guide.last
+        recording = trace is not None or next_mark >= 0
+        chained = None if recording else chain
+        maxlen = self._maxlen
+        budget_stop = budget - maxlen
 
-        conv_keys = conv_n = None
+        conv_keys: list[int] = []
         ci = 0
         if converge is not None:
+            if recording:
+                raise SimError("converge cannot be combined with recording")
             conv_keys = converge.keys
-            conv_n = len(conv_keys)
             # Boundaries at or before the resume point are the pre-fault
             # prefix — never candidates.
-            while ci < conv_n and conv_keys[ci] <= dyn:
-                ci += 1
+            ci = bisect_right(conv_keys, dyn)
+        conv_n = len(conv_keys)
 
-        def finish(kind: ExitKind, code: int | None, trap: str | None) -> RunResult:
+        def finish(kind: ExitKind, code: int | None, trap: str | None,
+                   dyn: int) -> RunResult:
             return RunResult(
                 kind,
                 code,
@@ -754,20 +716,7 @@ class Interpreter:
 
         try:
             while True:
-                cb = blocks[label]
-                if trace is not None:
-                    trace.append(label)
-                if next_mark >= 0 and dyn >= next_mark:
-                    snapshot_sink.append(
-                        Snapshot(dyn, label, tuple(R), tuple(M), tuple(O))
-                    )
-                    next_mark = (dyn // snapshot_every + 1) * snapshot_every
-                if conv_keys is not None and nf < 0:
-                    # All faults applied: crossing a golden boundary with
-                    # golden-equal registers and memory means the suffix
-                    # replays the golden continuation verbatim — finish with
-                    # the golden final result, splicing the golden output
-                    # suffix onto whatever this run has emitted so far.
+                if conv_n:
                     while ci < conv_n and conv_keys[ci] < dyn:
                         ci += 1
                     if ci < conv_n and conv_keys[ci] == dyn:
@@ -778,113 +727,85 @@ class Interpreter:
                             and R == converge.regs[j]
                             and M == converge.mems[j]
                         ):
-                            converge.hits += 1
                             final = converge.final
                             n_out = converge.out_lens[j]
-                            if len(O) == n_out and O == list(final.output[:n_out]):
-                                return final
-                            return RunResult(
-                                final.kind,
-                                final.exit_code,
-                                tuple(O) + final.output[n_out:],
-                                final.dyn_instructions,
-                                trap=final.trap,
-                                block_trace=(),
-                            )
-                if g_skip and nf < 0:
-                    g_skip -= 1
-                if g_pairs is not None and nf < 0 and g_skip == 0:
-                    # Trace-guided fast path: align against the golden
-                    # block trace and execute visits in chunks while the
-                    # control flow keeps agreeing with it.
-                    gi = -1
-                    off = 0
-                    v = bisect_left(g_vds, dyn, g_floor)
-                    if v < g_last and g_vds[v] == dyn and g_labels[v] == label:
-                        gi = v
-                    else:
-                        # Control flow diverged from the trace earlier (or
-                        # skipped/repeated visits): re-sync at the next
-                        # occurrence of this label.  A wrong alignment only
-                        # costs prediction accuracy, never correctness.
-                        loc = g_occ.get(label)
-                        if loc is not None:
-                            k = bisect_left(loc, g_floor)
-                            if k < len(loc) and loc[k] < g_last:
-                                gi = loc[k]
-                                off = dyn - g_vds[gi]
-                    if gi < 0:
-                        # No trace position left for this label: the run
-                        # has left the golden path for good (or overran
-                        # its occurrences).  Back off exponentially so a
-                        # permanently diverged run stops paying the sync
-                        # probe on every block.
-                        g_fails += 1
-                        g_skip = min(128, 1 << g_fails)
-                    else:
-                        if off == 0:
-                            kk = bisect_right(g_keyvisits, gi)
-                            stop = (
-                                g_keyvisits[kk] if kk < g_nkeys else g_last
-                            )
-                        else:
-                            # Misaligned runs cannot hit a convergence key
-                            # (guarded by exact dyn equality), so chunk by
-                            # a fixed stride instead.
-                            stop = min(gi + 2048, g_last)
-                        if g_vds[stop] + off > budget:
-                            # Near the watchdog budget: hand over to the
-                            # scalar loop's exact per-block accounting.
-                            g_pairs = None
-                        else:
-                            i = gi
-                            res = None
-                            try:
-                                for fn, exp in g_pairs[gi:stop]:
-                                    r = fn()
-                                    if r is not exp and r != exp:
-                                        res = r
-                                        break
-                                    i += 1
-                            except SimTrap:
-                                dyn = g_vds[i] + off
-                                raise
-                            if res is None:
-                                guide.visits += i - gi
-                                g_fails = 0
-                                dyn = g_vds[stop] + off
-                                label = g_labels[stop]
-                                g_floor = stop
-                                continue
-                            # Visit i executed in full; its jump left the
-                            # trace (or ended the run).
-                            guide.visits += i - gi + 1
-                            if i - gi + 1 >= 4:
-                                g_fails = 0
-                            else:
-                                # The alignment guess barely predicted:
-                                # treat it like a failed probe.
-                                g_fails += 1
-                                g_skip = min(128, 1 << g_fails)
-                            dyn = g_vds[i + 1] + off
-                            g_floor = i + 1
-                            if res is _DETECT:
-                                return finish(ExitKind.DETECTED, None, None)
-                            if type(res) is tuple:
-                                return finish(ExitKind.OK, res[1], None)
-                            if type(res) is not str:  # pragma: no cover
-                                raise SimError(
-                                    f"block {g_labels[i]} fell through"
+                            if nf < 0:
+                                # All faults applied: the suffix replays the
+                                # golden continuation verbatim — finish with
+                                # the golden final result, splicing the
+                                # golden output suffix onto whatever this
+                                # run has emitted so far.
+                                converge.hits += 1
+                                if len(O) == n_out and O == list(
+                                    final.output[:n_out]
+                                ):
+                                    return final
+                                return RunResult(
+                                    final.kind,
+                                    final.exit_code,
+                                    tuple(O) + final.output[n_out:],
+                                    final.dyn_instructions,
+                                    trap=final.trap,
+                                    block_trace=(),
                                 )
-                            label = res
-                            continue
+                            # A fault is pending: the golden run reaches the
+                            # last boundary at or before it without firing
+                            # it, so jump straight to that boundary.
+                            k = bisect_right(conv_keys, nf - 1) - 1
+                            if k > j:
+                                converge.forwards += 1
+                                R[:] = converge.regs[k]
+                                M[:] = converge.mems[k]
+                                O.extend(
+                                    final.output[n_out:converge.out_lens[k]]
+                                )
+                                dyn = conv_keys[k]
+                                label = converge.labels[k]
+                                ci = k + 1
+                stop = -1
+                if chained is not None:
+                    stop = budget_stop
+                    if nf >= 0 and nf - maxlen < stop:
+                        stop = nf - maxlen
+                    if ci < conv_n and conv_keys[ci] < stop:
+                        stop = conv_keys[ci]
+                if dyn < stop:
+                    visits = 0
+                    try:
+                        while dyn < stop:
+                            try:
+                                fn, n = chained[label]
+                            except KeyError:
+                                # `label` names no block: the last visit
+                                # detected, halted or fell through.
+                                break
+                            label = fn()
+                            dyn += n
+                            visits += 1
+                    finally:
+                        self.chained_visits += visits
+                    if label in blocks:
+                        continue
+                    if label is _DETECT:
+                        return finish(ExitKind.DETECTED, None, None, dyn)
+                    if type(label) is tuple:
+                        return finish(ExitKind.OK, label[1], None, dyn)
+                    raise SimError("chained block fell through")  # pragma: no cover
+                cb = blocks[label]
+                if trace is not None:
+                    trace.append(label)
+                if next_mark >= 0 and dyn >= next_mark:
+                    snapshot_sink.append(
+                        Snapshot(dyn, label, tuple(R), tuple(M), tuple(O))
+                    )
+                    next_mark = (dyn // snapshot_every + 1) * snapshot_every
                 if dyn + cb.n > budget:
-                    return finish(ExitKind.TIMEOUT, None, "watchdog")
+                    return finish(ExitKind.TIMEOUT, None, "watchdog", dyn)
                 jump: object = None
                 if nf < 0 or nf > dyn + cb.n:
                     # Fast path: no fault lands during this block visit.
-                    if fused is not None:
-                        jump = fused[label]()
+                    if chain is not None:
+                        jump = chain[label][0]()
                     else:
                         for fn in cb.fns:
                             res = fn()
@@ -961,9 +882,9 @@ class Interpreter:
                 if jump is None:
                     raise SimError(f"block {label} fell through")  # pragma: no cover
                 if jump is _DETECT:
-                    return finish(ExitKind.DETECTED, None, None)
+                    return finish(ExitKind.DETECTED, None, None, dyn)
                 if type(jump) is tuple:
-                    return finish(ExitKind.OK, jump[1], None)
+                    return finish(ExitKind.OK, jump[1], None, dyn)
                 label = jump
         except SimTrap as trap:
-            return finish(ExitKind.EXCEPTION, None, trap.kind)
+            return finish(ExitKind.EXCEPTION, None, trap.kind, dyn)

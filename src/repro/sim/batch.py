@@ -18,18 +18,20 @@ leans on it *per group*:
    fault lands, its state is forked (trials whose faults share a block
    share the fork) and the trial peels off to
    :meth:`~repro.ir.interp.Interpreter.run`, which applies faults exactly
-   as a replay from reset does, and runs its suffix trace-guided.
-4. **Golden re-convergence early exit**: peeled trials carry a
-   :class:`~repro.ir.interp.ConvergenceIndex`; once all faults are applied
-   a trial whose state matches the golden state at a snapshot boundary is
-   finished immediately with the golden final result (masked faults stop
-   costing a full program suffix).
+   as a replay from reset does and runs every fault-free stretch of the
+   suffix on its chained fast loop, whatever the control flow.
+4. **Golden shortcuts**: peeled trials carry a
+   :class:`~repro.ir.interp.ConvergenceIndex`.  A trial whose state matches
+   the golden state at a snapshot boundary fast-forwards to the last
+   golden snapshot at or before its next pending fault, or, with every fault
+   applied, finishes immediately with the golden final result (masked
+   faults stop costing a full program suffix).
 
 This is the compiled backend's only campaign engine; a single trial is a
 one-trial group.  Each step preserves the determinism contract: faults are
 pre-drawn in trial order from the untouched per-shard RNG stream, peel-off
 applies faults through the same run loop a replay from reset uses, and
-the convergence exit returns exactly the :class:`RunResult` a full replay
+the golden shortcuts return exactly the :class:`RunResult` a full replay
 would have produced — so a campaign's
 :class:`~repro.faults.injector.CampaignResult` is bit-identical to the
 interp backend's replay-from-zero oracle (asserted across the workload x
@@ -51,7 +53,6 @@ from repro.ir.interp import (
     Interpreter,
     RunResult,
     Snapshot,
-    TraceGuide,
 )
 from repro.sim.compiled import TraceAdvancer
 
@@ -93,7 +94,9 @@ class GroupStats:
     skipped_dyn: int = 0
     #: Trials finished by the golden re-convergence early exit.
     converged: int = 0
-    #: Post-fault block visits executed by the trace-guided fast path.
+    #: Golden fast-forwards between a trial's pending faults.
+    forwards: int = 0
+    #: Post-fault block visits executed on the chained fast loop.
     guided_visits: int = 0
 
 
@@ -154,9 +157,6 @@ class BatchRunner:
         self._converge = (
             ConvergenceIndex(snapshots, golden) if snapshots else None
         )
-        self._guide: TraceGuide | None = TraceGuide(
-            interp, golden, visit_dyn_start, self.snap_keys
-        )
 
     def plan(self, plans: list[TrialPlan]) -> list[BatchGroup]:
         return plan_groups(plans, self.snap_keys)
@@ -213,22 +213,21 @@ class BatchRunner:
             stats.skipped_dyn += fork.dyn
         stats.golden_advanced += int(vds[cur_visit]) - start_dyn
 
-        # Phase 2 — divergence peel-off: each trial runs from its fork,
-        # trace-guided, with the convergence index as its early exit.
+        # Phase 2 — divergence peel-off: each trial runs from its fork, with
+        # the convergence index as its fast-forward and early exit.
         converge = self._converge
-        guide = self._guide
         hits0 = converge.hits if converge is not None else 0
-        guided0 = guide.visits if guide is not None else 0
+        forwards0 = converge.forwards if converge is not None else 0
+        chained0 = interp.chained_visits
         for plan, fork in forks:
             result = interp.run(
                 faults=plan.faults,
                 max_steps=self.max_steps,
                 resume_from=fork,
                 converge=converge,
-                guide=guide,
             )
             emit(plan, result)
         if converge is not None:
             stats.converged += converge.hits - hits0
-        if guide is not None:
-            stats.guided_visits += guide.visits - guided0
+            stats.forwards += converge.forwards - forwards0
+        stats.guided_visits += interp.chained_visits - chained0

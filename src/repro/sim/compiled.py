@@ -117,12 +117,18 @@ _SIGNED = {
     Opcode.SHRA: "({x} >> ({y} & 63)) & {m}",
     Opcode.MIN: "min({x}, {y}) & {m}",
     Opcode.MAX: "max({x}, {y}) & {m}",
-    Opcode.CMPEQ: "1 if {x} == {y} else 0",
-    Opcode.CMPNE: "1 if {x} != {y} else 0",
-    Opcode.CMPLT: "1 if {x} < {y} else 0",
-    Opcode.CMPLE: "1 if {x} <= {y} else 0",
-    Opcode.CMPGT: "1 if {x} > {y} else 0",
-    Opcode.CMPGE: "1 if {x} >= {y} else 0",
+}
+
+#: Compares, written over raw register values.  Registers always hold
+#: ``[0, 2**64)``, so equality needs no decoding, and flipping the sign bit
+#: (``x ^ 2**63``) maps two's-complement order onto unsigned order.
+_CMP = {
+    Opcode.CMPEQ: ("==", False),
+    Opcode.CMPNE: ("!=", False),
+    Opcode.CMPLT: ("<", True),
+    Opcode.CMPLE: ("<=", True),
+    Opcode.CMPGT: (">", True),
+    Opcode.CMPGE: (">=", True),
 }
 
 _UNARY = {
@@ -159,6 +165,15 @@ def _alu_lines(insn, slot_of) -> list[str] | None:
             return [f"R[{d}] = " + tmpl.format(a=srcs[0], k=imm & _MASK, m=_MASK)]
         tmpl = _RAW_RR[op]
         return [f"R[{d}] = " + tmpl.format(a=srcs[0], b=srcs[1], m=_MASK)]
+    if op in _CMP:
+        rel, signed = _CMP[op]
+        if signed:
+            x = f"(R[{srcs[0]}] ^ {_S})"
+            y = f"(R[{srcs[1]}] ^ {_S})" if imm is None else (imm & _MASK) ^ _S
+        else:
+            x = f"R[{srcs[0]}]"
+            y = f"R[{srcs[1]}]" if imm is None else imm & _MASK
+        return [f"R[{d}] = 1 if {x} {rel} {y} else 0"]
     if op in _SIGNED_OPS:
         lines = [f"x = R[{srcs[0]}]", f"if x & {_S}: x -= {_W}"]
         if imm is not None:
@@ -211,6 +226,20 @@ def _alu_lines(insn, slot_of) -> list[str] | None:
     raise UnsupportedOpcode(str(op))
 
 
+def _addr_lines(base: int, imm: int, mem_words: int, what: str) -> list[str]:
+    """Compute and bounds-check a LOAD/STORE address into ``t``.
+
+    Registers always hold ``[0, 2**64)``, so a zero offset needs neither
+    the add nor the wrap-around mask.
+    """
+    addr = f"R[{base}]" if imm == 0 else f"(R[{base}] + ({imm})) & {_MASK}"
+    return [
+        f"t = {addr}",
+        f"if t < 1 or t >= {mem_words}:",
+        f"    raise MF('{what} invalid address %d' % t)",
+    ]
+
+
 # -- functional fusion (reference interpreter fast path) ----------------------
 
 
@@ -226,19 +255,11 @@ def _functional_body(block, slot_of, frame_base: int, mem_words: int) -> list[st
         imm = insn.imm
         if op is Opcode.LOAD:
             d = slot_of[insn.dests[0]]
-            lines += [
-                f"t = (R[{srcs[0]}] + ({imm})) & {_MASK}",
-                f"if t < 1 or t >= {mem_words}:",
-                "    raise MF('load from invalid address %d' % t)",
-                f"R[{d}] = M[t]",
-            ]
+            lines += _addr_lines(srcs[0], imm, mem_words, "load from")
+            lines.append(f"R[{d}] = M[t]")
         elif op is Opcode.STORE:
-            lines += [
-                f"t = (R[{srcs[0]}] + ({imm})) & {_MASK}",
-                f"if t < 1 or t >= {mem_words}:",
-                "    raise MF('store to invalid address %d' % t)",
-                f"M[t] = R[{srcs[1]}]",
-            ]
+            lines += _addr_lines(srcs[0], imm, mem_words, "store to")
+            lines.append(f"M[t] = R[{srcs[1]}]")
         elif op is Opcode.LOADFP:
             d = slot_of[insn.dests[0]]
             lines.append(f"R[{d}] = M[{frame_base + imm}]")
@@ -369,8 +390,8 @@ class TraceAdvancer:
     __slots__ = ("_fns",)
 
     def __init__(self, interp, trace: tuple[str, ...]) -> None:
-        fused = interp._fused
-        self._fns = [fused[label] for label in trace]
+        chain = interp.chain
+        self._fns = [chain[label][0] for label in trace]
 
     def advance(self, start_visit: int, stop_visit: int) -> None:
         """Execute golden trace visits ``[start_visit, stop_visit)``."""
@@ -428,17 +449,13 @@ def _timed_body(block, order, cycles, slot_of, frame_base: int, mem_words: int,
         if op is Opcode.LOAD:
             d = slot_of[insn.dests[0]]
             lines += [
-                f"t = (R[{srcs[0]}] + ({imm})) & {_MASK}",
-                f"if t < 1 or t >= {mem_words}:",
-                "    raise MF('load from invalid address %d' % t)",
+                *_addr_lines(srcs[0], imm, mem_words, "load from"),
                 *_stall_lines("t", False, c, lat_load, overlap),
                 f"R[{d}] = M[t]",
             ]
         elif op is Opcode.STORE:
             lines += [
-                f"t = (R[{srcs[0]}] + ({imm})) & {_MASK}",
-                f"if t < 1 or t >= {mem_words}:",
-                "    raise MF('store to invalid address %d' % t)",
+                *_addr_lines(srcs[0], imm, mem_words, "store to"),
                 *_stall_lines("t", True, c, lat_store, overlap),
                 f"M[t] = R[{srcs[1]}]",
             ]

@@ -2,14 +2,16 @@
 
 The compiled backend's campaign engine (``repro.sim.batch``) restructures
 *how* trials execute — snapshot-bucketed groups, one shared golden-prefix
-advance per group, trace-guided suffixes, golden re-convergence early
-exits — while promising bit-identical :class:`CampaignResult`s.  These
-tests hold it to that promise against the interp backend, which replays
-every trial from reset and serves as the oracle, across the full workload
-x scheme matrix and every fault model, and exercise the pieces the promise
-rests on: group planning never reorders RNG consumption, checkpoints move
-between the oracle and the engine mid-campaign, and the trace guide is a
-pure engine swap (disabling it changes nothing but speed).
+advance per group, chained dispatch of fault-free stretches, golden
+fast-forwards between faults and re-convergence early exits — while
+promising bit-identical :class:`CampaignResult`s.  These tests hold it to
+that promise against the interp backend, which replays every trial from
+reset and serves as the oracle, across the full workload x scheme matrix
+and every fault model, and exercise the pieces the promise rests on: group
+planning never reorders RNG consumption, checkpoints move between the
+oracle and the engine mid-campaign, watchdog and trap trials end exactly
+as on the oracle, a fast-forward lands before the next fault, and chained
+dispatch is a pure engine swap (disabling it changes nothing but speed).
 """
 
 from __future__ import annotations
@@ -19,11 +21,15 @@ import pytest
 
 from repro.faults.injector import MIN_TASK_SECONDS, FaultInjector
 from repro.faults.models import fault_model_names
-from repro.ir.interp import FaultSpec
+from repro.ir.builder import IRBuilder
+from repro.ir.interp import ExitKind, FaultSpec
+from repro.ir.program import GlobalArray, Program
 from repro.machine.config import MachineConfig
 from repro.parallel import plan_task_groups
 from repro.pipeline import Scheme, compile_program
-from repro.sim.batch import TrialPlan, plan_groups
+from repro.sim.batch import GroupStats, TrialPlan, plan_groups
+from repro.sim.executor import VLIWExecutor
+from repro.utils.rng import make_rng
 from repro.workloads import get_workload, workload_names
 
 MACHINE = MachineConfig(issue_width=2, inter_cluster_delay=1)
@@ -161,6 +167,94 @@ def test_run_trial_is_a_one_trial_group_matching_the_oracle():
     assert oracle._batch_runner is None
 
 
+def _trial_results(injector: FaultInjector, plans: list[TrialPlan]) -> dict:
+    """Per-trial :class:`RunResult`s from ``injector``'s engine, and its stats."""
+    stats = GroupStats()
+    return injector._execute(plans, stats), stats
+
+
+def test_watchdog_and_trap_trials_match_the_oracle():
+    """Timed-out and trapping trials end exactly as on the oracle.
+
+    mcf/CASTED at iw2/d2 under rate-matched ``cf`` faults: the first
+    25-trial shard of seed 109 holds timeouts and a trap, so the chained
+    loop's watchdog edge (``budget - maxlen``) and trap accounting run.
+    """
+    machine = MachineConfig(issue_width=2, inter_cluster_delay=2)
+    program = get_workload("mcf").program
+    cp = compile_program(program, Scheme.CASTED, machine)
+    reference = VLIWExecutor(
+        compile_program(program, Scheme.NOED, machine)
+    ).run().dyn_instructions
+    engine = _injector(cp, backend="compiled", fault_model="cf")
+    oracle = _injector(cp, backend="interp", fault_model="cf")
+    rng = make_rng(109, "fault-campaign", 0)
+    plans = [
+        TrialPlan(index=t, faults=engine.faults_for_trial(rng, reference))
+        for t in range(TRIALS)
+    ]
+    got, _ = _trial_results(engine, plans)
+    want, _ = _trial_results(oracle, plans)
+    assert got == want
+    kinds = [result.kind for result in want.values()]
+    assert ExitKind.TIMEOUT in kinds
+    assert ExitKind.EXCEPTION in kinds
+
+
+def _masked_fault_loop(n: int = 300) -> Program:
+    """A loop whose first write is dead: the next instruction overwrites it."""
+    b = IRBuilder("main")
+    f = b.function
+    b.add_and_enter("entry")
+    i, acc, step = f.new_gp(), f.new_gp(), f.new_gp()
+    b.movi_to(i, 0)
+    b.movi_to(acc, 0)
+    b.jmp("loop")
+    b.add_and_enter("loop")
+    b.movi_to(step, 99)  # position 0: a fault here is masked
+    b.movi_to(step, 1)
+    addr = b.add(i, 1)
+    b.store(addr, i)
+    acc2 = b.add(acc, b.load(addr))
+    b.mov_to(acc, acc2)  # position 6: a fault here reaches the output
+    b.mov_to(i, b.add(i, step))
+    b.brt(b.cmplt(i, n), "loop", "exit")
+    b.add_and_enter("exit")
+    b.out(acc)
+    b.halt(0)
+    return Program(f, [GlobalArray("buf", n)])
+
+
+def test_fast_forward_between_pending_faults_matches_the_oracle():
+    """A masked fault, then a live one several snapshot intervals later:
+    the trial fast-forwards over the golden-equal gap between them and
+    still applies the second fault exactly where the oracle does."""
+    program = _masked_fault_loop()
+    engine = FaultInjector(program, backend="compiled")
+    oracle = FaultInjector(program, backend="interp")
+    keys = engine.batch_runner().snap_keys
+    # Visit 0 is the entry block; visit v >= 1 is loop iteration v - 1.
+    masked = int(engine._visit_dyn_start[4])
+    live = int(engine._visit_dyn_start[40]) + 6
+    assert np.searchsorted(keys, live, "right") - np.searchsorted(
+        keys, masked, "right"
+    ) >= 2
+    plans = [
+        TrialPlan(
+            index=0,
+            faults=(
+                FaultSpec(dyn_index=masked, bit=3),
+                FaultSpec(dyn_index=live, bit=5),
+            ),
+        )
+    ]
+    got, stats = _trial_results(engine, plans)
+    want, _ = _trial_results(oracle, plans)
+    assert got == want
+    assert want[0].output != engine.golden.output
+    assert stats.forwards >= 1
+
+
 class TestCheckpointResumeMidBatch:
     def test_resume_mid_campaign_is_bit_identical(self, tmp_path):
         cp = _compiled("parser", Scheme.CASTED)
@@ -200,15 +294,17 @@ class TestCheckpointResumeMidBatch:
 
 
 class TestEngineKnobs:
-    def test_trace_guide_is_result_invariant(self):
+    def test_chained_dispatch_is_result_invariant(self):
         cp = _compiled("parser", Scheme.CASTED)
-        guided = _injector(cp, backend="compiled")
-        unguided = _injector(cp, backend="compiled")
-        unguided.batch_runner()._guide = None
-        r1 = guided.run_campaign(50, SEED)
-        r2 = unguided.run_campaign(50, SEED)
+        chained = _injector(cp, backend="compiled")
+        unchained = _injector(cp, backend="compiled")
+        unchained.batch_runner()
+        unchained.interp.chain = None
+        r1 = chained.run_campaign(50, SEED)
+        r2 = unchained.run_campaign(50, SEED)
         assert _signature(r1) == _signature(r2)
-        assert guided.batch_runner()._guide.visits > 0
+        assert chained.interp.chained_visits > 0
+        assert unchained.interp.chained_visits == 0
 
     def test_batched_pool_campaign_matches_serial(self):
         cp = _compiled("parser", Scheme.CASTED)

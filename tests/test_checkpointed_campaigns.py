@@ -233,7 +233,7 @@ class TestTelemetry:
         assert counters["campaign.batch_trials"] == 25
 
     def test_interp_oracle_takes_no_engine_shortcuts(self, casted):
-        """No snapshots, restores, convergence exits or guided visits."""
+        """No snapshots, restores, convergence exits or chained visits."""
         inj = _oracle(cp=casted)
         assert inj._snapshots == []
         tel = obs.configure()
@@ -244,6 +244,7 @@ class TestTelemetry:
             obs.reset()
         assert res.trials == 25
         assert inj._batch_runner is None
+        assert inj.interp.chained_visits == 0
         assert not [k for k in counters if k.startswith("campaign.batch_")]
         assert "campaign.snapshot_restores" not in counters
         assert "campaign.cycles_skipped" not in counters

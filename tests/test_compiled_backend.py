@@ -106,13 +106,30 @@ class TestTimedEquivalence:
 class TestDecodeCache:
     def test_repeat_construction_hits_cache(self):
         program = get_workload("mcf").program
-        Interpreter(program, backend="compiled")  # ensure blocks are cached
+        Interpreter(program, backend="compiled").chain  # cache the blocks
         tel = obs.configure()
         try:
-            Interpreter(program, backend="compiled")
+            Interpreter(program, backend="compiled").chain
             hits = tel.metrics.counters.get("sim.decode_cache.hits", 0)
             misses = tel.metrics.counters.get("sim.decode_cache.misses", 0)
         finally:
             obs.reset()
         assert hits > 0
         assert misses == 0
+
+    def test_functional_superblocks_fuse_on_first_use(self):
+        """A cycle-level executor never fuses the functional superblocks
+        of its embedded interpreter unless a functional run needs them."""
+        cp = _compiled("mcf", Scheme.CASTED)
+        tel = obs.configure()
+        try:
+            ex = VLIWExecutor(cp, backend="compiled")
+            ex.run()
+            assert tel.metrics.counters.get("sim.fuse_cache.misses", 0) == 0
+            assert tel.metrics.counters.get("sim.fuse_cache.hits", 0) == 0
+            assert ex.functional_run() == VLIWExecutor(
+                cp, backend="interp"
+            ).functional_run()
+            assert ex._interp.chain is not None
+        finally:
+            obs.reset()
