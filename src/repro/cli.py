@@ -20,9 +20,11 @@ Commands
 ``run FILE|workload:NAME``
     Compile and execute on the cycle-level simulator.
 ``inject FILE|workload:NAME``
-    Monte-Carlo fault-injection campaign with outcome breakdown.
-    ``--checkpoint FILE`` records each completed shard; after a crash or
-    kill, ``--resume`` finishes the campaign bit-identically.
+    Monte-Carlo fault-injection campaign with outcome breakdown, plus the
+    restart-on-detection view derived from it: correct completion and
+    re-execution overhead when every detected trial restarts from program
+    start.  ``--checkpoint FILE`` records each completed shard; after a
+    crash or kill, ``--resume`` finishes the campaign bit-identically.
 ``sweep workload:NAME``
     Slowdown table over the (issue width x delay) grid, all schemes.
 ``report {table1,table2,table3,fig6,fig8,fig9,fig10}``
@@ -389,6 +391,8 @@ def _record_campaign_run(args, res, wall_s: float, jobs: int, backend: str) -> N
         "effective_cores": effective_cores(),
         "git_rev": git_revision(),
         "python": sys.version.split()[0],
+        "issue": args.issue,
+        "delay": args.delay,
         "partial": res.partial,
         "coverage": round(res.coverage, 6),
         "timings": {
@@ -469,6 +473,11 @@ def cmd_inject(args) -> int:
         )
     )
     print(f"coverage (1 - SDC - timeout): {res.coverage * 100:.1f}%")
+    print(
+        "restart-on-detection: correct completion "
+        f"{res.correct_completion * 100:.1f}%, re-execution overhead "
+        f"{res.reexecution_overhead * 100:.1f}% of a golden run per trial"
+    )
     if res.detections_timed:
         print(
             "mean detection latency: "
@@ -561,60 +570,6 @@ def cmd_mix(args) -> int:
     print(render_mix_table(profiles, title=f"{args.program}: dynamic instruction mix"))
     print()
     print(render_role_table(profiles, title=f"{args.program}: dynamic role split"))
-    return 0
-
-
-def cmd_recover(args) -> int:
-    from repro.recovery import run_recovery_campaign
-
-    program = _load_program(args.program)
-    machine = _machine(args)
-    scheme = Scheme(args.scheme)
-    compiled = compile_program(program, scheme, machine)
-    reference = None
-    if scheme is not Scheme.NOED:
-        noed = compile_program(program, Scheme.NOED, machine)
-        reference = VLIWExecutor(noed).run().dyn_instructions
-    progress = None
-    if args.progress:
-        if args.heartbeat < 1:
-            raise ReproError(f"--heartbeat must be >= 1, got {args.heartbeat}")
-        from repro.obs.progress import print_progress
-
-        progress = print_progress
-    res = run_recovery_campaign(
-        compiled.program,
-        trials=args.trials,
-        seed=args.seed,
-        mem_words=compiled.mem_words,
-        frame_words=compiled.frame_words,
-        reference_dyn=reference,
-        fault_model=args.fault_model,
-        progress=progress,
-        heartbeat=args.heartbeat,
-    )
-    from repro.faults.classify import Outcome
-
-    rows = [
-        [key, res.counts.get(key, 0), f"{res.fraction(key) * 100:.1f}%"]
-        for key in (
-            # Recovery adds two outcomes of its own on top of the shared
-            # campaign taxonomy: "recovered" and "unrecovered".
-            Outcome.BENIGN.value, "recovered", Outcome.EXCEPTION.value,
-            Outcome.SDC.value, Outcome.TIMEOUT.value, "unrecovered",
-        )
-    ]
-    print(
-        format_table(
-            ["outcome", "trials", "fraction"],
-            rows,
-            title=f"{args.program} / {args.scheme} with restart-on-detection",
-        )
-    )
-    print(
-        f"correct completion: {res.correct_completion_rate * 100:.1f}%   "
-        f"re-execution overhead: {res.recovery_overhead * 100:.1f}% of a run/trial"
-    )
     return 0
 
 
@@ -899,39 +854,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delay", type=int, default=1)
     p.set_defaults(fn=cmd_mix)
 
-    p = sub.add_parser("recover", help="fault campaign with restart-on-detection")
-    _add_common(p)
-    _add_obs(p)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=2013)
-    p.add_argument(
-        "--progress", action="store_true",
-        help="print heartbeat lines with throughput and ETA during the campaign",
-    )
-    p.add_argument(
-        "--heartbeat", type=int, default=25,
-        help="trials between progress heartbeats (default: 25)",
-    )
-    p.add_argument(
-        "--fault-model", choices=fault_model_names(),
-        default=DEFAULT_FAULT_MODEL,
-        help=f"fault model to sample from (default: {DEFAULT_FAULT_MODEL})",
-    )
-    p.set_defaults(fn=cmd_recover)
-
     p = sub.add_parser(
         "runs", help="query the run ledger (list, show, diff)"
     )
-    p.add_argument("action", choices=["list", "show", "diff"])
-    p.add_argument(
-        "ids", nargs="*",
-        help="run id(s): one for 'show', two for 'diff' (prefixes accepted)",
-    )
-    p.add_argument(
-        "--runs-dir", metavar="DIR", default=None,
-        help="run-ledger directory (default: $REPRO_RUNS_DIR or results/runs)",
-    )
-    p.set_defaults(fn=cmd_runs)
+    # One sub-parser per action, so ``--runs-dir`` may come before or after
+    # the run ids: an ``ids`` list after an ``action`` positional would be
+    # matched (empty) together with the action and reject later ids.
+    actions = p.add_subparsers(dest="action", required=True)
+    for action, ids_help in (
+        ("list", None),
+        ("show", "run id (prefixes accepted)"),
+        ("diff", "two run ids (prefixes accepted)"),
+    ):
+        a = actions.add_parser(action)
+        if ids_help is not None:
+            a.add_argument("ids", nargs="*", help=ids_help)
+        a.add_argument(
+            "--runs-dir", metavar="DIR", default=None,
+            help="run-ledger directory (default: $REPRO_RUNS_DIR or results/runs)",
+        )
+        a.set_defaults(fn=cmd_runs)
 
     p = sub.add_parser(
         "report", help="regenerate a paper table/figure, or summarize a trace"

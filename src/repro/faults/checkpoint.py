@@ -5,14 +5,19 @@ shards already computed.  The format is one JSON object per line:
 
 * line 1 — a **header** identifying the campaign::
 
-      {"format": "repro-campaign-checkpoint", "version": 1,
+      {"format": "repro-campaign-checkpoint", "version": 2,
        "seed": 2013, "trials": 300, "fault_model": "reg-bit",
        "golden_dyn": 123456, "shard_trials": 25, "reference_dyn": null}
 
 * every further line — one **completed shard**::
 
       {"shard": 3, "trials": 25, "counts": {"detected": 20, ...},
-       "faults": 31, "latencies": [44, 1029, ...]}
+       "faults": 31, "detected_dyn": 48210, "latencies": [44, 1029, ...]}
+
+``detected_dyn`` sums the dynamic instructions of the shard's detected
+trials; ``latencies`` holds each detected trial's detection latency.  Both
+are required, and a version-1 file (which lacks ``detected_dyn``) is
+rejected.
 
 Shard lines are appended with a single ``write()`` + flush + fsync as each
 shard completes, so a crash can lose at most the trailing, partially
@@ -46,7 +51,7 @@ from repro.parallel import plan_shards
 logger = logging.getLogger(__name__)
 
 FORMAT_NAME = "repro-campaign-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Header keys that must match exactly for a resume to be sound.
 IDENTITY_KEYS = (
@@ -139,10 +144,11 @@ class CampaignCheckpoint:
                 index = int(rec["shard"])
                 rec["trials"] = int(rec["trials"])
                 rec["faults"] = int(rec["faults"])
+                rec["detected_dyn"] = int(rec["detected_dyn"])
                 rec["counts"] = {
                     str(k): int(v) for k, v in rec["counts"].items()
                 }
-                rec["latencies"] = [int(v) for v in rec.get("latencies", [])]
+                rec["latencies"] = [int(v) for v in rec["latencies"]]
             except (ValueError, KeyError, TypeError):
                 if lineno == len(lines):
                     torn_line = line  # crash mid-append: quarantine the tail

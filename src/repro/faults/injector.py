@@ -133,6 +133,9 @@ class ShardResult:
     trials: int
     counts: dict[Outcome, int]
     faults: int
+    #: Dynamic instructions executed up to detection, summed over the
+    #: shard's DETECTED trials (the work a restart throws away).
+    detected_dyn: int
     #: Detection latency (dyn instructions, injection -> CHKBR) of every
     #: detected trial in the shard, in trial order.
     latencies: tuple[int, ...]
@@ -143,6 +146,7 @@ class ShardResult:
             "trials": self.trials,
             "counts": {o.value: n for o, n in self.counts.items()},
             "faults": self.faults,
+            "detected_dyn": self.detected_dyn,
             "latencies": list(self.latencies),
         }
 
@@ -153,7 +157,8 @@ class ShardResult:
             trials=int(rec["trials"]),
             counts={Outcome(k): int(v) for k, v in rec["counts"].items()},
             faults=int(rec["faults"]),
-            latencies=tuple(int(v) for v in rec.get("latencies", ())),
+            detected_dyn=int(rec["detected_dyn"]),
+            latencies=tuple(int(v) for v in rec["latencies"]),
         )
 
 
@@ -174,6 +179,8 @@ class CampaignResult:
     fault_model: str = DEFAULT_FAULT_MODEL
     detection_latency_sum: int = 0
     detections_timed: int = 0
+    #: Σ dyn instructions over DETECTED trials (see :attr:`reexecution_overhead`).
+    detection_dyn_sum: int = 0
     lost_trials: int = 0
     partial: bool = False
 
@@ -207,6 +214,23 @@ class CampaignResult:
         if not self.detections_timed:
             return 0.0
         return self.detection_latency_sum / self.detections_timed
+
+    # -- restart-on-detection (extension) ---------------------------------------
+    # A transient fault strikes once (§I) and program start is a valid
+    # checkpoint inside the sphere of replication (§III-B), so restarting a
+    # detected trial re-runs fault-free to the golden output.  The restart
+    # policy's outcome is therefore a view of this campaign, not a new one.
+    @property
+    def correct_completion(self) -> float:
+        """Trials that end with the golden output under restart-on-detection."""
+        return self.fraction(Outcome.BENIGN) + self.fraction(Outcome.DETECTED)
+
+    @property
+    def reexecution_overhead(self) -> float:
+        """Mean work discarded by restarts per trial, in golden-run units."""
+        if not self.trials or not self.golden_dyn:
+            return 0.0
+        return self.detection_dyn_sum / (self.trials * self.golden_dyn)
 
     def as_row(self) -> dict[str, float]:
         row = {o.value: self.fraction(o) for o in OUTCOME_ORDER}
@@ -245,6 +269,7 @@ class CampaignResult:
             detection_latency_sum=self.detection_latency_sum
             + other.detection_latency_sum,
             detections_timed=self.detections_timed + other.detections_timed,
+            detection_dyn_sum=self.detection_dyn_sum + other.detection_dyn_sum,
             lost_trials=self.lost_trials + other.lost_trials,
             partial=self.partial or other.partial,
         )
@@ -602,6 +627,7 @@ class FaultInjector:
         stats = GroupStats()
         counts: dict[Outcome, int] = {}
         latencies: list[int] = []
+        detected_dyn = 0
         # One span and one batch of counter updates per *shard*: telemetry
         # must never flush per trial (the batching contract worker capture
         # relies on — see docs/observability.md).
@@ -614,6 +640,8 @@ class FaultInjector:
                 result = results[plan.index]
                 outcome = classify(self.golden, result)
                 counts[outcome] = counts.get(outcome, 0) + 1
+                if outcome is Outcome.DETECTED:
+                    detected_dyn += result.dyn_instructions
                 latency = detection_latency(result, plan.faults)
                 if latency is not None:
                     latencies.append(latency)
@@ -640,6 +668,7 @@ class FaultInjector:
             trials=shard_trials,
             counts=counts,
             faults=total_faults,
+            detected_dyn=detected_dyn,
             latencies=tuple(latencies),
         )
 
@@ -693,7 +722,7 @@ class FaultInjector:
         backend = self.interp.backend
         shard_plan = plan_shards(trials, SHARD_TRIALS)
         counts: dict[Outcome, int] = {}
-        state = {"faults": 0, "latency_sum": 0, "latency_n": 0}
+        state = {"faults": 0, "latency_sum": 0, "latency_n": 0, "detected_dyn": 0}
         tracker = ProgressTracker(trials, progress, every=heartbeat)
 
         ckpt: CampaignCheckpoint | None = None
@@ -722,6 +751,7 @@ class FaultInjector:
             state["faults"] += sr.faults
             state["latency_sum"] += sum(sr.latencies)
             state["latency_n"] += len(sr.latencies)
+            state["detected_dyn"] += sr.detected_dyn
             for v in sr.latencies:
                 tel.observe("campaign.detection_latency", v)
             if fresh and ckpt is not None:
@@ -793,6 +823,7 @@ class FaultInjector:
             fault_model=self.fault_model,
             detection_latency_sum=state["latency_sum"],
             detections_timed=state["latency_n"],
+            detection_dyn_sum=state["detected_dyn"],
             lost_trials=lost_trials,
             partial=lost_trials > 0,
         )
@@ -842,6 +873,7 @@ class FaultInjector:
             state["faults"] += sr.faults
             state["latency_sum"] += sum(sr.latencies)
             state["latency_n"] += len(sr.latencies)
+            state["detected_dyn"] += sr.detected_dyn
             for v in sr.latencies:
                 tel.observe("campaign.detection_latency", v)
             if ckpt is not None:

@@ -51,8 +51,8 @@ TRACE_NAME = "trace.chrome.json"
 
 #: Manifest keys treated as configuration (shown first by ``diff``).
 CONFIG_KEYS = (
-    "kind", "workload", "scheme", "fault_model", "backend", "trials",
-    "seed", "jobs", "effective_cores", "git_rev", "python",
+    "kind", "workload", "scheme", "issue", "delay", "fault_model", "backend",
+    "trials", "seed", "jobs", "effective_cores", "git_rev", "python",
 )
 
 

@@ -75,6 +75,7 @@ def _signature(res) -> tuple:
         res.total_faults_injected,
         res.detection_latency_sum,
         res.detections_timed,
+        res.detection_dyn_sum,
     )
 
 

@@ -86,6 +86,16 @@ class TestInjectCommand:
         assert "30 faults" not in out  # exactly 1 flip per trial
         assert "20 faults (reg-bit)" in out
 
+    def test_restart_on_detection_line(self, capsys, minic_file):
+        assert main(
+            ["inject", minic_file, "--scheme", "sced", "--trials", "25"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "restart-on-detection: correct completion" in out
+        assert "re-execution overhead" in out
+        with pytest.raises(SystemExit):  # the view replaced `recover`
+            main(["recover", minic_file])
+
 
 class TestSweepCommand:
     def test_sweep(self, capsys, minic_file):
@@ -116,16 +126,6 @@ class TestMixCommand:
         assert "instruction mix" in out
         assert "role split" in out
         assert "SCED" in out
-
-
-class TestRecoverCommand:
-    def test_recover(self, capsys, minic_file):
-        assert main(
-            ["recover", minic_file, "--scheme", "sced", "--trials", "25"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "recovered" in out
-        assert "correct completion" in out
 
 
 class TestTraceCommand:

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.faults.classify import Outcome, classify
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import CampaignResult, FaultInjector
 from repro.ir.interp import ExitKind, FaultSpec, RunResult
 from repro.machine.config import MachineConfig
 from repro.pipeline import Scheme, compile_program
+from repro.sim.executor import VLIWExecutor
 from repro.utils.rng import make_rng
 from repro.workloads import get_workload
 from tests.conftest import build_loop_program
@@ -119,6 +120,43 @@ class TestCampaigns:
         m = a.merged(b)
         assert m.trials == 50
         assert sum(m.counts.values()) == 50
+        c = CampaignResult(trials=4, golden_dyn=100, detection_dyn_sum=70)
+        d = CampaignResult(trials=6, golden_dyn=100, detection_dyn_sum=130)
+        cd = c.merged(d)
+        assert cd.detection_dyn_sum == 200
+        assert cd.reexecution_overhead == 200 / (10 * 100)
+
+
+class TestRestartView:
+    """Restart-on-detection, derived from an ordinary campaign."""
+
+    @pytest.fixture(scope="class")
+    def campaign(self):
+        machine = MachineConfig(issue_width=2, inter_cluster_delay=1)
+        prog = get_workload("parser").program
+        noed = compile_program(prog, Scheme.NOED, machine)
+        ref = VLIWExecutor(noed).run().dyn_instructions
+        cp = compile_program(prog, Scheme.CASTED, machine)
+        injector = FaultInjector(
+            cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words
+        )
+        return injector.run_campaign(trials=100, seed=21, reference_dyn=ref)
+
+    def test_most_trials_complete_correctly(self, campaign):
+        # benign + detected (restarted) dominates once detection restarts
+        assert campaign.correct_completion > 0.5
+        assert campaign.correct_completion == (
+            campaign.fraction(Outcome.BENIGN) + campaign.fraction(Outcome.DETECTED)
+        )
+
+    def test_overhead_accounted(self, campaign):
+        assert campaign.detection_dyn_sum > 0
+        assert 0.0 < campaign.reexecution_overhead < 3.0
+        assert campaign.reexecution_overhead == campaign.detection_dyn_sum / (
+            campaign.trials * campaign.golden_dyn
+        )
+        assert CampaignResult(trials=0, golden_dyn=100).reexecution_overhead == 0.0
+        assert CampaignResult(trials=5, golden_dyn=0).reexecution_overhead == 0.0
 
 
 class TestProtectedCoverage:

@@ -336,6 +336,12 @@ class TestRunsCLI:
         out = capsys.readouterr().out
         assert "run diff" in out and "scheme" in out
 
+        # --runs-dir may also come before the ids
+        assert main(["runs", "show", "--runs-dir", runs_dir, a[:6]]) == 0
+        assert f"run {a}" in capsys.readouterr().out
+        assert main(["runs", "diff", "--runs-dir", runs_dir, a, b]) == 0
+        assert "run diff" in capsys.readouterr().out
+
     def test_show_needs_one_id(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -389,6 +395,28 @@ class TestInjectLedgerCLI:
         assert rec.events_path is not None and rec.trace_path is not None
         kinds = [e["kind"] for e in read_events(rec.events_path)]
         assert "campaign-start" in kinds and "campaign-end" in kinds
+
+    def test_diff_marks_issue_and_delay(self, tmp_path, capsys):
+        from repro.cli import main
+
+        runs_dir = str(tmp_path / "runs")
+        ids = []
+        for issue, delay in (("2", "1"), ("4", "2")):
+            assert main(
+                ["inject", "workload:mcf", "--scheme", "casted", "--trials", "5",
+                 "--seed", "7", "--issue", issue, "--delay", delay,
+                 "--ledger", "--runs-dir", runs_dir]
+            ) == 0
+            ids.append(capsys.readouterr().err.split("recorded run ")[1].split()[0])
+        assert main(["runs", "diff", "--runs-dir", runs_dir, *ids]) == 0
+        rows = {
+            cells[0]: cells
+            for cells in map(str.split, capsys.readouterr().out.splitlines())
+            if cells
+        }
+        assert rows["issue"] == ["issue", "2", "4", "*"]
+        assert rows["delay"] == ["delay", "1", "2", "*"]
+        assert rows["seed"] == ["seed", "7", "7"]
 
     def test_manifest_records_resolved_backend(self, tmp_path, monkeypatch):
         """An empty REPRO_SIM_BACKEND resolves to compiled, and says so."""

@@ -21,7 +21,8 @@ import pytest
 
 import repro.faults.injector as injector_mod
 from repro.faults.checkpoint import CampaignCheckpoint, CheckpointError
-from repro.faults.injector import CampaignResult, FaultInjector
+from repro.faults.classify import Outcome
+from repro.faults.injector import CampaignResult, FaultInjector, ShardResult
 from repro.parallel import parallel_map
 from tests.conftest import build_loop_program
 
@@ -128,7 +129,7 @@ class TestCheckpointFile:
         ck = CampaignCheckpoint(path, HEADER)
         ck.load(resume=False)
         rec = {"shard": 0, "trials": 25, "counts": {"benign": 25},
-               "faults": 25, "latencies": []}
+               "faults": 25, "detected_dyn": 0, "latencies": []}
         ck.append(rec)
         got = CampaignCheckpoint(path, HEADER).load(resume=True)
         assert got == {0: rec}
@@ -149,7 +150,7 @@ class TestCheckpointFile:
         ck = CampaignCheckpoint(path, HEADER)
         ck.load(resume=False)
         rec = {"shard": 0, "trials": 25, "counts": {"benign": 25},
-               "faults": 25, "latencies": []}
+               "faults": 25, "detected_dyn": 0, "latencies": []}
         ck.append(rec)
         with open(path, "a") as f:
             f.write('{"shard": 1, "trials": 2')  # crash mid-append
@@ -182,7 +183,7 @@ class TestCheckpointFile:
             f.write("garbage\n")
             f.write(json.dumps({"shard": 1, "trials": 25,
                                 "counts": {}, "faults": 25,
-                                "latencies": []}) + "\n")
+                                "detected_dyn": 0, "latencies": []}) + "\n")
         with pytest.raises(CheckpointError, match="line 2"):
             CampaignCheckpoint(path, HEADER).load(resume=True)
 
@@ -196,19 +197,52 @@ class TestCheckpointFile:
         ck = CampaignCheckpoint(path, HEADER)
         ck.load(resume=False)
         ck.append({"shard": 0, "trials": 25, "counts": {"benign": 25},
-                   "faults": 25, "latencies": []})
+                   "faults": 25, "detected_dyn": 0, "latencies": []})
         ck.append({"shard": index, "trials": trials,
                    "counts": {"benign": trials}, "faults": trials,
-                   "latencies": []})
+                   "detected_dyn": 0, "latencies": []})
         with pytest.raises(CheckpointError, match="plan"):
             CampaignCheckpoint(path, HEADER).load(resume=True)
+
+    def test_version_1_rejected_on_resume(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        ck = CampaignCheckpoint(path, HEADER)
+        path.write_text(json.dumps({**ck.header, "version": 1}) + "\n")
+        with pytest.raises(CheckpointError, match="version 1"):
+            CampaignCheckpoint(path, HEADER).load(resume=True)
+
+    def test_record_missing_detected_dyn(self, tmp_path):
+        """Mid-file it is corruption; as the last line, a torn tail."""
+        path = tmp_path / "c.jsonl"
+        ck = CampaignCheckpoint(path, HEADER)
+        ck.load(resume=False)
+        good = {"shard": 1, "trials": 25, "counts": {"benign": 25},
+                "faults": 25, "detected_dyn": 0, "latencies": []}
+        old = {"shard": 0, "trials": 25, "counts": {"benign": 25},
+               "faults": 25, "latencies": []}
+        ck.append(old)
+        ck.append(good)
+        with pytest.raises(CheckpointError, match="line 2 is corrupt"):
+            CampaignCheckpoint(path, HEADER).load(resume=True)
+        ck.load(resume=False)
+        ck.append(good)
+        ck.append(old)
+        assert CampaignCheckpoint(path, HEADER).load(resume=True) == {1: good}
+        assert path.with_name(f"{path.name}.bad").exists()
+
+    def test_shard_result_json_round_trip(self):
+        sr = ShardResult(
+            index=3, trials=25, counts={Outcome.DETECTED: 20, Outcome.BENIGN: 5},
+            faults=31, detected_dyn=48210, latencies=(44, 1029),
+        )
+        assert ShardResult.from_json(json.loads(json.dumps(sr.to_json()))) == sr
 
     def test_unknown_outcome_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         ck = CampaignCheckpoint(path, HEADER)
         ck.load(resume=False)
         ck.append({"shard": 0, "trials": 25, "counts": {"vaporized": 25},
-                   "faults": 25, "latencies": []})
+                   "faults": 25, "detected_dyn": 0, "latencies": []})
         with pytest.raises(ValueError):
             CampaignCheckpoint(path, HEADER).load(resume=True)
 
@@ -238,6 +272,7 @@ class TestCampaignCheckpointResume:
         assert resumed.counts == full.counts
         assert resumed.total_faults_injected == full.total_faults_injected
         assert resumed.detection_latency_sum == full.detection_latency_sum
+        assert resumed.detection_dyn_sum == full.detection_dyn_sum
         assert resumed.trials == full.trials == self.TRIALS
         assert not resumed.partial
 
