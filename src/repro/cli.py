@@ -149,14 +149,7 @@ def _add_obs(p: argparse.ArgumentParser) -> None:
         "--metrics-out",
         metavar="FILE",
         dest="metrics_out",
-        help="write the final metrics snapshot to FILE "
-        "(.prom/.txt = Prometheus text format, anything else = JSON)",
-    )
-    p.add_argument(
-        "--events",
-        metavar="FILE",
-        dest="events_out",
-        help="append a structured JSONL event log (run lifecycle milestones)",
+        help="write the final metrics snapshot to FILE as JSON",
     )
 
 
@@ -405,7 +398,6 @@ def _record_campaign_run(args, res, wall_s: float, jobs: int, backend: str) -> N
     run_id = ledger.record(
         manifest,
         metrics=metrics_snap,
-        events_src=tel.events.path if tel.events is not None else None,
         trace_events=(
             tel.tracer.events
             if tel.tracer is not None and tel.tracer.keep_events
@@ -440,8 +432,6 @@ def cmd_inject(args) -> int:
     )
     progress = None
     if args.progress:
-        if args.heartbeat < 1:
-            raise ReproError(f"--heartbeat must be >= 1, got {args.heartbeat}")
         from repro.obs.progress import print_progress
 
         progress = print_progress
@@ -454,7 +444,7 @@ def cmd_inject(args) -> int:
     with ensure_pool(jobs):
         res = injector.run_campaign(
             args.trials, args.seed, reference_dyn=reference,
-            progress=progress, heartbeat=args.heartbeat, jobs=jobs,
+            progress=progress, jobs=jobs,
             checkpoint=args.checkpoint, resume=args.resume,
         )
     wall_s = time.perf_counter() - t0
@@ -506,7 +496,6 @@ def _sweep_cell_worker(task) -> dict[str, int]:
 
 
 def cmd_sweep(args) -> int:
-    from repro.obs.telemetry import get_telemetry
     from repro.parallel import ensure_pool, parallel_map
 
     tasks = [
@@ -514,14 +503,9 @@ def cmd_sweep(args) -> int:
         for iw in args.issues
         for d in args.delays
     ]
-    tel = get_telemetry()
     jobs = _jobs(args)
-    tel.event(
-        "sweep-start", program=args.program, points=len(tasks), jobs=jobs
-    )
     with ensure_pool(jobs):
         cells = parallel_map(_sweep_cell_worker, tasks, jobs=jobs)
-    tel.event("sweep-end", program=args.program, points=len(tasks))
     rows = []
     for (_, iw, d, _backend), cycles in zip(tasks, cells):
         noed = cycles[Scheme.NOED.value]
@@ -794,11 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2013)
     p.add_argument(
         "--progress", action="store_true",
-        help="print heartbeat lines with throughput and ETA during the campaign",
-    )
-    p.add_argument(
-        "--heartbeat", type=int, default=25,
-        help="trials between progress heartbeats (default: 25)",
+        help="print one heartbeat line per shard with throughput and ETA",
     )
     from repro.faults.models import DEFAULT_FAULT_MODEL, fault_model_names
 
@@ -819,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ledger", action="store_true",
         help="record this campaign in the content-addressed run ledger "
-        "(manifest + metrics + event log + Chrome trace; query with "
+        "(manifest + metrics + Chrome trace; query with "
         "'repro runs')",
     )
     p.add_argument(
@@ -901,33 +881,17 @@ def main(argv: list[str] | None = None) -> int:
     trace_out = getattr(args, "trace_out", None)
     want_metrics = getattr(args, "metrics", False)
     metrics_out = getattr(args, "metrics_out", None)
-    events_out = getattr(args, "events_out", None)
     want_ledger = getattr(args, "ledger", False)
     telemetry = None
-    events_tmp = None
-    if trace_out or want_metrics or metrics_out or events_out or want_ledger:
-        import tempfile
-
+    if trace_out or want_metrics or metrics_out or want_ledger:
         from repro import obs
 
-        events_path = events_out
-        if want_ledger and events_path is None:
-            # The ledger stores the event log per run; without an explicit
-            # --events file, stage it in a temp file the record() call
-            # copies into the run directory.
-            fd, events_tmp = tempfile.mkstemp(suffix=".events.jsonl")
-            import os as _os
-
-            _os.close(fd)
-            Path(events_tmp).unlink()  # EventLog appends; start clean
-            events_path = events_tmp
         try:
             # --ledger keeps span events in memory (even alongside a file
             # sink) so the run's Chrome trace can land in the ledger too.
             telemetry = obs.configure(
                 trace_path=trace_out,
                 keep_events=True if want_ledger else None,
-                events_path=events_path,
             )
         except OSError as exc:
             print(
@@ -953,10 +917,6 @@ def main(argv: list[str] | None = None) -> int:
             obs.reset()
             if trace_out:
                 print(f"[telemetry] wrote trace to {trace_out}", file=sys.stderr)
-            if events_out:
-                print(f"[telemetry] wrote events to {events_out}", file=sys.stderr)
-            if events_tmp is not None:
-                Path(events_tmp).unlink(missing_ok=True)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -400,11 +400,6 @@ class Evaluator:
         missing = [p for p in dict.fromkeys(norm) if not is_cached(p)]
         tracker = ProgressTracker(len(missing), progress, every=1)
         jobs = resolve_jobs(jobs)
-        tel = get_telemetry()
-        tel.event(
-            "sweep-start", points=len(norm), missing=len(missing), jobs=jobs,
-            trials=trials,
-        )
         if missing and (jobs <= 1 or len(missing) <= 1):
             for workload, scheme, issue_width, delay in missing:
                 self.perf(workload, scheme, issue_width, delay)
@@ -438,7 +433,6 @@ class Evaluator:
             parallel_map(
                 _sweep_point_worker, tasks, jobs=jobs, on_result=on_result
             )
-        tel.event("sweep-end", points=len(norm), computed=len(missing))
         return [
             {
                 "perf": self.perf(workload, scheme, issue_width, delay),

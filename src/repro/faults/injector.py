@@ -74,7 +74,7 @@ from repro.ir.interp import FaultSpec, Interpreter, RunResult, Snapshot
 from repro.ir.printer import canonical_program_text
 from repro.ir.program import Program
 from repro.isa.registers import RegClass
-from repro.obs import Telemetry, get_telemetry
+from repro.obs import get_telemetry
 from repro.obs.progress import ProgressCallback, ProgressTracker
 from repro.parallel import (
     SHARD_TRIALS,
@@ -91,9 +91,6 @@ from repro.sim.shared import SharedSnapshots
 from repro.utils.rng import make_rng
 
 logger = logging.getLogger(__name__)
-
-#: Per-trial completion callback: ``(outcome, n_faults, detection_latency)``.
-OnTrial = Callable[[Outcome, int, int | None], None]
 
 #: Watchdog budget = factor x golden dynamic instruction count.
 WATCHDOG_FACTOR = 25
@@ -602,7 +599,6 @@ class FaultInjector:
         shard_trials: int,
         seed: int,
         reference_dyn: int | None = None,
-        on_trial: OnTrial | None = None,
     ) -> ShardResult:
         """Run one campaign shard.
 
@@ -612,10 +608,7 @@ class FaultInjector:
         resume and crash retry both lean on.  Faults for every trial are
         drawn up front in trial order (executions never consume RNG), the
         engine is then free to run trials in group order, and
-        classification, latencies and ``on_trial(outcome, n_faults,
-        latency)`` happen in trial order again (serial mode uses the
-        callback for per-trial telemetry and progress heartbeats;
-        ``latency`` is ``None`` for non-detected trials).
+        classification and latencies happen in trial order again.
         """
         tel = get_telemetry()
         rng = make_rng(seed, "fault-campaign", shard_index)
@@ -645,8 +638,6 @@ class FaultInjector:
                 latency = detection_latency(result, plan.faults)
                 if latency is not None:
                     latencies.append(latency)
-                if on_trial is not None:
-                    on_trial(outcome, len(plan.faults), latency)
             if stats.restores:
                 tel.count("campaign.snapshot_restores", stats.restores)
                 tel.count("campaign.cycles_skipped", stats.skipped_dyn)
@@ -678,7 +669,6 @@ class FaultInjector:
         seed: int,
         reference_dyn: int | None = None,
         progress: ProgressCallback | None = None,
-        heartbeat: int = 25,
         jobs: int | None = 1,
         checkpoint: str | Path | None = None,
         resume: bool = False,
@@ -707,15 +697,15 @@ class FaultInjector:
         task running past it is killed and retried on the same budget (see
         :func:`repro.parallel.parallel_map`).
 
-        ``progress`` (if given) receives a
-        :class:`~repro.obs.progress.ProgressEvent` — completed trials,
-        throughput, ETA, outcome counts so far — every ``heartbeat`` trials
-        and once at the end; with ``jobs > 1`` heartbeats aggregate across
-        workers at shard granularity.  With telemetry enabled the whole
-        campaign is a ``campaign`` span, detection latencies feed the
-        ``campaign.detection_latency`` histogram, and in serial mode every
-        trial additionally emits one instant event carrying its outcome
-        and fault count.
+        Every shard — serial, pooled or resumed from the checkpoint — is
+        merged by the same ``absorb`` step.  ``progress`` (if given)
+        receives a :class:`~repro.obs.progress.ProgressEvent` — completed
+        trials, throughput, ETA, outcome counts so far — once per merged
+        shard and once at the end.  With telemetry enabled the whole
+        campaign is a ``campaign`` span whose ``outcome_*`` args carry the
+        outcome breakdown, detection latencies feed the
+        ``campaign.detection_latency`` histogram, and a shard dropped after
+        exhausting its retries leaves a ``shard-lost`` instant.
         """
         tel = get_telemetry()
         jobs = resolve_jobs(jobs)
@@ -723,7 +713,7 @@ class FaultInjector:
         shard_plan = plan_shards(trials, SHARD_TRIALS)
         counts: dict[Outcome, int] = {}
         state = {"faults": 0, "latency_sum": 0, "latency_n": 0, "detected_dyn": 0}
-        tracker = ProgressTracker(trials, progress, every=heartbeat)
+        tracker = ProgressTracker(trials, progress, every=SHARD_TRIALS)
 
         ckpt: CampaignCheckpoint | None = None
         done: dict[int, ShardResult] = {}
@@ -756,20 +746,10 @@ class FaultInjector:
                 tel.observe("campaign.detection_latency", v)
             if fresh and ckpt is not None:
                 ckpt.append(sr.to_json())
-            tel.event(
-                "shard-done", shard=sr.index, trials=sr.trials,
-                faults=sr.faults, fresh=fresh,
-                outcomes={o.value: n for o, n in sr.counts.items()},
-            )
             if progress is not None:
                 tracker.advance(sr.trials, {o.value: n for o, n in counts.items()})
 
         lost_shards: list[int] = []
-        tel.event(
-            "campaign-start", trials=trials, seed=seed, jobs=jobs,
-            shards=len(shard_plan), fault_model=self.fault_model,
-            resumed_shards=len(done), backend=backend,
-        )
         with tel.span(
             "campaign", cat="campaign", timer="campaign.seconds",
             trials=trials, seed=seed, jobs=jobs, shards=len(shard_plan),
@@ -782,10 +762,11 @@ class FaultInjector:
                 (index, n) for index, n in enumerate(shard_plan) if index not in done
             ]
             if jobs <= 1 or len(remaining) <= 1:
-                self._run_shards_serial(
-                    remaining, seed, reference_dyn, tracker, counts, tel,
-                    state, ckpt, progress_on=progress is not None,
-                )
+                for index, n in remaining:
+                    absorb(
+                        self.run_shard(index, n, seed, reference_dyn),
+                        fresh=True,
+                    )
             else:
                 self._run_shards_pool(
                     remaining, seed, reference_dyn, jobs, absorb, lost_shards,
@@ -810,11 +791,6 @@ class FaultInjector:
                 faults=state["faults"], lost_trials=lost_trials,
                 **{f"outcome_{o.value}": n for o, n in counts.items()},
             )
-        tel.event(
-            "campaign-end", trials=completed, faults=state["faults"],
-            lost_trials=lost_trials,
-            outcomes={o.value: n for o, n in counts.items()},
-        )
         return CampaignResult(
             trials=completed,
             counts=counts,
@@ -827,62 +803,6 @@ class FaultInjector:
             lost_trials=lost_trials,
             partial=lost_trials > 0,
         )
-
-    def _run_shards_serial(
-        self,
-        remaining: list[tuple[int, int]],
-        seed: int,
-        reference_dyn: int | None,
-        tracker: ProgressTracker,
-        counts: dict[Outcome, int],
-        tel: Telemetry,
-        state: dict[str, int],
-        ckpt: CampaignCheckpoint | None,
-        progress_on: bool,
-    ) -> None:
-        """In-process shard loop with per-trial telemetry + heartbeats.
-
-        Outcome counts and progress heartbeats are applied trial by trial
-        (so heartbeats land mid-shard); the shard's fault total, latency
-        histogram entries, and checkpoint record land once the shard
-        completes.
-        """
-        emit_trials = tel.enabled and tel.tracer is not None
-        trial_index = 0
-
-        for shard_index, shard_trials in remaining:
-
-            def on_trial(
-                outcome: Outcome, n_faults: int, latency: int | None
-            ) -> None:
-                nonlocal trial_index
-                counts[outcome] = counts.get(outcome, 0) + 1
-                if emit_trials:
-                    tel.instant(
-                        "trial", cat="campaign", index=trial_index,
-                        outcome=outcome.value, faults=n_faults,
-                    )
-                trial_index += 1
-                if progress_on:
-                    tracker.step({o.value: n for o, n in counts.items()})
-
-            sr = self.run_shard(
-                shard_index, shard_trials, seed, reference_dyn,
-                on_trial=on_trial,
-            )
-            state["faults"] += sr.faults
-            state["latency_sum"] += sum(sr.latencies)
-            state["latency_n"] += len(sr.latencies)
-            state["detected_dyn"] += sr.detected_dyn
-            for v in sr.latencies:
-                tel.observe("campaign.detection_latency", v)
-            if ckpt is not None:
-                ckpt.append(sr.to_json())
-            tel.event(
-                "shard-done", shard=sr.index, trials=sr.trials,
-                faults=sr.faults, fresh=True,
-                outcomes={o.value: n for o, n in sr.counts.items()},
-            )
 
     def _run_shards_pool(
         self,
@@ -942,8 +862,9 @@ class FaultInjector:
                 for i in groups[index]:
                     shard_index = shards[i][0]
                     logger.warning("shard %d lost: %s", shard_index, exc)
-                    get_telemetry().event(
-                        "shard-lost", shard=shard_index, error=str(exc)
+                    get_telemetry().instant(
+                        "shard-lost", cat="campaign", shard=shard_index,
+                        error=str(exc),
                     )
                     lost_shards.append(shard_index)
 
@@ -1009,7 +930,6 @@ def run_campaign(
     frame_words: int = 0,
     reference_dyn: int | None = None,
     progress: ProgressCallback | None = None,
-    heartbeat: int = 25,
     jobs: int | None = 1,
     fault_model: str = DEFAULT_FAULT_MODEL,
     checkpoint: str | Path | None = None,
@@ -1024,7 +944,7 @@ def run_campaign(
     )
     return injector.run_campaign(
         trials, seed, reference_dyn=reference_dyn,
-        progress=progress, heartbeat=heartbeat, jobs=jobs,
+        progress=progress, jobs=jobs,
         checkpoint=checkpoint, resume=resume,
         shard_timeout=shard_timeout,
     )

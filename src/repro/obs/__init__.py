@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics, traces, events, progress, and the run ledger.
+"""Unified telemetry: metrics, traces, progress, and the run ledger.
 
 The package has these moving parts:
 
@@ -8,11 +8,11 @@ The package has these moving parts:
   JSON lines, convertible to Chrome trace-event files
   (:mod:`repro.obs.chrome`, with one lane per worker pid) and summarizable
   back into text tables (:mod:`repro.obs.report`);
-* :mod:`repro.obs.events` — a structured, append-only JSONL event log of
-  run lifecycle milestones;
+* :mod:`repro.obs.progress` — per-shard campaign heartbeats with rate and
+  ETA;
 * :mod:`repro.obs.ledger` — the content-addressed run ledger under
-  ``results/runs/`` (manifest + metrics + events + trace per run);
-* :mod:`repro.obs.export` — registry snapshots as Prometheus text or JSON;
+  ``results/runs/`` (manifest + metrics + trace per run);
+* :mod:`repro.obs.export` — registry snapshots as JSON;
 * :mod:`repro.obs.telemetry` — the process-global
   :class:`~repro.obs.telemetry.Telemetry` facade every instrumented call
   site uses, plus the worker-side capture/merge hooks the process pool
@@ -25,8 +25,7 @@ zero-overhead ground rules.
 """
 
 from repro.obs.chrome import convert_trace_file, export_chrome_trace
-from repro.obs.events import EventLog, read_events
-from repro.obs.export import to_json, to_prometheus, write_metrics
+from repro.obs.export import to_json, write_metrics
 from repro.obs.ledger import (
     RunLedger,
     RunRecord,
@@ -58,7 +57,6 @@ from repro.obs.telemetry import (
 from repro.obs.trace import Span, Tracer, read_trace
 
 __all__ = [
-    "EventLog",
     "HistogramSummary",
     "MetricsRegistry",
     "NULL_TELEMETRY",
@@ -81,7 +79,6 @@ __all__ = [
     "get_telemetry",
     "git_revision",
     "print_progress",
-    "read_events",
     "read_trace",
     "render_run",
     "render_run_list",
@@ -90,6 +87,5 @@ __all__ = [
     "summarize_trace",
     "summarize_trace_file",
     "to_json",
-    "to_prometheus",
     "write_metrics",
 ]

@@ -7,7 +7,6 @@ measurement — stored as a directory under ``results/runs/`` (override with
     results/runs/<run_id>/
         manifest.json       # identity + configuration + timings + counters
         metrics.json        # full telemetry registry snapshot (optional)
-        events.jsonl        # structured event log (optional)
         trace.chrome.json   # Chrome trace-event export (optional)
 
 ``run_id`` is the first 12 hex digits of the SHA-256 of the canonical
@@ -46,7 +45,6 @@ DEFAULT_RUNS_DIR = Path("results") / "runs"
 
 MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.json"
-EVENTS_NAME = "events.jsonl"
 TRACE_NAME = "trace.chrome.json"
 
 #: Manifest keys treated as configuration (shown first by ``diff``).
@@ -87,11 +85,6 @@ class RunRecord:
     path: Path
     manifest: dict
     metrics: dict | None = field(default=None)
-
-    @property
-    def events_path(self) -> Path | None:
-        p = self.path / EVENTS_NAME
-        return p if p.exists() else None
 
     @property
     def trace_path(self) -> Path | None:
@@ -153,14 +146,12 @@ class RunLedger:
         self,
         manifest: dict,
         metrics: dict | None = None,
-        events_src: str | Path | None = None,
         trace_events: list[dict] | None = None,
     ) -> str:
         """Persist one run; returns its content-addressed ``run_id``.
 
         The manifest is stored as given plus a ``run_id`` field (excluded
         from the hash).  ``metrics`` is a registry snapshot dict;
-        ``events_src`` an existing event-log file to copy in;
         ``trace_events`` repro-schema trace events to export as a Chrome
         trace.  Publication is atomic: everything is staged in a temp
         directory and renamed into place, so a crash can never leave a
@@ -182,8 +173,6 @@ class RunLedger:
                 from repro.obs.export import to_json
 
                 (stage / METRICS_NAME).write_text(to_json(metrics))
-            if events_src is not None and Path(events_src).exists():
-                shutil.copyfile(events_src, stage / EVENTS_NAME)
             if trace_events is not None:
                 from repro.obs.chrome import export_chrome_trace
 
@@ -314,7 +303,7 @@ def render_run(record: RunRecord) -> str:
         [f"counter: {k}", _num(v)] for k, v in sorted(m.get("counters", {}).items())
     ]
     artifacts = [
-        name for name in (METRICS_NAME, EVENTS_NAME, TRACE_NAME)
+        name for name in (METRICS_NAME, TRACE_NAME)
         if (record.path / name).exists()
     ]
     rows += [["artifacts", ", ".join(artifacts) if artifacts else "(none)"]]

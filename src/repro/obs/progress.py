@@ -1,16 +1,12 @@
 """Campaign progress reporting: heartbeats with throughput and ETA.
 
 Monte-Carlo fault campaigns are the longest-running operation in the repo
-(minutes at paper-sized trial counts over every configuration), and until
-now they were completely silent.  :class:`ProgressTracker` turns a trial
-stream into periodic :class:`ProgressEvent` heartbeats: the campaign driver
-calls :meth:`ProgressTracker.step` once per trial and the user callback
-fires every ``every`` trials plus once at the end.
-
-When a structured event log is configured (see :mod:`repro.obs.events`),
-every heartbeat is additionally appended to it as a ``heartbeat`` event —
-so a run's ledger entry records its live throughput curve, not just the
-final totals.
+(minutes at paper-sized trial counts over every configuration).
+:class:`ProgressTracker` turns a stream of completed work into periodic
+:class:`ProgressEvent` heartbeats: the campaign driver advances it once
+per merged shard — serial, pooled or resumed alike — so with ``every``
+equal to the shard size the callback fires once per shard, plus once at
+the end.
 """
 
 from __future__ import annotations
@@ -102,17 +98,7 @@ class ProgressTracker:
             return
         if self.done // self.every > before // self.every or self.done >= self.total:
             self.n_events += 1
-            event = self._event(counts)
-            from repro.obs.telemetry import get_telemetry
-
-            get_telemetry().event(
-                "heartbeat",
-                done=event.done,
-                total=event.total,
-                rate=round(event.rate, 2),
-                eta_s=round(event.eta_s, 2),
-            )
-            self.callback(event)
+            self.callback(self._event(counts))
 
 
 def print_progress(event: ProgressEvent) -> None:

@@ -6,8 +6,8 @@
   duration, sorted by total time (the profile view);
 * **pipeline passes** — the ``cat == "pass"`` spans in execution order with
   their instruction and block deltas (the compile-shape view);
-* **campaigns** — per-campaign trial counts and outcome breakdowns built
-  from the per-trial instant events.
+* **campaigns** — one row per ``campaign`` span: trial and fault counts
+  and the outcome breakdown the span's ``outcome_*`` args carry.
 """
 
 from __future__ import annotations
@@ -73,30 +73,22 @@ def pass_table(events: list[dict]) -> str:
 
 def campaign_table(events: list[dict]) -> str:
     campaigns = [
-        e for e in events if e.get("ev") == "X" and e.get("cat") == "campaign"
+        e for e in events if e.get("ev") == "X" and e.get("name") == "campaign"
     ]
-    trials = [
-        e for e in events
-        if e.get("ev") == "I" and e.get("cat") == "campaign"
-        and e.get("name") == "trial"
-    ]
-    if not campaigns and not trials:
-        return "campaigns: (no campaign events in trace)"
+    if not campaigns:
+        return "campaigns: (no campaign spans in trace)"
     rows = []
     for i, c in enumerate(campaigns):
         args = c.get("args", {})
-        start = float(c.get("ts", 0.0))
-        end = start + float(c.get("dur", 0.0))
-        outcomes: dict[str, int] = {}
-        for t in trials:
-            if start <= float(t.get("ts", 0.0)) <= end:
-                out = t.get("args", {}).get("outcome", "?")
-                outcomes[out] = outcomes.get(out, 0) + 1
-        breakdown = " ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
+        breakdown = " ".join(
+            f"{k.removeprefix('outcome_')}={v}"
+            for k, v in sorted(args.items())
+            if k.startswith("outcome_")
+        )
         rows.append(
             [
                 i,
-                args.get("trials", sum(outcomes.values())),
+                args.get("trials", ""),
                 args.get("faults", ""),
                 _fmt_s(float(c.get("dur", 0.0))),
                 breakdown,

@@ -19,7 +19,6 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
@@ -73,23 +72,19 @@ class _TimedSpan:
 
 
 class Telemetry:
-    """Bundle of an optional metrics registry, tracer, and event log."""
+    """Bundle of an optional metrics registry and tracer."""
 
-    __slots__ = ("enabled", "metrics", "tracer", "events")
+    __slots__ = ("enabled", "metrics", "tracer")
 
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        events: EventLog | None = None,
         enabled: bool = True,
     ) -> None:
         self.metrics = metrics
         self.tracer = tracer
-        self.events = events
-        self.enabled = enabled and (
-            metrics is not None or tracer is not None or events is not None
-        )
+        self.enabled = enabled and (metrics is not None or tracer is not None)
 
     # -- spans -----------------------------------------------------------------
     def span(self, name: str, cat: str = "", timer: str | None = None, **args: Any):
@@ -108,12 +103,6 @@ class Telemetry:
     def instant(self, name: str, cat: str = "", **args: Any) -> None:
         if self.enabled and self.tracer is not None:
             self.tracer.instant(name, cat, **args)
-
-    # -- structured events -----------------------------------------------------
-    def event(self, kind: str, **fields: Any) -> None:
-        """Append one structured event to the run event log (if configured)."""
-        if self.enabled and self.events is not None:
-            self.events.emit(kind, **fields)
 
     # -- metrics ---------------------------------------------------------------
     def count(self, name: str, n: float = 1) -> None:
@@ -137,8 +126,6 @@ class Telemetry:
     def close(self) -> None:
         if self.tracer is not None:
             self.tracer.close()
-        if self.events is not None:
-            self.events.close()
 
 
 #: The disabled default every call site sees until ``configure`` runs.
@@ -164,14 +151,12 @@ def configure(
     trace_path: str | Path | None = None,
     metrics: bool = True,
     keep_events: bool | None = None,
-    events_path: str | Path | None = None,
 ) -> Telemetry:
     """Build and install a live telemetry.
 
     ``trace_path`` opens a JSON-lines tracer sink; ``metrics`` attaches a
-    registry (on by default — metrics are cheap); ``events_path`` attaches
-    a structured :class:`~repro.obs.events.EventLog`.  Returns the
-    installed instance so callers can render/flush it at shutdown.
+    registry (on by default — metrics are cheap).  Returns the installed
+    instance so callers can render/flush it at shutdown.
     """
     registry = MetricsRegistry() if metrics else None
     tracer = (
@@ -179,14 +164,13 @@ def configure(
         if trace_path is not None or keep_events
         else None
     )
-    event_log = EventLog(path=events_path) if events_path is not None else None
-    telemetry = Telemetry(metrics=registry, tracer=tracer, events=event_log)
+    telemetry = Telemetry(metrics=registry, tracer=tracer)
     set_telemetry(telemetry)
     return telemetry
 
 
 def reset() -> None:
-    """Close any active tracer/event log and restore the disabled default."""
+    """Close any active tracer and restore the disabled default."""
     global _current, _capture_active
     _current.close()
     _current = NULL_TELEMETRY

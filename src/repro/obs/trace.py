@@ -3,7 +3,7 @@
 One :class:`Tracer` serializes a single logical timeline: spans open with
 :meth:`Tracer.span` (a context manager), may nest arbitrarily, and are
 emitted as one *complete* event per span when they close.  Instant events
-mark points in time (per-trial campaign outcomes, cache-corruption
+mark points in time (lost campaign shards, cache-corruption
 warnings).  Timestamps are seconds relative to the tracer's epoch, so traces
 are diffable across runs.
 

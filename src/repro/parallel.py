@@ -21,7 +21,7 @@ this module provides the pieces everything else builds on:
   respawned for the retry round, and the per-task ``timeout`` watchdog
   still SIGKILLs hung workers;
 * :func:`parallel_map` — an order-preserving ``map`` with an inline fast
-  path, per-result completion callbacks, retries with jittered backoff and
+  path, per-result completion callbacks, retries with exponential backoff and
   the hung-worker watchdog.  Inside a ``with WorkerPool(...)`` /
   :func:`ensure_pool` scope it transparently routes onto the ambient pool
   instead of spawning an ephemeral one;
@@ -55,7 +55,6 @@ from __future__ import annotations
 import logging
 import os
 import pickle
-import random
 import threading
 import time
 from collections import OrderedDict, deque
@@ -69,11 +68,6 @@ from typing import Any, Callable, Iterator, Sequence
 from repro.obs.telemetry import absorb_worker_snapshot, get_telemetry
 
 logger = logging.getLogger(__name__)
-
-#: Default jitter fraction applied to retry backoff sleeps: each sleep is
-#: stretched by up to this fraction, drawn uniformly, so many clients
-#: retrying after a shared failure do not re-arrive in lockstep.
-RETRY_JITTER = 0.25
 
 #: Fixed trials-per-shard for fault campaigns.  Part of the determinism
 #: contract: changing it changes which RNG stream each trial draws from,
@@ -382,6 +376,11 @@ class WorkerPool:
         if self._pool is not None:
             return self._pool
         tel = get_telemetry()
+        if tel.tracer is not None:
+            # Workers fork with a copy of the parent's trace-file buffer,
+            # and the bootstrap's reset closes (so flushes) that copy:
+            # anything still buffered here would land in the file twice.
+            tel.tracer.flush()
         t0 = time.perf_counter()
         self._pool = ProcessPoolExecutor(
             max_workers=self.jobs,
@@ -435,7 +434,6 @@ class WorkerPool:
         on_result: Callable[[int, Any], None] | None = None,
         retries: int = 0,
         retry_backoff: float = 0.0,
-        retry_jitter: float = RETRY_JITTER,
         timeout: float | None = None,
         on_failure: Callable[[int, BaseException], None] | None = None,
     ) -> list[Any]:
@@ -491,10 +489,7 @@ class WorkerPool:
         while pending:
             if sleep_before_next and retry_backoff > 0:
                 backoff_round += 1
-                sleep_s = retry_backoff * (2 ** (backoff_round - 1))
-                if retry_jitter > 0:
-                    sleep_s *= 1.0 + random.uniform(0.0, retry_jitter)
-                time.sleep(sleep_s)
+                time.sleep(retry_backoff * (2 ** (backoff_round - 1)))
             this_round, pending = pending, []
             charged = False
             broken = False
@@ -673,7 +668,6 @@ def parallel_map(
     on_result: Callable[[int, Any], None] | None = None,
     retries: int = 0,
     retry_backoff: float = 0.0,
-    retry_jitter: float = RETRY_JITTER,
     timeout: float | None = None,
     on_failure: Callable[[int, BaseException], None] | None = None,
 ) -> list[Any]:
@@ -694,14 +688,12 @@ def parallel_map(
     its worker process dies (``BrokenProcessPool`` — an OOM kill, a signal,
     a segfaulting extension).  Each task is retried up to ``retries`` extra
     times, waiting ``retry_backoff * 2**(round-1)`` seconds between charged
-    rounds — exponential, stretched by up to ``retry_jitter`` of itself
-    (drawn uniformly) so synchronized failures do not retry in lockstep; a
-    dead pool is respawned and the unfinished tasks resubmitted to fresh
-    workers.  A worker death cannot be attributed to one task exactly, so a
-    pool crash charges an attempt to *every* task that was in flight:
-    transient crashes retry everything cleanly, while a deterministically
-    crashing task exhausts its budget after at most ``retries + 1`` pool
-    rebuilds.  After exhaustion the task's slot stays ``None`` and
+    rounds; a dead pool is respawned and the unfinished tasks resubmitted
+    to fresh workers.  A worker death cannot be attributed to one task
+    exactly, so a pool crash charges an attempt to *every* task that was
+    in flight: transient crashes retry everything cleanly, while a
+    deterministically crashing task exhausts its budget after at most
+    ``retries + 1`` pool rebuilds.  After exhaustion the task's slot stays ``None`` and
     ``on_failure(index, exc)`` is invoked; with no ``on_failure`` the
     exception propagates (the pre-existing fail-fast contract, the
     default).
@@ -743,15 +735,15 @@ def parallel_map(
     if ambient is not None:
         return ambient.map(
             fn, tasks, jobs=jobs, on_result=on_result, retries=retries,
-            retry_backoff=retry_backoff, retry_jitter=retry_jitter,
-            timeout=timeout, on_failure=on_failure,
+            retry_backoff=retry_backoff, timeout=timeout,
+            on_failure=on_failure,
         )
     ephemeral = WorkerPool(min(jobs, len(tasks)))
     try:
         return ephemeral.map(
             fn, tasks, on_result=on_result, retries=retries,
-            retry_backoff=retry_backoff, retry_jitter=retry_jitter,
-            timeout=timeout, on_failure=on_failure,
+            retry_backoff=retry_backoff, timeout=timeout,
+            on_failure=on_failure,
         )
     finally:
         ephemeral.shutdown()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -10,7 +11,7 @@ from repro import obs
 from repro.obs.chrome import export_chrome_trace, to_chrome_events
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressEvent, ProgressTracker
-from repro.obs.report import summarize_trace
+from repro.obs.report import campaign_table, summarize_trace
 from repro.obs.telemetry import NULL_SPAN, Telemetry
 from repro.obs.trace import Tracer, read_trace
 from repro.ir.interp import ExitKind
@@ -172,7 +173,7 @@ class TestChromeExport:
             with tracer.span("pass:dce", cat="pass"):
                 pass
         with tracer.span("campaign", cat="campaign"):
-            tracer.instant("trial", cat="campaign", outcome="benign")
+            tracer.instant("shard-lost", cat="campaign", shard=0)
         return tracer.events
 
     def test_schema_validity(self, tmp_path):
@@ -245,11 +246,11 @@ class TestProgress:
             frame_words=compiled.frame_words,
         )
         events: list[ProgressEvent] = []
-        res = injector.run_campaign(
-            trials=9, seed=7, progress=events.append, heartbeat=4
-        )
-        assert [e.done for e in events] == [4, 8, 9]
-        assert sum(events[-1].counts.values()) == res.trials == 9
+        res = injector.run_campaign(trials=60, seed=7, progress=events.append)
+        # one heartbeat per merged shard: shards of 25 + 25 + 10
+        assert [e.done for e in events] == [25, 50, 60]
+        assert [sum(e.counts.values()) for e in events] == [25, 50, 60]
+        assert sum(events[-1].counts.values()) == res.trials == 60
 
 
 class TestPipelineInstrumentation:
@@ -297,25 +298,45 @@ class TestPipelineInstrumentation:
         assert len(sim_spans) == 1
         assert sim_spans[0]["args"]["kind"] == "ok"
 
-    def test_campaign_trace_has_per_trial_events(self):
+    def test_campaign_span_carries_outcome_mix(self):
         from repro.faults.injector import run_campaign
 
         tel = obs.configure(keep_events=True)
         machine = MachineConfig(issue_width=2, inter_cluster_delay=1)
         compiled = compile_program(build_loop_program(5), Scheme.NOED, machine)
-        run_campaign(
+        res = run_campaign(
             compiled.program, trials=7, seed=3,
             mem_words=compiled.mem_words, frame_words=compiled.frame_words,
         )
         obs.reset()
-        trials = [
-            e for e in tel.tracer.events
-            if e["ev"] == "I" and e["name"] == "trial"
-        ]
-        assert len(trials) == 7
-        assert all("outcome" in e["args"] for e in trials)
-        camp = next(e for e in tel.tracer.events if e["name"] == "campaign")
+        (camp,) = [e for e in tel.tracer.events if e["name"] == "campaign"]
         assert camp["args"]["trials"] == 7
+        outcomes = {
+            k.removeprefix("outcome_"): v
+            for k, v in camp["args"].items() if k.startswith("outcome_")
+        }
+        assert outcomes == {o.value: n for o, n in res.counts.items()}
+        assert not any(e["ev"] == "I" for e in tel.tracer.events)
+
+    def test_campaign_table_has_one_row_per_campaign(self):
+        """Profile, snapshot and shard spans share the campaign category;
+        only the ``campaign`` span itself is a table row."""
+        from repro.faults.injector import run_campaign
+
+        tel = obs.configure(keep_events=True)
+        machine = MachineConfig(issue_width=2, inter_cluster_delay=1)
+        compiled = compile_program(build_loop_program(5), Scheme.NOED, machine)
+        res = run_campaign(
+            compiled.program, trials=30, seed=3,
+            mem_words=compiled.mem_words, frame_words=compiled.frame_words,
+        )
+        obs.reset()
+        assert sum(e["name"] == "shard" for e in tel.tracer.events) == 2
+        lines = campaign_table(tel.tracer.events).splitlines()
+        (row,) = lines[4:]  # title, rule, header, rule, rows
+        assert row.split()[:2] == ["0", "30"]
+        for o, n in res.counts.items():
+            assert f"{o.value}={n}" in row
 
     def test_report_summarizes_pipeline_and_campaign(self):
         tel = obs.configure(keep_events=True)
@@ -419,14 +440,47 @@ class TestCLI:
         events = read_trace(trace)
         names = {e["name"] for e in events}
         assert "pipeline" in names and "campaign" in names
-        assert any(e["name"] == "trial" for e in events)
 
         rc = main(["report", "trace", "--file", str(trace), "--chrome", str(chrome)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "span summary" in out and "fault campaigns" in out
+        assert re.search(r"\b(benign|detected|exception|data-corrupt)=\d", out)
         payload = json.loads(chrome.read_text())
         assert payload["traceEvents"]
+
+    @staticmethod
+    def _traced_inject(tmp_path, jobs: int):
+        from repro.cli import main
+
+        trace = tmp_path / f"jobs{jobs}.jsonl"
+        rc = main(
+            ["inject", "workload:mcf", "--scheme", "casted", "--trials", "50",
+             "--seed", "7", "--jobs", str(jobs), "--trace", str(trace)]
+        )
+        assert rc == 0
+        return trace
+
+    def test_report_outcomes_same_at_any_jobs(self, tmp_path, capsys):
+        from repro.cli import main
+
+        rows = []
+        for jobs in (1, 2):
+            trace = self._traced_inject(tmp_path, jobs)
+            capsys.readouterr()
+            assert main(["report", "trace", "--file", str(trace)]) == 0
+            table = capsys.readouterr().out.split("fault campaigns")[1]
+            (row,) = table.strip().splitlines()[3:]
+            rows.append(row.split())
+        serial, pooled = rows
+        assert "detected=" in " ".join(serial)
+        # campaign index, trials and faults, then the outcome mix (time differs)
+        assert serial[:3] == pooled[:3]
+        assert serial[4:] == pooled[4:]
+
+    def test_pooled_trace_has_no_duplicate_lines(self, tmp_path):
+        lines = self._traced_inject(tmp_path, 2).read_text().splitlines()
+        assert len(lines) == len(set(lines))
 
     def test_report_trace_requires_file(self, capsys):
         from repro.cli import main

@@ -1,4 +1,4 @@
-"""Event log, metrics export, and the content-addressed run ledger."""
+"""Metrics export and the content-addressed run ledger."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ReproError
-from repro.obs.events import EventLog, read_events
-from repro.obs.export import prometheus_name, to_json, to_prometheus, write_metrics
+from repro.obs.export import to_json, write_metrics
 from repro.obs.ledger import RunLedger, diff_runs, run_id_for
 from repro.obs.metrics import MetricsRegistry
 
@@ -22,102 +21,7 @@ def _clean_telemetry():
     obs.reset()
 
 
-def _fake_clock(step: float = 1.0, start: float = 100.0):
-    state = {"t": start}
-
-    def clock() -> float:
-        state["t"] += step
-        return state["t"]
-
-    return clock
-
-
-class TestEventLog:
-    def test_emit_and_read_roundtrip(self, tmp_path):
-        path = tmp_path / "run.events.jsonl"
-        log = EventLog(path=path, clock=_fake_clock())
-        log.emit("campaign-start", trials=100, seed=7)
-        log.emit("shard-done", shard=0, trials=25)
-        log.close()
-        events = read_events(path)
-        assert [e["kind"] for e in events] == ["campaign-start", "shard-done"]
-        assert events[0]["trials"] == 100 and events[0]["seed"] == 7
-        assert events[1]["shard"] == 0
-
-    def test_elapsed_is_monotone_and_relative(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        log = EventLog(path=path, clock=_fake_clock(step=2.0))
-        log.emit("a")
-        log.emit("b")
-        log.close()
-        a, b = read_events(path)
-        assert b["elapsed_s"] > a["elapsed_s"] > 0
-        assert b["ts"] > a["ts"] > 100.0
-
-    def test_append_only_across_reopens(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        for kind in ("first", "second"):
-            log = EventLog(path=path)
-            log.emit(kind)
-            log.close()
-        assert [e["kind"] for e in read_events(path)] == ["first", "second"]
-
-    def test_torn_trailing_line_is_dropped(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        path.write_text('{"ts": 1, "kind": "ok"}\n{"ts": 2, "ki')
-        events = read_events(path)
-        assert [e["kind"] for e in events] == ["ok"]
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        path.write_text('not json\n{"ts": 1, "kind": "ok"}\n')
-        with pytest.raises(ValueError, match="e.jsonl:1"):
-            read_events(path)
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        path.write_text('{"kind": "a"}\n\n\n{"kind": "b"}\n')
-        assert [e["kind"] for e in read_events(path)] == ["a", "b"]
-
-    def test_in_memory_mode(self):
-        log = EventLog(clock=_fake_clock())
-        log.emit("x", n=1)
-        assert log.events[0]["kind"] == "x" and log.events[0]["n"] == 1
-
-    def test_telemetry_event_facade(self, tmp_path):
-        tel = obs.configure(events_path=tmp_path / "e.jsonl")
-        tel.event("milestone", detail="ok")
-        obs.reset()  # closes the log
-        (ev,) = read_events(tmp_path / "e.jsonl")
-        assert ev["kind"] == "milestone" and ev["detail"] == "ok"
-
-    def test_campaign_emits_lifecycle_events(self, tmp_path):
-        from repro.faults.injector import run_campaign
-        from repro.machine.config import MachineConfig
-        from repro.pipeline import Scheme, compile_program
-        from tests.conftest import build_loop_program
-
-        machine = MachineConfig(issue_width=2, inter_cluster_delay=1)
-        compiled = compile_program(build_loop_program(6), Scheme.NOED, machine)
-        obs.configure(events_path=tmp_path / "e.jsonl")
-        run_campaign(
-            compiled.program, trials=30, seed=3,
-            mem_words=compiled.mem_words, frame_words=compiled.frame_words,
-        )
-        obs.reset()
-        events = read_events(tmp_path / "e.jsonl")
-        kinds = [e["kind"] for e in events]
-        assert kinds[0] == "campaign-start"
-        assert kinds[-1] == "campaign-end"
-        shard_done = [e for e in events if e["kind"] == "shard-done"]
-        assert len(shard_done) == 2  # 30 trials = shards of 25 + 5
-        assert {e["shard"] for e in shard_done} == {0, 1}
-        end = events[-1]
-        assert end["trials"] == 30
-        assert sum(end["outcomes"].values()) == 30
-
-
-class TestPrometheusExport:
+class TestMetricsExport:
     def _registry(self) -> MetricsRegistry:
         reg = MetricsRegistry()
         reg.count("campaign.trials", 200)
@@ -127,38 +31,9 @@ class TestPrometheusExport:
             reg.observe("campaign.detection_latency", v)
         return reg
 
-    def test_name_sanitization(self):
-        assert prometheus_name("campaign.trials") == "repro_campaign_trials"
-        assert (
-            prometheus_name("campaign.outcome.data-corrupt")
-            == "repro_campaign_outcome_data_corrupt"
-        )
-        assert prometheus_name("9lives") == "repro__9lives"
-
-    def test_counters_get_total_suffix_and_type(self):
-        text = to_prometheus(self._registry())
-        assert "# TYPE repro_campaign_trials_total counter" in text
-        assert "repro_campaign_trials_total 200" in text
-
-    def test_histograms_export_as_summaries(self):
-        text = to_prometheus(self._registry())
-        assert "# TYPE repro_campaign_detection_latency summary" in text
-        assert "repro_campaign_detection_latency_count 2" in text
-        assert "repro_campaign_detection_latency_sum 4" in text
-        assert "repro_campaign_detection_latency_min 1" in text
-        assert "repro_campaign_detection_latency_max 3" in text
-
-    def test_gauges(self):
-        text = to_prometheus(self._registry())
-        assert "# TYPE repro_eval_points gauge" in text
-        assert "repro_eval_points 12" in text
-
     def test_accepts_snapshot_dict(self):
         reg = self._registry()
-        assert to_prometheus(reg) == to_prometheus(reg.snapshot())
-
-    def test_empty_registry(self):
-        assert to_prometheus(MetricsRegistry()) == ""
+        assert to_json(reg) == to_json(reg.snapshot())
 
     def test_json_roundtrip(self):
         reg = self._registry()
@@ -166,12 +41,11 @@ class TestPrometheusExport:
         assert payload["counters"]["campaign.trials"] == 200
         assert payload["histograms"]["campaign.detection_latency"]["count"] == 2
 
-    def test_write_metrics_format_by_suffix(self, tmp_path):
+    def test_write_metrics_is_json_for_any_suffix(self, tmp_path):
         reg = self._registry()
-        prom = write_metrics(reg, tmp_path / "m.prom")
-        js = write_metrics(reg, tmp_path / "m.json")
-        assert "# TYPE" in prom.read_text()
-        assert json.loads(js.read_text())["counters"]["campaign.trials"] == 200
+        for name in ("m.json", "m.prom"):
+            out = write_metrics(reg, tmp_path / name)
+            assert json.loads(out.read_text())["counters"]["campaign.trials"] == 200
 
 
 def _manifest(**over) -> dict:
@@ -230,20 +104,14 @@ class TestRunLedger:
         records = ledger.list_runs()
         assert [r.run_id for r in records][0] == newest
 
-    def test_events_and_trace_artifacts(self, tmp_path):
-        src = tmp_path / "src.events.jsonl"
-        log = EventLog(path=src)
-        log.emit("campaign-start", trials=100)
-        log.close()
+    def test_trace_artifact(self, tmp_path):
         trace = [
             {"ev": "X", "name": "shard", "cat": "campaign", "ts": 0.1,
              "dur": 0.2, "depth": 0, "args": {}},
         ]
         ledger = RunLedger(tmp_path / "runs")
-        run_id = ledger.record(_manifest(), events_src=src, trace_events=trace)
+        run_id = ledger.record(_manifest(), trace_events=trace)
         rec = ledger.load(run_id)
-        assert rec.events_path is not None
-        assert read_events(rec.events_path)[0]["kind"] == "campaign-start"
         assert rec.trace_path is not None
         payload = json.loads(rec.trace_path.read_text())
         assert any(e.get("name") == "shard" for e in payload["traceEvents"])
@@ -389,12 +257,28 @@ class TestInjectLedgerCLI:
         assert m["trials"] == 30 and m["jobs"] == 2
         assert m["counters"]["campaign.trials"] == 30
         assert m["timings"]["wall_s"] > 0
-        # all three artifacts land next to the manifest
+        # metrics and the Chrome trace land next to the manifest, and
+        # nothing else does
         rec = ledger.load(rec.run_id)
-        assert rec.metrics is not None
-        assert rec.events_path is not None and rec.trace_path is not None
-        kinds = [e["kind"] for e in read_events(rec.events_path)]
-        assert "campaign-start" in kinds and "campaign-end" in kinds
+        assert rec.metrics is not None and rec.trace_path is not None
+        assert sorted(p.name for p in rec.path.iterdir()) == [
+            "manifest.json", "metrics.json", "trace.chrome.json"
+        ]
+        payload = json.loads(rec.trace_path.read_text())
+        (camp,) = [
+            e for e in payload["traceEvents"]
+            if e["ph"] == "X" and e["name"] == "campaign"
+        ]
+        assert camp["args"]["trials"] == 30 and camp["args"]["jobs"] == 2
+        outcomes = {
+            k: v for k, v in camp["args"].items() if k.startswith("outcome_")
+        }
+        assert sum(outcomes.values()) == 30
+        assert outcomes == {
+            k.replace("campaign.outcome.", "outcome_"): v
+            for k, v in m["counters"].items()
+            if k.startswith("campaign.outcome.")
+        }
 
     def test_diff_marks_issue_and_delay(self, tmp_path, capsys):
         from repro.cli import main
@@ -433,20 +317,16 @@ class TestInjectLedgerCLI:
         assert rec.manifest["backend"] == "compiled"
         assert "batch" not in rec.manifest and "snapshots" not in rec.manifest
 
-    def test_metrics_out_and_events_flags(self, tmp_path, capsys):
+    def test_metrics_out_writes_json(self, tmp_path, capsys):
         from repro.cli import main
 
-        prom = tmp_path / "m.prom"
-        events = tmp_path / "run.events.jsonl"
+        out = tmp_path / "m.json"
         rc = main(
             ["inject", "workload:cjpeg", "--scheme", "noed", "--trials", "5",
-             "--issue", "2", "--delay", "1",
-             "--metrics-out", str(prom), "--events", str(events)]
+             "--issue", "2", "--delay", "1", "--metrics-out", str(out)]
         )
         assert rc == 0
-        assert "repro_campaign_trials_total 5" in prom.read_text()
-        kinds = [e["kind"] for e in read_events(events)]
-        assert kinds[0] == "campaign-start" and kinds[-1] == "campaign-end"
+        assert json.loads(out.read_text())["counters"]["campaign.trials"] == 5
 
 
 class TestStaleStageSweep:

@@ -45,6 +45,14 @@ def _exit_on_three(x):
     return x * 2
 
 
+def _lose_all(fn, tasks, jobs=1, on_result=None, retries=0,
+              retry_backoff=0.0, timeout=None, on_failure=None, **kwargs):
+    """A ``parallel_map`` stand-in whose every task exhausts its retries."""
+    for i in range(len(tasks)):
+        on_failure(i, RuntimeError("worker died"))
+    return [None] * len(tasks)
+
+
 def _exit_once(task):
     """Crash the worker the first time it sees the flag file missing."""
     x, flag = task
@@ -442,19 +450,29 @@ class TestCampaignDegradation:
         assert CampaignResult(trials=0).coverage == 0.0
 
     def test_all_shards_lost_yields_empty_partial(self, loop_injector, monkeypatch):
-        def lose_all(fn, tasks, jobs=1, on_result=None, retries=0,
-                     retry_backoff=0.0, timeout=None, on_failure=None,
-                     **kwargs):
-            for i in range(len(tasks)):
-                on_failure(i, RuntimeError("worker died"))
-            return [None] * len(tasks)
-
-        monkeypatch.setattr(injector_mod, "parallel_map", lose_all)
+        monkeypatch.setattr(injector_mod, "parallel_map", _lose_all)
         res = loop_injector.run_campaign(trials=50, seed=5, jobs=2)
         assert res.partial
         assert res.trials == 0
         assert res.lost_trials == 50
         assert res.coverage == 0.0  # the empty-campaign fix, end to end
+
+    def test_lost_shard_leaves_trace_instant(self, loop_injector, monkeypatch):
+        from repro import obs
+
+        monkeypatch.setattr(injector_mod, "parallel_map", _lose_all)
+        tel = obs.configure(keep_events=True)
+        try:
+            loop_injector.run_campaign(trials=50, seed=5, jobs=2)
+        finally:
+            obs.reset()
+        lost = [
+            e for e in tel.tracer.events
+            if e["ev"] == "I" and e["name"] == "shard-lost"
+        ]
+        assert sorted(e["args"]["shard"] for e in lost) == [0, 1]
+        assert all(e["cat"] == "campaign" for e in lost)
+        assert all(e["args"]["error"] == "worker died" for e in lost)
 
 
 def _sleep_forever(x):
@@ -515,34 +533,18 @@ class TestHungWorkerTimeout:
         assert not timed.partial
 
 
-class TestRetryJitter:
-    def test_backoff_sleep_is_jittered(self, monkeypatch):
+class TestRetryBackoff:
+    def test_backoff_sleeps_are_exact_exponential(self, monkeypatch):
         import repro.parallel as parallel_mod
 
         naps = []
         monkeypatch.setattr(parallel_mod.time, "sleep", naps.append)
         out = parallel_map(
             _raise_on_three, [1, 2, 3, 4], jobs=2, retries=2,
-            retry_backoff=1.0, retry_jitter=0.25,
-            on_failure=lambda i, exc: None,
+            retry_backoff=1.0, on_failure=lambda i, exc: None,
         )
         assert out == [2, 4, None, 8]
-        assert len(naps) == 2  # one nap per retry round
-        for round_no, nap in enumerate(naps, start=1):
-            base = 1.0 * 2 ** (round_no - 1)  # exponential backoff
-            assert base <= nap <= base * 1.25
-
-    def test_zero_jitter_keeps_exact_backoff(self, monkeypatch):
-        import repro.parallel as parallel_mod
-
-        naps = []
-        monkeypatch.setattr(parallel_mod.time, "sleep", naps.append)
-        parallel_map(
-            _raise_on_three, [1, 2, 3, 4], jobs=2, retries=1,
-            retry_backoff=0.5, retry_jitter=0.0,
-            on_failure=lambda i, exc: None,
-        )
-        assert naps == [0.5]
+        assert naps == [1.0, 2.0]  # one nap per retry round, doubling
 
 
 class TestChaosPoints:
