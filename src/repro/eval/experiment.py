@@ -110,11 +110,12 @@ def _scheme_delay(scheme: Scheme, delay: int) -> int:
     return delay if scheme.info.uses_delay else 0
 
 
-#: Process-wide golden-run dedupe for fault campaigns (LRU, content-keyed).
+#: Process-wide injector reuse for fault campaigns (LRU, content-keyed).
 #:
-#: A :class:`FaultInjector` profiles its golden run (trace + snapshots) in
-#: ``__init__``, which is pure fixed overhead a sweep re-pays for every grid
-#: point that compiles to the same program — e.g. delay-only variations of a
+#: Injectors share golden runs through the injector module's weak golden-run
+#: store only while one of them is alive; this cache keeps the last few
+#: alive, so a sweep does not re-profile (or re-decode) for every grid point
+#: that compiles to the same program — e.g. delay-only variations of a
 #: (workload, scheme) pair.  Keying by a hash of the *printed post-regalloc
 #: program* (plus the memory/frame geometry and fault model) makes the reuse
 #: exact-by-construction: identical key means identical golden execution, so

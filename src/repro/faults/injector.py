@@ -53,6 +53,7 @@ import hashlib
 import logging
 import statistics
 import time
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,7 +100,9 @@ WATCHDOG_FACTOR = 25
 #: group resumes from the nearest snapshot at or before its earliest fault,
 #: so the expected skipped prefix per trial is ``~(1 - 1/(2*count))`` of
 #: the fault position; 64 keeps the residual prefix under 1% of the golden
-#: run while the snapshots themselves stay a few MB for our workloads.
+#: run.  The snapshots are list storage, 8 B per register/memory word: one
+#: program's 64 take 0.35-1.2 MB at iw2/d2 over the seven kernels (NOED and
+#: CASTED alike; 10.2 MB for all 14 programs).
 SNAPSHOT_COUNT = 64
 
 #: Skip snapshots entirely below this golden dynamic-instruction count —
@@ -272,29 +275,106 @@ class CampaignResult:
         )
 
 
-@dataclass(frozen=True)
-class WorkerProfile:
-    """A parent injector's profiling results, packaged for pool workers.
+#: Content key of a golden run: canonical program text SHA-256, resolved
+#: ``mem_words``, ``frame_words``, resolved backend, and the snapshot policy
+#: (``SNAPSHOT_COUNT``, ``SNAPSHOT_MIN_DYN``) the run was recorded under.
+GoldenKey = tuple[str, int, int, str, int, int]
 
-    Everything :class:`FaultInjector` computes by *executing* the program —
-    the golden run and the architectural snapshots — so a worker-side
-    rebuild only re-decodes the program (the compiled closures don't
-    pickle) and skips both golden replays.  Snapshots travel as a
-    :class:`~repro.sim.shared.SharedSnapshots` shared-memory handle, never
-    as pickled register/memory arrays.
+
+@dataclass(eq=False)
+class GoldenRun:
+    """Everything :class:`FaultInjector` computes by *executing* the program.
+
+    The traced golden run and the architectural snapshots, held once per
+    process in :data:`_GOLDEN_RUNS` and shared by every injector of the
+    same program, geometry and backend — whatever its fault model.  The
+    snapshots are read-only (see :class:`~repro.ir.interp.Snapshot`):
+    restores, the convergence index and the pool export all reference the
+    one copy.
     """
 
     golden: RunResult
+    snapshots: list[Snapshot]
+    #: The snapshots' shared-memory export for pool workers, made at most
+    #: once per golden run (:meth:`export`); the segment is unlinked when
+    #: this run is collected.
+    shared: SharedSnapshots | None = None
+
+    def export(self) -> SharedSnapshots | None:
+        """The shared-memory handle pool workers attach (``None``: no snapshots)."""
+        if self.shared is None and self.snapshots:
+            self.shared = SharedSnapshots.export(self.snapshots)
+        return self.shared
+
+
+#: This process's golden runs by content key.  Weak values: an entry lives
+#: exactly as long as some injector holds it, so injectors of one program
+#: under different fault models share one golden run with no size knob.
+_GOLDEN_RUNS: weakref.WeakValueDictionary[GoldenKey, GoldenRun] = (
+    weakref.WeakValueDictionary()
+)
+
+
+def golden_key(
+    program: Program, mem_words: int, frame_words: int, backend: str
+) -> GoldenKey:
+    """The content key a golden run of ``program`` is stored under."""
+    digest = hashlib.sha256(canonical_program_text(program).encode()).hexdigest()
+    return (
+        digest, mem_words, frame_words, backend, SNAPSHOT_COUNT, SNAPSHOT_MIN_DYN
+    )
+
+
+def _record_snapshots(interp: Interpreter, golden: RunResult) -> list[Snapshot]:
+    """Replay the golden run once more, recording its snapshots.
+
+    The compiled engine records architectural snapshots at
+    ~:data:`SNAPSHOT_COUNT` evenly spaced points; each trial group then
+    restores the nearest snapshot at or before its earliest fault —
+    bit-identical to a replay from zero, because the pre-fault prefix of
+    every trial *is* the golden execution.  The interp oracle records none.
+    """
+    snapshots: list[Snapshot] = []
+    golden_dyn = golden.dyn_instructions
+    if interp.backend == "compiled" and golden_dyn >= SNAPSHOT_MIN_DYN:
+        with get_telemetry().span(
+            "injector:snapshots", cat="campaign",
+            timer="campaign.snapshot_record.seconds",
+        ) as sp:
+            interval = max(1, golden_dyn // SNAPSHOT_COUNT)
+            interp.run(snapshot_every=interval, snapshot_sink=snapshots)
+            sp.set(snapshots=len(snapshots))
+    return snapshots
+
+
+@dataclass(frozen=True)
+class WorkerProfile:
+    """A parent's :class:`GoldenRun`, packaged for pool workers.
+
+    A worker-side rebuild only re-decodes the program (the compiled
+    closures don't pickle) and adopts this run instead of executing it.
+    Snapshots travel as a :class:`~repro.sim.shared.SharedSnapshots`
+    shared-memory handle, never as pickled register/memory arrays, and a
+    worker that already holds ``key`` never attaches them.
+    """
+
+    key: GoldenKey
+    golden: RunResult
     snapshots: SharedSnapshots | None
+
+    def attach(self) -> GoldenRun:
+        """Materialize the run from shared memory (worker side)."""
+        snapshots = self.snapshots.load() if self.snapshots is not None else []
+        return GoldenRun(self.golden, snapshots, self.snapshots)
 
 
 class CampaignWorkerSpec:
     """A content-addressed recipe for building a campaign injector in a worker.
 
-    ``key`` digests everything the built injector depends on (canonical
-    program text, geometry, fault model, resolved backend, snapshot
-    count), so :func:`repro.parallel.worker_cached` can reuse one injector
-    across every task — of every map — that shares the key.  ``payload``
+    ``key`` digests everything the built injector depends on (the golden
+    run's :data:`GoldenKey` plus the fault model), so
+    :func:`repro.parallel.worker_cached` can reuse one injector across
+    every task — of every map — that shares the key.  ``payload``
     is pickled once in the parent (:class:`~repro.parallel.PickledOnce`):
     tasks ship the same immutable bytes, and a worker whose cache already
     holds ``key`` never even unpickles them.
@@ -328,7 +408,13 @@ class CampaignWorkerSpec:
 
 
 class FaultInjector:
-    """Profile once, inject many times."""
+    """Profile once, inject many times.
+
+    The golden run is profiled once per *process*, not per injector: the
+    constructor looks its content key up in :data:`_GOLDEN_RUNS` and adopts
+    a held run, or one shipped to a pool worker as ``profile``; only a miss
+    executes the program.
+    """
 
     def __init__(
         self,
@@ -345,61 +431,52 @@ class FaultInjector:
         self.program = program
         tel = get_telemetry()
         if profile is not None:
-            # Worker-side rebuild from a shipped profile: decode the program
-            # but adopt the parent's golden run and attach its snapshots
-            # from shared memory instead of re-executing anything.
-            with tel.span("worker:attach-profile", cat="worker") as sp:
-                self.interp = Interpreter(
-                    program, mem_words=mem_words, frame_words=frame_words,
-                    backend=backend,
-                )
-                self.golden: RunResult = profile.golden
-                if not self.golden.block_trace:
-                    raise SimError("shipped golden profile carries no trace")
-                self._snapshots: list[Snapshot] = (
-                    list(profile.snapshots.load())
-                    if profile.snapshots is not None
-                    else []
-                )
-                sp.set(
-                    golden_dyn=self.golden.dyn_instructions,
-                    snapshots=len(self._snapshots),
-                )
+            # Worker-side rebuild: decode the program, then adopt the
+            # parent's golden run (attached from shared memory unless this
+            # worker already holds it).
+            span = tel.span("worker:attach-profile", cat="worker")
         else:
-            # The profile span covers program decode (the compiled backend's
-            # superblocks are fused on the interpreter's first run) plus the
-            # golden run — in a pool worker this is the per-worker
-            # cost the worker cache exists to amortize away.
-            with tel.span(
-                "injector:profile", cat="campaign", timer="campaign.profile.seconds"
-            ) as sp:
-                self.interp = Interpreter(
-                    program, mem_words=mem_words, frame_words=frame_words,
-                    backend=backend,
+            # The profile span covers program decode plus, unless this
+            # process already holds the golden run, executing it (the
+            # compiled backend's superblocks are fused on that first run).
+            span = tel.span(
+                "injector:profile", cat="campaign",
+                timer="campaign.profile.seconds",
+            )
+        with span as sp:
+            self.interp = Interpreter(
+                program, mem_words=mem_words, frame_words=frame_words,
+                backend=backend,
+            )
+            key = (
+                profile.key
+                if profile is not None
+                else golden_key(
+                    program, self.interp.mem_words, frame_words,
+                    self.interp.backend,
                 )
-                self.golden = self.interp.run(record_trace=True)
-                if not self.golden.block_trace:
-                    raise SimError("profiling run produced no trace")
-                sp.set(golden_dyn=self.golden.dyn_instructions)
-
-            # The compiled engine replays the golden run once more, recording
-            # architectural snapshots at ~SNAPSHOT_COUNT evenly spaced points;
-            # each trial group then restores the nearest snapshot at or
-            # before its earliest fault — bit-identical to a replay from
-            # zero, because the pre-fault prefix of every trial *is* the
-            # golden execution.  The interp oracle records none.
-            self._snapshots = []
-            golden_dyn = self.golden.dyn_instructions
-            if self.interp.backend == "compiled" and golden_dyn >= SNAPSHOT_MIN_DYN:
-                with tel.span(
-                    "injector:snapshots", cat="campaign",
-                    timer="campaign.snapshot_record.seconds",
-                ) as sp:
-                    interval = max(1, golden_dyn // SNAPSHOT_COUNT)
-                    self.interp.run(
-                        snapshot_every=interval, snapshot_sink=self._snapshots
-                    )
-                    sp.set(snapshots=len(self._snapshots))
+            )
+            run = _GOLDEN_RUNS.get(key)
+            adopted = run is not None
+            if run is None and profile is not None:
+                run = profile.attach()
+            # The only golden execution: a miss with nothing shipped.
+            golden = (
+                run.golden if run is not None
+                else self.interp.run(record_trace=True)
+            )
+            if not golden.block_trace:
+                raise SimError("golden run carries no trace")
+            sp.set(golden_dyn=golden.dyn_instructions, adopted=adopted)
+        if run is None:
+            run = GoldenRun(golden, _record_snapshots(self.interp, golden))
+        _GOLDEN_RUNS[key] = run
+        #: The content key, reused as the base of :meth:`worker_spec`'s.
+        self._golden_key: GoldenKey = key
+        #: The strong reference that keeps the store entry alive.
+        self._golden_run = run
+        self.golden: RunResult = golden
+        self._snapshots: list[Snapshot] = run.snapshots
 
         # Per-block static tables.
         func = program.main
@@ -438,12 +515,6 @@ class FaultInjector:
         self.model.prepare(self)
         self._batch_runner: BatchRunner | None = None
         self._worker_spec: CampaignWorkerSpec | None = None
-        #: Parent-side keepalive for exported shared-memory snapshots —
-        #: workers attach by name, and the segment is unlinked when this
-        #: handle (i.e. the injector) is collected.
-        self._shared_snapshots: SharedSnapshots | None = (
-            profile.snapshots if profile is not None else None
-        )
 
     # -- the trial engine --------------------------------------------------------
     def batch_runner(self) -> BatchRunner:
@@ -497,27 +568,26 @@ class FaultInjector:
     def worker_spec(self) -> CampaignWorkerSpec:
         """The content-addressed build recipe pool workers cache this injector by.
 
-        Memoized: the snapshots are exported to shared memory and the
-        constructor payload pickled exactly once per injector, no matter
-        how many campaigns, dispatch waves, or retry rounds ship it.  The
-        key hashes the *resolved* backend (not the ``None`` the caller may
-        have passed) so a worker rebuild can never resolve differently
-        from the parent.
+        Memoized: the constructor payload is pickled exactly once per
+        injector, no matter how many campaigns, dispatch waves, or retry
+        rounds ship it, and the snapshots are exported to shared memory at
+        most once per golden run (:meth:`GoldenRun.export`).  The key
+        extends the golden run's content key — which already holds the
+        program digest and the *resolved* backend, so a worker rebuild can
+        never resolve differently from the parent — with the fault model.
         """
         if self._worker_spec is None:
             ctor_args = (*self._ctor_args, self.interp.backend)
-            digest = hashlib.sha256()
-            digest.update(canonical_program_text(ctor_args[0]).encode())
-            digest.update(repr((*ctor_args[1:], len(self._snapshots))).encode())
-            shared = (
-                SharedSnapshots.export(self._snapshots)
-                if self._snapshots
-                else None
+            key = hashlib.sha256(
+                repr((self._golden_key, self.fault_model)).encode()
+            ).hexdigest()
+            profile = WorkerProfile(
+                key=self._golden_key,
+                golden=self.golden,
+                snapshots=self._golden_run.export(),
             )
-            self._shared_snapshots = shared
-            profile = WorkerProfile(golden=self.golden, snapshots=shared)
             self._worker_spec = CampaignWorkerSpec(
-                digest.hexdigest(), PickledOnce((ctor_args, profile))
+                key, PickledOnce((ctor_args, profile))
             )
         return self._worker_spec
 

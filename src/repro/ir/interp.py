@@ -104,12 +104,19 @@ class Snapshot:
     restoring the snapshot and executing from ``label`` is bit-identical to
     executing the first ``dyn`` instructions from reset (checkpointed fault
     campaigns rely on this — see ``docs/fault_injection.md``).
+
+    ``regs`` and ``mem`` are lists captured once (``R[:]``, ``M[:]``) and are
+    **read-only by contract**: a golden run's snapshots are held once per
+    process and shared by every restore, the :class:`ConvergenceIndex` and
+    the pool export, so nothing may write to them.  Lists, not tuples, so
+    the convergence check compares them against the live register/memory
+    lists with one C-level ``==``.
     """
 
     dyn: int
     label: str
-    regs: tuple[int, ...]
-    mem: tuple[int, ...]
+    regs: list[int]
+    mem: list[int]
     output: tuple[int, ...]
 
 
@@ -152,11 +159,11 @@ class ConvergenceIndex:
     def __init__(self, snapshots: list["Snapshot"], final: "RunResult") -> None:
         self.keys = [s.dyn for s in snapshots]
         self.labels = [s.label for s in snapshots]
-        # Stored as lists so the hot-loop comparison against the live
-        # register/memory lists is a single C-level == with first-mismatch
-        # early exit (no per-check tuple conversion).
-        self.regs = [list(s.regs) for s in snapshots]
-        self.mems = [list(s.mem) for s in snapshots]
+        # The snapshots' own (read-only) lists, not copies: the hot-loop
+        # comparison against the live register/memory lists is a single
+        # C-level == with first-mismatch early exit.
+        self.regs = [s.regs for s in snapshots]
+        self.mems = [s.mem for s in snapshots]
         #: Golden output length at each boundary — the split point for the
         #: synthesized output of an output-diverged but state-converged run.
         self.out_lens = [len(s.output) for s in snapshots]
@@ -796,7 +803,7 @@ class Interpreter:
                     trace.append(label)
                 if next_mark >= 0 and dyn >= next_mark:
                     snapshot_sink.append(
-                        Snapshot(dyn, label, tuple(R), tuple(M), tuple(O))
+                        Snapshot(dyn, label, R[:], M[:], tuple(O))
                     )
                     next_mark = (dyn // snapshot_every + 1) * snapshot_every
                 if dyn + cb.n > budget:

@@ -135,7 +135,9 @@ class BatchRunner:
     :class:`~repro.faults.injector.FaultInjector` (lazily, on its first
     trial) from the injector's golden run, snapshot list and visit table;
     stateless across shards apart from the shared interpreter whose state
-    every run resets or restores anyway.
+    every run resets or restores anyway.  It references the snapshots
+    (which are read-only and may be shared with other injectors of the same
+    program) and never copies them.
     """
 
     def __init__(
@@ -149,13 +151,17 @@ class BatchRunner:
         self.interp = interp
         self.golden = golden
         self.snapshots = snapshots
-        self.snap_keys = [s.dyn for s in snapshots]
         self._visit_dyn_start = visit_dyn_start
         self.max_steps = max_steps
         self._trace = golden.block_trace
         self._advancer = TraceAdvancer(interp, golden.block_trace)
         self._converge = (
             ConvergenceIndex(snapshots, golden) if snapshots else None
+        )
+        #: Snapshot positions: the planner's buckets and the convergence
+        #: boundaries are one list.
+        self.snap_keys: list[int] = (
+            self._converge.keys if self._converge is not None else []
         )
 
     def plan(self, plans: list[TrialPlan]) -> list[BatchGroup]:
@@ -205,8 +211,8 @@ class BatchRunner:
                 fork = Snapshot(
                     dyn=int(vds[fv]),
                     label=self._trace[fv],
-                    regs=tuple(interp._R),
-                    mem=tuple(interp._M),
+                    regs=interp._R[:],
+                    mem=interp._M[:],
                     output=tuple(interp._O),
                 )
             forks.append((plan, fork))

@@ -8,12 +8,13 @@ flattens all snapshot words into **one** ``multiprocessing.shared_memory``
 block and ships a tiny picklable handle (segment name + per-snapshot
 layout).  Workers attach the segment read-only-by-convention, materialize
 ordinary :class:`~repro.ir.interp.Snapshot` objects from it once (the
-worker-resident cache keeps them), and detach.
+worker's golden-run store keeps them for every injector of that program),
+and detach.
 
 Lifetime: the segment belongs to the parent.  A ``weakref.finalize`` tied
-to the parent-side handle closes and unlinks it when the owning injector is
-garbage collected (or at interpreter exit), so campaigns never leak
-``/dev/shm`` segments.  Workers unregister the attachment from their
+to the parent-side handle closes and unlinks it when the owning golden run
+(and so its last injector) is garbage collected, or at interpreter exit,
+so campaigns never leak ``/dev/shm`` segments.  Workers unregister the attachment from their
 ``resource_tracker`` — otherwise every worker's tracker would try to unlink
 the segment at worker exit and spew warnings for the races it loses.
 """
@@ -74,7 +75,7 @@ class SharedSnapshots:
         handle = cls(shm.name, meta, total)
         handle._shm = shm
         # The parent owns the segment: close+unlink when the handle (and so
-        # the injector that exported it) is collected, or at exit via the
+        # the golden run that exported it) is collected, or at exit via the
         # finalizer.  ``unlink`` unregisters from the resource tracker, so
         # the create-time registration stays balanced and the tracker never
         # sees the segment as leaked.
@@ -85,14 +86,14 @@ class SharedSnapshots:
     def nbytes(self) -> int:
         return self._total_words * 8
 
-    def load(self) -> tuple[Snapshot, ...]:
+    def load(self) -> list[Snapshot]:
         """Materialize :class:`Snapshot` objects from the segment (worker side)."""
         if not self._meta:
-            return ()
+            return []
         if self._total_words == 0 or self._name is None:
-            return tuple(
-                Snapshot(dyn, label, (), (), ()) for dyn, label, _, _, _ in self._meta
-            )
+            return [
+                Snapshot(dyn, label, [], [], ()) for dyn, label, _, _, _ in self._meta
+            ]
         # Attach without registering with the resource tracker: only the
         # parent may unlink, and the tracker is *shared* across pool
         # workers (forked fd), so register/unregister pairs from several
@@ -112,15 +113,16 @@ class SharedSnapshots:
             for dyn, label, n_regs, n_mem, n_out in self._meta:
                 # ``.tolist()`` yields plain Python ints — the interpreter's
                 # register/memory lists are masked Python ints, and numpy
-                # scalars would silently change overflow semantics.
-                regs = tuple(words[offset : offset + n_regs].tolist())
+                # scalars would silently change overflow semantics.  The
+                # lists it returns are the snapshot's only copy.
+                regs = words[offset : offset + n_regs].tolist()
                 offset += n_regs
-                mem = tuple(words[offset : offset + n_mem].tolist())
+                mem = words[offset : offset + n_mem].tolist()
                 offset += n_mem
                 output = tuple(words[offset : offset + n_out].tolist())
                 offset += n_out
                 out.append(Snapshot(dyn, label, regs, mem, output))
-            return tuple(out)
+            return out
         finally:
             shm.close()
 

@@ -16,9 +16,15 @@ dispatch is a pure engine swap (disabling it changes nothing but speed).
 
 from __future__ import annotations
 
+import gc
+import sys
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.faults import injector as injector_mod
 from repro.faults.injector import MIN_TASK_SECONDS, FaultInjector
 from repro.faults.models import fault_model_names
 from repro.ir.builder import IRBuilder
@@ -254,6 +260,128 @@ def test_fast_forward_between_pending_faults_matches_the_oracle():
     assert got == want
     assert want[0].output != engine.golden.output
     assert stats.forwards >= 1
+
+
+def test_golden_snapshots_survive_convergence_exits_and_fast_forwards():
+    """The engine references the golden snapshots and never writes them.
+
+    The masked-then-live trial fast-forwards between its faults and the
+    masked-only trial takes a convergence exit; afterwards every snapshot
+    still holds exactly the state it was recorded with, as lists.
+    """
+    program = _masked_fault_loop()
+    engine = FaultInjector(program, backend="compiled")
+    recorded = [(s.regs[:], s.mem[:], s.output) for s in engine._snapshots]
+    masked = int(engine._visit_dyn_start[4])
+    live = int(engine._visit_dyn_start[40]) + 6
+    plans = [
+        TrialPlan(
+            index=0,
+            faults=(
+                FaultSpec(dyn_index=masked, bit=3),
+                FaultSpec(dyn_index=live, bit=5),
+            ),
+        ),
+        TrialPlan(index=1, faults=(FaultSpec(dyn_index=masked, bit=3),)),
+    ]
+    _, stats = _trial_results(engine, plans)
+    assert stats.forwards >= 1
+    assert stats.converged >= 1
+    assert [(s.regs, s.mem, s.output) for s in engine._snapshots] == recorded
+    assert all(
+        type(s.regs) is list and type(s.mem) is list for s in engine._snapshots
+    )
+
+
+class TestGoldenRunStore:
+    """One golden run per program, held once per process."""
+
+    def test_batch_runner_references_the_snapshots(self):
+        """Building the runner copies no snapshot: besides its trace
+        dispatch list (one pointer per golden block visit), it allocates
+        under 1% of the snapshots' bytes, and the convergence index holds
+        each snapshot's own memory list."""
+        cp = _compiled("parser", Scheme.CASTED)
+        inj = _injector(cp, backend="compiled")
+        inj.interp.chain  # fuse outside the measurement
+        snap_bytes = sum(
+            sys.getsizeof(s.regs) + sys.getsizeof(s.mem) + sys.getsizeof(s.output)
+            for s in inj._snapshots
+        )
+        tracemalloc.start()
+        try:
+            runner = inj.batch_runner()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dispatch = sys.getsizeof(runner._advancer._fns)
+        assert inj._snapshots
+        assert retained - dispatch < 0.01 * snap_bytes
+        for j, snap in enumerate(inj._snapshots):
+            assert runner._converge.mems[j] is snap.mem
+            assert runner._converge.regs[j] is snap.regs
+        assert runner.snap_keys is runner._converge.keys
+
+    def test_fault_models_share_one_golden_run(self):
+        cp = _compiled("mcf", Scheme.CASTED)
+        injectors = [
+            _injector(cp, backend="compiled", fault_model=m)
+            for m in ("reg-bit", "mem", "cf")
+        ]
+        first = injectors[0]
+        assert first._snapshots
+        for other in injectors[1:]:
+            assert other.golden is first.golden
+            assert other._snapshots is first._snapshots
+            assert other.interp is not first.interp
+
+    def test_different_text_geometry_or_backend_does_not_share(self):
+        cp = _compiled("mcf", Scheme.CASTED)
+        base = _injector(cp, backend="compiled")
+        assert _injector(cp, backend="compiled", fault_model="mem").golden is (
+            base.golden
+        )
+        others = [
+            _injector(_compiled("mcf", Scheme.NOED), backend="compiled"),
+            FaultInjector(
+                cp.program, mem_words=cp.mem_words + 64,
+                frame_words=cp.frame_words, backend="compiled",
+            ),
+            FaultInjector(
+                cp.program, mem_words=cp.mem_words,
+                frame_words=cp.frame_words + 1, backend="compiled",
+            ),
+            _injector(cp, backend="interp"),
+        ]
+        for other in others:
+            assert other.golden is not base.golden
+            assert other._golden_key != base._golden_key
+
+    def test_store_empties_when_injectors_are_dropped(self, monkeypatch):
+        store: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        monkeypatch.setattr(injector_mod, "_GOLDEN_RUNS", store)
+        cp = _compiled("mcf", Scheme.CASTED)
+        injectors = [
+            _injector(cp, backend=backend, fault_model=model)
+            for backend in ("compiled", "interp")
+            for model in ("reg-bit", "cf")
+        ]
+        for inj in injectors:
+            inj.run_campaign(5, SEED)
+        assert len(store) == 2
+        del injectors, inj
+        gc.collect()
+        assert len(store) == 0
+
+    def test_shipped_profile_adopts_the_held_run(self):
+        """A pool worker's rebuild goes through the same adoption as a
+        store hit: in a process that holds the run, nothing is attached."""
+        program = _masked_fault_loop()
+        parent = FaultInjector(program, backend="compiled", fault_model="mem")
+        rebuilt = parent.worker_spec().build()
+        assert rebuilt is not parent
+        assert rebuilt.golden is parent.golden
+        assert rebuilt._snapshots is parent._snapshots
 
 
 class TestCheckpointResumeMidBatch:

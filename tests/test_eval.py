@@ -100,11 +100,16 @@ class TestGoldenRunDedupe:
         from repro.faults.injector import FaultInjector
 
         cp = Evaluator(seed=3, cache=False).compiled("mcf", Scheme.CASTED, 2, 1)
-        shared = _cached_injector(cp, "reg-bit").run_campaign(25, 42, jobs=1)
-        fresh = FaultInjector(
+        injector = _cached_injector(cp, "reg-bit")
+        shared = injector.run_campaign(25, 42, jobs=1)
+        # The interp oracle cannot adopt the cached golden run (the backend
+        # is part of its content key), so this side is really fresh.
+        oracle = FaultInjector(
             cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
-            fault_model="reg-bit",
-        ).run_campaign(25, 42, jobs=1)
+            fault_model="reg-bit", backend="interp",
+        )
+        assert oracle.golden is not injector.golden
+        fresh = oracle.run_campaign(25, 42, jobs=1)
         assert shared.counts == fresh.counts
         assert shared.total_faults_injected == fresh.total_faults_injected
         assert shared.detection_latency_sum == fresh.detection_latency_sum
@@ -116,6 +121,8 @@ class TestGoldenRunDedupe:
         a = _cached_injector(cp, "reg-bit")
         b = _cached_injector(cp, "cf")
         assert a is not b
+        # ...but they share one golden run.
+        assert a.golden is b.golden
 
 
 class TestRenderers:
