@@ -7,9 +7,11 @@ harnesses use.  Every (workload, scheme, issue-width, delay) point is
 * run once on the cycle-level executor for timing, and
 * optionally subjected to a fault-injection campaign;
 
-results are memoized in memory and, unless disabled, persisted as JSON under
-``.repro_cache/`` so re-running a different benchmark that shares points is
-cheap.  Everything is deterministic given the seed.
+records are memoized per evaluator and, unless disabled, persisted as JSON
+under ``.repro_cache/`` so re-running a different benchmark that shares
+points is cheap.  Compiled programs and campaign injectors come from the
+process's artifact store (:mod:`repro.store`), so every evaluator in a
+process shares them.  Everything is deterministic given the seed.
 
 Grids of points can be evaluated concurrently with :meth:`Evaluator.sweep`:
 workers compute records in their own processes (memoizing in memory only)
@@ -30,14 +32,13 @@ import hashlib
 import json
 import logging
 import os
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from repro import store
 from repro.faults.classify import Outcome
-from repro.ir.interp import ExitKind
-from repro.faults.injector import CampaignResult, FaultInjector
-from repro.ir.printer import canonical_program_text
+from repro.ir.interp import ExitKind, resolve_backend
+from repro.faults.injector import CampaignResult, FaultInjector, golden_key
 from repro.machine.config import MachineConfig
 from repro.obs import get_telemetry
 from repro.obs.progress import ProgressCallback, ProgressTracker
@@ -110,51 +111,6 @@ def _scheme_delay(scheme: Scheme, delay: int) -> int:
     return delay if scheme.info.uses_delay else 0
 
 
-#: Process-wide injector reuse for fault campaigns (LRU, content-keyed).
-#:
-#: Injectors share golden runs through the injector module's weak golden-run
-#: store only while one of them is alive; this cache keeps the last few
-#: alive, so a sweep does not re-profile (or re-decode) for every grid point
-#: that compiles to the same program — e.g. delay-only variations of a
-#: (workload, scheme) pair.  Keying by a hash of the *printed post-regalloc
-#: program* (plus the memory/frame geometry and fault model) makes the reuse
-#: exact-by-construction: identical key means identical golden execution, so
-#: a cached injector's campaigns are bit-identical to a fresh one's.  The
-#: cache is module-level so sweep pool workers, which persist across tasks,
-#: amortize goldens across the points they are handed.
-_INJECTOR_CACHE: OrderedDict[tuple, FaultInjector] = OrderedDict()
-_INJECTOR_CACHE_MAX = 8
-
-#: Content-exact program identity (``!of<uid>`` tags renumbered); lives in
-#: :mod:`repro.ir.printer` now that the worker pool's content-addressed
-#: cache shares it.  Kept under the old private name for callers/tests.
-_canonical_program_text = canonical_program_text
-
-
-def _cached_injector(cp: CompiledProgram, fault_model: str) -> FaultInjector:
-    tel = get_telemetry()
-    key = (
-        hashlib.sha256(_canonical_program_text(cp.program).encode()).hexdigest(),
-        cp.mem_words,
-        cp.frame_words,
-        fault_model,
-    )
-    injector = _INJECTOR_CACHE.get(key)
-    if injector is not None:
-        _INJECTOR_CACHE.move_to_end(key)
-        tel.count("eval.golden_cache.hits")
-        return injector
-    tel.count("eval.golden_cache.misses")
-    injector = FaultInjector(
-        cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
-        fault_model=fault_model,
-    )
-    _INJECTOR_CACHE[key] = injector
-    while len(_INJECTOR_CACHE) > _INJECTOR_CACHE_MAX:
-        _INJECTOR_CACHE.popitem(last=False)
-    return injector
-
-
 class Evaluator:
     def __init__(self, seed: int = 2013, cache: bool | None = None) -> None:
         self.seed = seed
@@ -165,7 +121,6 @@ class Evaluator:
             os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
         )
         self._mem: dict[str, dict] = {}
-        self._compiled: dict[tuple, CompiledProgram] = {}
 
     # -- caching ---------------------------------------------------------------
     def _load(self, key: str) -> dict | None:
@@ -248,14 +203,16 @@ class Evaluator:
     def compiled(
         self, workload: str, scheme: Scheme, issue_width: int, delay: int
     ) -> CompiledProgram:
-        delay = _scheme_delay(scheme, delay)
-        key = (workload, scheme, issue_width, delay)
-        if key not in self._compiled:
-            machine = MachineConfig(issue_width=issue_width, inter_cluster_delay=delay)
-            self._compiled[key] = compile_program(
-                get_workload(workload).program, scheme, machine
-            )
-        return self._compiled[key]
+        """The point's compiled program, compiled at most once per process."""
+        machine = MachineConfig(
+            issue_width=issue_width, inter_cluster_delay=_scheme_delay(scheme, delay)
+        )
+        source = get_workload(workload)
+        digest = hashlib.sha256(f"{source.name}\n{source.source}".encode()).hexdigest()
+        return store.get(
+            (digest, scheme, machine),
+            lambda: compile_program(source.program, scheme, machine),
+        )
 
     # -- cache keys ---------------------------------------------------------------
     def _perf_key(
@@ -332,7 +289,13 @@ class Evaluator:
                 noed = self.perf(workload, Scheme.NOED, issue_width, delay)
                 reference_dyn = noed.dyn_instructions
             cp = self.compiled(workload, scheme, issue_width, delay)
-            injector = _cached_injector(cp, fault_model)
+            # Keyed by program content, not grid point: points that compile
+            # to one program (a CASTED placement equal to SCED's) share one.
+            golden = golden_key(cp.program, cp.mem_words, cp.frame_words, resolve_backend())
+            injector = store.get((golden, fault_model), lambda: FaultInjector(
+                cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
+                fault_model=fault_model,
+            ), counter="eval.golden_cache")
             campaign: CampaignResult = injector.run_campaign(
                 trials=trials,
                 seed=derive_seed(self.seed, workload, scheme.value, issue_width, delay),

@@ -53,7 +53,6 @@ import hashlib
 import logging
 import statistics
 import time
-import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +61,7 @@ from typing import Any
 import numpy as np
 import numpy.typing as npt
 
+from repro import store
 from repro.errors import SimError
 from repro.faults.checkpoint import CampaignCheckpoint
 from repro.faults.classify import (
@@ -85,7 +85,6 @@ from repro.parallel import (
     plan_shards,
     plan_task_groups,
     resolve_jobs,
-    worker_cached,
 )
 from repro.sim.batch import BatchRunner, GroupStats, TrialPlan
 from repro.sim.shared import SharedSnapshots
@@ -286,11 +285,11 @@ class GoldenRun:
     """Everything :class:`FaultInjector` computes by *executing* the program.
 
     The traced golden run and the architectural snapshots, held once per
-    process in :data:`_GOLDEN_RUNS` and shared by every injector of the
-    same program, geometry and backend — whatever its fault model.  The
-    snapshots are read-only (see :class:`~repro.ir.interp.Snapshot`):
-    restores, the convergence index and the pool export all reference the
-    one copy.
+    process in the artifact store (:mod:`repro.store`, under
+    :func:`golden_key`) and shared by every injector of the same program,
+    geometry and backend — whatever its fault model.  The snapshots are
+    read-only (see :class:`~repro.ir.interp.Snapshot`): restores, the
+    convergence index and the pool export all reference the one copy.
     """
 
     golden: RunResult
@@ -300,6 +299,12 @@ class GoldenRun:
     #: this run is collected.
     shared: SharedSnapshots | None = None
 
+    @property
+    def nbytes(self) -> int:
+        """Estimated size: one 8-byte word per trace entry and snapshot word."""
+        words = sum(len(s.regs) + len(s.mem) + len(s.output) for s in self.snapshots)
+        return 8 * (len(self.golden.block_trace) + words)
+
     def export(self) -> SharedSnapshots | None:
         """The shared-memory handle pool workers attach (``None``: no snapshots)."""
         if self.shared is None and self.snapshots:
@@ -307,12 +312,8 @@ class GoldenRun:
         return self.shared
 
 
-#: This process's golden runs by content key.  Weak values: an entry lives
-#: exactly as long as some injector holds it, so injectors of one program
-#: under different fault models share one golden run with no size knob.
-_GOLDEN_RUNS: weakref.WeakValueDictionary[GoldenKey, GoldenRun] = (
-    weakref.WeakValueDictionary()
-)
+#: Store key of a campaign injector: its golden run's key and fault model.
+InjectorKey = tuple[GoldenKey, str]
 
 
 def golden_key(
@@ -325,8 +326,8 @@ def golden_key(
     )
 
 
-def _record_snapshots(interp: Interpreter, golden: RunResult) -> list[Snapshot]:
-    """Replay the golden run once more, recording its snapshots.
+def _execute_golden(interp: Interpreter) -> GoldenRun:
+    """Run the program fault-free, then replay it once more for snapshots.
 
     The compiled engine records architectural snapshots at
     ~:data:`SNAPSHOT_COUNT` evenly spaced points; each trial group then
@@ -334,6 +335,9 @@ def _record_snapshots(interp: Interpreter, golden: RunResult) -> list[Snapshot]:
     bit-identical to a replay from zero, because the pre-fault prefix of
     every trial *is* the golden execution.  The interp oracle records none.
     """
+    golden = interp.run(record_trace=True)
+    if not golden.block_trace:
+        raise SimError("golden run carries no trace")
     snapshots: list[Snapshot] = []
     golden_dyn = golden.dyn_instructions
     if interp.backend == "compiled" and golden_dyn >= SNAPSHOT_MIN_DYN:
@@ -344,7 +348,7 @@ def _record_snapshots(interp: Interpreter, golden: RunResult) -> list[Snapshot]:
             interval = max(1, golden_dyn // SNAPSHOT_COUNT)
             interp.run(snapshot_every=interval, snapshot_sink=snapshots)
             sp.set(snapshots=len(snapshots))
-    return snapshots
+    return GoldenRun(golden, snapshots)
 
 
 @dataclass(frozen=True)
@@ -371,23 +375,23 @@ class WorkerProfile:
 class CampaignWorkerSpec:
     """A content-addressed recipe for building a campaign injector in a worker.
 
-    ``key`` digests everything the built injector depends on (the golden
-    run's :data:`GoldenKey` plus the fault model), so
-    :func:`repro.parallel.worker_cached` can reuse one injector across
-    every task — of every map — that shares the key.  ``payload``
-    is pickled once in the parent (:class:`~repro.parallel.PickledOnce`):
-    tasks ship the same immutable bytes, and a worker whose cache already
-    holds ``key`` never even unpickles them.
+    ``key`` is the injector's artifact-store key (the golden run's
+    :data:`GoldenKey` plus the fault model), so a worker reuses one
+    injector across every task — of every map — that shares it.
+    ``payload`` is pickled once in the parent
+    (:class:`~repro.parallel.PickledOnce`): tasks ship the same immutable
+    bytes, and a worker whose store already holds ``key`` never even
+    unpickles them.
     """
 
     __slots__ = ("key", "payload")
 
-    def __init__(self, key: str, payload: PickledOnce) -> None:
+    def __init__(self, key: InjectorKey, payload: PickledOnce) -> None:
         self.key = key
         self.payload = payload
 
     def build(self) -> "FaultInjector":
-        # The init span marks worker-cache misses on each worker's trace
+        # The init span marks worker store misses on each worker's trace
         # lane: with the persistent pool it appears once per (workload,
         # scheme) per worker, not once per map.
         with get_telemetry().span("worker:init", cat="worker") as sp:
@@ -400,20 +404,15 @@ class CampaignWorkerSpec:
             sp.set(fault_model=fault_model)
         return injector
 
-    def __getstate__(self) -> tuple[str, PickledOnce]:
-        return (self.key, self.payload)
-
-    def __setstate__(self, state: tuple[str, PickledOnce]) -> None:
-        self.key, self.payload = state
-
 
 class FaultInjector:
     """Profile once, inject many times.
 
     The golden run is profiled once per *process*, not per injector: the
-    constructor looks its content key up in :data:`_GOLDEN_RUNS` and adopts
-    a held run, or one shipped to a pool worker as ``profile``; only a miss
-    executes the program.
+    constructor looks its content key up in the artifact store
+    (:mod:`repro.store`) and adopts a held run, or one shipped to a pool
+    worker as ``profile``; only a miss with nothing shipped executes the
+    program.
     """
 
     def __init__(
@@ -437,8 +436,9 @@ class FaultInjector:
             span = tel.span("worker:attach-profile", cat="worker")
         else:
             # The profile span covers program decode plus, unless this
-            # process already holds the golden run, executing it (the
-            # compiled backend's superblocks are fused on that first run).
+            # process already holds the golden run, executing it and
+            # recording its snapshots (the compiled backend's superblocks
+            # are fused on that first run).
             span = tel.span(
                 "injector:profile", cat="campaign",
                 timer="campaign.profile.seconds",
@@ -456,26 +456,21 @@ class FaultInjector:
                     self.interp.backend,
                 )
             )
-            run = _GOLDEN_RUNS.get(key)
-            adopted = run is not None
-            if run is None and profile is not None:
-                run = profile.attach()
-            # The only golden execution: a miss with nothing shipped.
-            golden = (
-                run.golden if run is not None
-                else self.interp.run(record_trace=True)
-            )
-            if not golden.block_trace:
-                raise SimError("golden run carries no trace")
-            sp.set(golden_dyn=golden.dyn_instructions, adopted=adopted)
-        if run is None:
-            run = GoldenRun(golden, _record_snapshots(self.interp, golden))
-        _GOLDEN_RUNS[key] = run
+            adopted = True
+
+            def build() -> GoldenRun:
+                nonlocal adopted
+                adopted = False
+                # The only golden execution: a miss with nothing shipped.
+                return profile.attach() if profile else _execute_golden(self.interp)
+
+            run = store.get(key, build)
+            sp.set(golden_dyn=run.golden.dyn_instructions, adopted=adopted)
         #: The content key, reused as the base of :meth:`worker_spec`'s.
         self._golden_key: GoldenKey = key
-        #: The strong reference that keeps the store entry alive.
+        #: The strong reference that keeps the run findable in the store.
         self._golden_run = run
-        self.golden: RunResult = golden
+        self.golden: RunResult = run.golden
         self._snapshots: list[Snapshot] = run.snapshots
 
         # Per-block static tables.
@@ -515,6 +510,14 @@ class FaultInjector:
         self.model.prepare(self)
         self._batch_runner: BatchRunner | None = None
         self._worker_spec: CampaignWorkerSpec | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Estimated size: the golden run, 24 B per golden block visit (two
+        per-visit tables, the engine's dispatch list) and 1 KB per
+        instruction (decoded closures, fused superblocks)."""
+        per_insn = 1024 * sum(self._block_len.values())
+        return self._golden_run.nbytes + 24 * len(self._trace) + per_insn
 
     # -- the trial engine --------------------------------------------------------
     def batch_runner(self) -> BatchRunner:
@@ -566,7 +569,7 @@ class FaultInjector:
         return results
 
     def worker_spec(self) -> CampaignWorkerSpec:
-        """The content-addressed build recipe pool workers cache this injector by.
+        """The content-addressed build recipe pool workers store this injector by.
 
         Memoized: the constructor payload is pickled exactly once per
         injector, no matter how many campaigns, dispatch waves, or retry
@@ -578,9 +581,7 @@ class FaultInjector:
         """
         if self._worker_spec is None:
             ctor_args = (*self._ctor_args, self.interp.backend)
-            key = hashlib.sha256(
-                repr((self._golden_key, self.fault_model)).encode()
-            ).hexdigest()
+            key: InjectorKey = (self._golden_key, self.fault_model)
             profile = WorkerProfile(
                 key=self._golden_key,
                 golden=self.golden,
@@ -904,9 +905,9 @@ class FaultInjector:
         Grouping and wave boundaries only decide *dispatch*; the shard
         remains the RNG / checkpoint / retry-accounting unit — a lost task
         reports every shard it carried, and results are bit-identical for
-        any grouping.  Workers build (or fetch from their content-addressed
-        cache) the injector from :meth:`worker_spec`, so profiling happens
-        at most once per worker per (program, scheme) — not per task.
+        any grouping.  Workers build (or fetch from their artifact store)
+        the injector from :meth:`worker_spec`, so profiling happens at most
+        once per worker per (program, scheme) — not per task.
         """
         spec = self.worker_spec()
         measured: list[float] = []
@@ -972,16 +973,16 @@ def _campaign_task_worker(
 ) -> tuple[float, list[ShardResult]]:
     """Run a cost-calibrated group of shards in one pool dispatch.
 
-    The injector comes from the worker-resident content-addressed cache:
-    the first task per (program, scheme) on a worker builds it from the
-    spec's shipped profile (decode only — no golden replays), every later
-    task reuses it.  Returns the wall seconds spent alongside the shard
-    results so the parent can calibrate adaptive task sizing.
+    The injector comes from the worker's artifact store: the first task
+    per (program, scheme) on a worker builds it from the spec's shipped
+    profile (decode only — no golden replays), every later task reuses it.
+    Returns the wall seconds spent alongside the shard results so the
+    parent can calibrate adaptive task sizing.
     """
     from repro.chaos import chaos_point
 
     spec, shards, seed, reference_dyn = task
-    injector: FaultInjector = worker_cached(spec.key, spec.build)
+    injector = store.get(spec.key, spec.build, counter="pool.worker_cache")
     out: list[ShardResult] = []
     t0 = time.perf_counter()
     for shard_index, shard_trials in shards:

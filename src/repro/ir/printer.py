@@ -85,11 +85,11 @@ _DUP_OF_TAG = re.compile(r"!of(\d+)")
 def canonical_program_text(program: Program) -> str:
     """Printed program text with ``!of<uid>`` tags renumbered canonically.
 
-    The content-addressed identity everything that caches per-program state
-    hashes: the evaluator's golden-injector cache and the worker pool's
-    worker-resident cache both key off a digest of this text, so two
-    compiles of the same source land on the same cache entry even though
-    their raw instruction uids differ.
+    The content-addressed identity everything that stores per-program
+    state hashes: golden runs and campaign injectors are keyed in the
+    artifact store (:mod:`repro.store`) by a digest of this text, so two
+    compiles of the same source land on the same entry even though their
+    raw instruction uids differ.
     """
     ids: dict[str, str] = {}
     return _DUP_OF_TAG.sub(

@@ -115,6 +115,10 @@ class MachineConfig:
             if cycles < 1:
                 raise MachineConfigError(f"latency of {lc} must be >= 1")
 
+    def __hash__(self) -> int:
+        # Artifact-store keys hold configs; ``latencies`` is an unhashable dict.
+        return hash((self.issue_width, self.inter_cluster_delay))
+
     # -- queries ---------------------------------------------------------------
     def latency_of(self, opcode: Opcode) -> int:
         """Static (best-case) latency in cycles of ``opcode``."""

@@ -25,14 +25,13 @@ this module provides the pieces everything else builds on:
   the hung-worker watchdog.  Inside a ``with WorkerPool(...)`` /
   :func:`ensure_pool` scope it transparently routes onto the ambient pool
   instead of spawning an ephemeral one;
-* :func:`worker_cached` — a content-addressed per-process cache for
-  worker-resident state (decoded superblocks, golden-run profiles,
-  architectural snapshots).  Workers persist across tasks *and maps*, so
-  expensive per-(workload, scheme) setup is paid once per worker, not once
-  per shard (``pool.worker_cache.{hits,misses}``);
 * :class:`PickledOnce` — wraps a payload shared by many tasks so the
   parent serializes the object graph once and every task ships the same
   immutable bytes.
+
+Workers persist across tasks *and maps*, so what a task builds in the
+worker's artifact store (:mod:`repro.store`) is paid once per worker, not
+once per shard (``pool.worker_cache.{hits,misses}``).
 
 **Worker telemetry.**  When the parent has live telemetry, workers record
 into an in-memory *capture* telemetry: spans and metric updates accumulate
@@ -57,7 +56,7 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -273,44 +272,6 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> int:
     return killed
 
 
-# -- worker-resident state -----------------------------------------------------
-
-#: Per-process content-addressed cache of worker-resident state (LRU).
-#: Lives at module level so pool workers — which persist across tasks and
-#: maps — amortize expensive builds (program decode, golden profiling,
-#: snapshot attach) across everything dispatched to them.
-_WORKER_CACHE: OrderedDict[str, Any] = OrderedDict()
-_WORKER_CACHE_MAX = 8
-
-
-def worker_cached(key: str, build: Callable[[], Any]) -> Any:
-    """Return the cached value for ``key``, building (and caching) on miss.
-
-    ``key`` must be content-addressed (a digest of everything the built
-    value depends on), which makes reuse exact-by-construction: an
-    identical key means an identical build.  Hits and misses are exported
-    as ``pool.worker_cache.hits`` / ``pool.worker_cache.misses`` — in pool
-    workers they ride the capture payload back to the parent registry.
-    """
-    tel = get_telemetry()
-    entry = _WORKER_CACHE.get(key)
-    if entry is not None:
-        _WORKER_CACHE.move_to_end(key)
-        tel.count("pool.worker_cache.hits")
-        return entry
-    tel.count("pool.worker_cache.misses")
-    entry = build()
-    _WORKER_CACHE[key] = entry
-    while len(_WORKER_CACHE) > _WORKER_CACHE_MAX:
-        _WORKER_CACHE.popitem(last=False)
-    return entry
-
-
-def worker_cache_clear() -> None:
-    """Drop this process's worker cache (tests; never needed in production)."""
-    _WORKER_CACHE.clear()
-
-
 class PickledOnce:
     """A payload serialized once in the parent, decoded on demand in workers.
 
@@ -318,18 +279,14 @@ class PickledOnce:
     graph shared by N tasks would be walked N times.  Wrapping it in
     ``PickledOnce`` pays the traversal once up front; each task then ships
     the same immutable bytes (a memcpy, not a graph walk), and the worker
-    decodes only when it actually needs the value — a
-    :func:`worker_cached` hit never does.
+    decodes only when it actually needs the value — a worker whose
+    artifact store already holds what the payload builds never does.
     """
 
     __slots__ = ("_blob",)
 
     def __init__(self, value: Any) -> None:
         self._blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @property
-    def nbytes(self) -> int:
-        return len(self._blob)
 
     def load(self) -> Any:
         return pickle.loads(self._blob)
@@ -350,10 +307,11 @@ class WorkerPool:
     Workers are spawned lazily on the first :meth:`map` (``pool.spawn_s``
     times the spawn, including one warm-up round trip) and stay alive until
     :meth:`shutdown` — later maps reuse them (``pool.reuses``), which is
-    what lets worker-resident state (:func:`worker_cached`) amortize across
-    a whole campaign + sweep sequence.  A broken or watchdog-killed pool
-    is discarded and respawned for the retry round (``pool.respawns``);
-    the pool object itself survives any number of worker crashes.
+    what lets worker-resident state (the workers' artifact stores,
+    :mod:`repro.store`) amortize across a whole campaign + sweep sequence.
+    A broken or watchdog-killed pool is discarded and respawned for the
+    retry round (``pool.respawns``); the pool object itself survives any
+    number of worker crashes.
 
     Use as a context manager (``with WorkerPool(4):``) to install it as the
     thread's *ambient* pool: every :func:`parallel_map` in the block routes

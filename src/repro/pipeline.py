@@ -97,6 +97,11 @@ class CompiledProgram:
         """Words of memory the program needs (data + spill frame + pad)."""
         return self.program.layout().data_end + self.frame_words + 8
 
+    @property
+    def nbytes(self) -> int:
+        """Estimated size: about 512 bytes per instruction (IR plus schedule)."""
+        return 512 * self.stats.n_instructions
+
 
 def collect_block_profile(program: Program, max_steps: int = 50_000_000) -> dict[str, int]:
     """Block execution counts from one run of the unmodified program.

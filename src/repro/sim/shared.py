@@ -8,13 +8,14 @@ flattens all snapshot words into **one** ``multiprocessing.shared_memory``
 block and ships a tiny picklable handle (segment name + per-snapshot
 layout).  Workers attach the segment read-only-by-convention, materialize
 ordinary :class:`~repro.ir.interp.Snapshot` objects from it once (the
-worker's golden-run store keeps them for every injector of that program),
+worker's artifact store keeps them for every injector of that program),
 and detach.
 
 Lifetime: the segment belongs to the parent.  A ``weakref.finalize`` tied
 to the parent-side handle closes and unlinks it when the owning golden run
-(and so its last injector) is garbage collected, or at interpreter exit,
-so campaigns never leak ``/dev/shm`` segments.  Workers unregister the attachment from their
+is garbage collected (the artifact store no longer pins it and its last
+injector has dropped), or at interpreter exit, so campaigns never leak
+``/dev/shm`` segments.  Workers unregister the attachment from their
 ``resource_tracker`` — otherwise every worker's tracker would try to unlink
 the segment at worker exit and spew warnings for the races it loses.
 """
@@ -81,10 +82,6 @@ class SharedSnapshots:
         # sees the segment as leaked.
         weakref.finalize(handle, _release, shm)
         return handle
-
-    @property
-    def nbytes(self) -> int:
-        return self._total_words * 8
 
     def load(self) -> list[Snapshot]:
         """Materialize :class:`Snapshot` objects from the segment (worker side)."""

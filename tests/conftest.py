@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import os
+import weakref
+from collections import OrderedDict
 
 import pytest
 
 os.environ.setdefault("REPRO_CACHE", "0")  # tests never touch the disk cache
 
+from repro import store
 from repro.ir.builder import IRBuilder
 from repro.ir.program import GlobalArray, Program
 from repro.machine.config import MachineConfig
@@ -43,6 +46,17 @@ def build_loop_program(n: int = 10, with_memory: bool = True) -> Program:
     b.halt(0)
     globals_ = [GlobalArray("buf", max(n, 1))] if with_memory else []
     return Program(f, globals_)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_store(monkeypatch):
+    """Every test starts from an empty artifact store.
+
+    Forked pool workers copy the parent's store, so entries left by an
+    earlier test would turn a worker's expected build into a hit.
+    """
+    monkeypatch.setattr(store, "_pinned", OrderedDict())
+    monkeypatch.setattr(store, "_held", weakref.WeakValueDictionary())
 
 
 @pytest.fixture

@@ -17,14 +17,14 @@ dispatch is a pure engine swap (disabling it changes nothing but speed).
 from __future__ import annotations
 
 import gc
+import pickle
 import sys
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
-from repro.faults import injector as injector_mod
+from repro import obs, store
 from repro.faults.injector import MIN_TASK_SECONDS, FaultInjector
 from repro.faults.models import fault_model_names
 from repro.ir.builder import IRBuilder
@@ -52,6 +52,13 @@ def _compiled(workload: str, scheme: Scheme):
             get_workload(workload).program, scheme, MACHINE
         )
     return _COMPILED[key]
+
+
+class _Blob:
+    """A stand-in store artifact of a given size."""
+
+    def __init__(self, nbytes: int) -> None:
+        self.nbytes = nbytes
 
 
 def _injector(cp, **kwargs) -> FaultInjector:
@@ -357,21 +364,68 @@ class TestGoldenRunStore:
             assert other.golden is not base.golden
             assert other._golden_key != base._golden_key
 
-    def test_store_empties_when_injectors_are_dropped(self, monkeypatch):
-        store: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-        monkeypatch.setattr(injector_mod, "_GOLDEN_RUNS", store)
+    def test_resident_bytes_never_exceed_the_bound(self):
+        def resident() -> int:
+            return sum(size for _, size in store._pinned.values())
+
         cp = _compiled("mcf", Scheme.CASTED)
-        injectors = [
-            _injector(cp, backend=backend, fault_model=model)
-            for backend in ("compiled", "interp")
-            for model in ("reg-bit", "cf")
+        lookups = 0
+        for round_ in range(3):
+            for model in ("reg-bit", "cf"):
+                # Each build also looks its golden run up in the store.
+                store.get(
+                    (round_, model),
+                    lambda: _injector(cp, backend="compiled", fault_model=model),
+                )
+                lookups += 2
+                assert resident() <= store.MAX_BYTES
+            store.get(("filler", round_), lambda: _Blob(store.MAX_BYTES // 2))
+            lookups += 1
+            assert resident() <= store.MAX_BYTES
+        oversized = store.get("oversized", lambda: _Blob(store.MAX_BYTES + 1))
+        assert resident() <= store.MAX_BYTES
+        assert store.get("oversized", lambda: _Blob(0)) is oversized
+        assert len(store._pinned) < lookups  # the bound did evict
+
+    def test_unpinned_golden_run_is_shared_while_held(self):
+        """An injector that outlives its golden run's pin still shares the
+        run with a new injector of another fault model."""
+        cp = _compiled("mcf", Scheme.CASTED)
+        first = _injector(cp, backend="compiled", fault_model="reg-bit")
+        store.get("filler", lambda: _Blob(store.MAX_BYTES))
+        assert first._golden_key not in store._pinned
+        tel = obs.configure(keep_events=True)
+        try:
+            second = _injector(cp, backend="compiled", fault_model="cf")
+        finally:
+            obs.reset()
+        assert second.golden is first.golden
+        assert second._snapshots is first._snapshots
+        profiles = [
+            e for e in tel.tracer.events if e.get("name") == "injector:profile"
         ]
-        for inj in injectors:
-            inj.run_campaign(5, SEED)
-        assert len(store) == 2
-        del injectors, inj
+        assert [e["args"]["adopted"] for e in profiles] == [True]
+        assert not any(
+            e.get("name") == "injector:snapshots" for e in tel.tracer.events
+        )
+
+    def test_evicted_exported_run_unlinks_its_segment(self):
+        """Once the store unpins an exported golden run and its last holder
+        drops, its shared-memory segment is gone."""
+        cp = _compiled("mcf", Scheme.CASTED)
+        inj = _injector(cp, backend="compiled")
+        inj.worker_spec()
+        shared = inj._golden_run.shared
+        assert shared is not None
+        attach = pickle.loads(pickle.dumps(shared))  # a worker's view
+        assert len(attach.load()) == len(inj._snapshots)
+        store.get("filler", lambda: _Blob(store.MAX_BYTES))
+        assert inj._golden_key not in store._pinned
+        assert len(attach.load()) == len(inj._snapshots)  # still held
+        del inj, shared
         gc.collect()
-        assert len(store) == 0
+        with pytest.raises(FileNotFoundError):
+            attach.load()
 
     def test_shipped_profile_adopts_the_held_run(self):
         """A pool worker's rebuild goes through the same adoption as a

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import obs, store
+from repro.eval import experiment
 from repro.faults.classify import Outcome
 from repro.eval.experiment import Evaluator
 from repro.eval.metrics import ilp_scaling, slowdown, summarize_scheme_slowdowns
@@ -14,7 +16,12 @@ from repro.eval.figures import (
     render_fig9,
 )
 from repro.eval.tables import render_table1, render_table2, render_table3
-from repro.pipeline import Scheme
+from repro.faults.injector import FaultInjector, golden_key
+from repro.ir.interp import resolve_backend
+from repro.ir.printer import print_program
+from repro.machine.config import MachineConfig
+from repro.pipeline import Scheme, compile_program
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -81,28 +88,44 @@ class TestMetrics:
         assert s.stats.n == 2
 
 
+def _stored_injector(cp, fault_model: str):
+    """The campaign injector the evaluator's coverage path looks up."""
+    key = golden_key(cp.program, cp.mem_words, cp.frame_words, resolve_backend())
+    return store.get(
+        (key, fault_model),
+        lambda: FaultInjector(
+            cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
+            fault_model=fault_model,
+        ),
+    )
+
+
 class TestGoldenRunDedupe:
-    def test_injector_shared_across_recompiles(self):
-        """Separate compiles of the same point share one golden run.
+    def test_recompiles_share_one_key(self):
+        """Separate compiles of the same point get one content key.
 
         Printed programs embed process-global instruction uids in their
-        ``!of`` tags, so the content key must canonicalize them — a fresh
-        compile of the same source still has to hit the cache.
+        ``!of`` tags, so the key must canonicalize them — a fresh compile
+        of the same source still has to land on the same store entry.
         """
-        from repro.eval.experiment import _cached_injector
-
-        cp1 = Evaluator(seed=1, cache=False).compiled("mcf", Scheme.CASTED, 2, 1)
-        cp2 = Evaluator(seed=2, cache=False).compiled("mcf", Scheme.CASTED, 2, 1)
-        assert _cached_injector(cp1, "reg-bit") is _cached_injector(cp2, "reg-bit")
+        machine = MachineConfig(issue_width=2, inter_cluster_delay=1)
+        source = get_workload("mcf").program
+        cp1, cp2 = (
+            compile_program(source, Scheme.CASTED, machine) for _ in range(2)
+        )
+        assert print_program(cp1.program) != print_program(cp2.program)
+        keys = {
+            golden_key(cp.program, cp.mem_words, cp.frame_words, "compiled")
+            for cp in (cp1, cp2)
+        }
+        assert len(keys) == 1
 
     def test_shared_injector_campaign_matches_fresh(self):
-        from repro.eval.experiment import _cached_injector
-        from repro.faults.injector import FaultInjector
-
         cp = Evaluator(seed=3, cache=False).compiled("mcf", Scheme.CASTED, 2, 1)
-        injector = _cached_injector(cp, "reg-bit")
+        injector = _stored_injector(cp, "reg-bit")
+        assert _stored_injector(cp, "reg-bit") is injector
         shared = injector.run_campaign(25, 42, jobs=1)
-        # The interp oracle cannot adopt the cached golden run (the backend
+        # The interp oracle cannot adopt the stored golden run (the backend
         # is part of its content key), so this side is really fresh.
         oracle = FaultInjector(
             cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
@@ -115,14 +138,44 @@ class TestGoldenRunDedupe:
         assert shared.detection_latency_sum == fresh.detection_latency_sum
 
     def test_different_fault_models_do_not_share(self):
-        from repro.eval.experiment import _cached_injector
-
         cp = Evaluator(seed=4, cache=False).compiled("mcf", Scheme.CASTED, 2, 1)
-        a = _cached_injector(cp, "reg-bit")
-        b = _cached_injector(cp, "cf")
+        a = _stored_injector(cp, "reg-bit")
+        b = _stored_injector(cp, "cf")
         assert a is not b
         # ...but they share one golden run.
         assert a.golden is b.golden
+
+
+class TestArtifactStore:
+    def test_point_compiles_once_per_process(self, monkeypatch):
+        """Two evaluators, and a perf followed by a coverage of the same
+        point, share one compile."""
+        compiled = []
+        real = experiment.compile_program
+
+        def counting(source, scheme, machine):
+            compiled.append((scheme, machine))
+            return real(source, scheme, machine)
+
+        monkeypatch.setattr(experiment, "compile_program", counting)
+        Evaluator(seed=1, cache=False).perf("mcf", Scheme.CASTED, 3, 2)
+        ev = Evaluator(seed=2, cache=False)
+        ev.perf("mcf", Scheme.CASTED, 3, 2)
+        ev.coverage("mcf", Scheme.CASTED, 3, 2, trials=5)
+        assert [s for s, _ in compiled].count(Scheme.CASTED) == 1
+
+    def test_coverage_counts_golden_cache_lookups(self):
+        tel = obs.configure()
+        try:
+            for seed in (5, 6):
+                ev = Evaluator(seed=seed, cache=False)
+                for _ in range(2):  # the repeat is a record hit: no lookup
+                    ev.coverage("mcf", Scheme.SCED, 2, 1, trials=5)
+        finally:
+            obs.reset()
+        counters = tel.metrics.snapshot()["counters"]
+        assert counters["eval.golden_cache.misses"] == 1
+        assert counters["eval.golden_cache.hits"] == 1
 
 
 class TestRenderers:
