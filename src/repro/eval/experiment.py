@@ -42,7 +42,7 @@ from repro.faults.injector import CampaignResult, FaultInjector, golden_key
 from repro.machine.config import MachineConfig
 from repro.obs import get_telemetry
 from repro.obs.progress import ProgressCallback, ProgressTracker
-from repro.parallel import parallel_map, resolve_jobs
+from repro.parallel import parallel_map
 from repro.pipeline import CompiledProgram, Scheme, compile_program
 from repro.sim.executor import VLIWExecutor
 from repro.utils.rng import derive_seed
@@ -332,12 +332,13 @@ class Evaluator:
         only when ``trials`` is given.  ``scheme`` may be a
         :class:`~repro.pipeline.Scheme` or its string value.
 
-        With ``jobs > 1`` the points missing from the cache are computed in
-        worker processes (each worker memoizes in memory only) and every
-        record a worker produced — including the NOED reference points
-        coverage needs for rate matching — is merged back here, the sole
+        The points missing from the cache are computed by
+        :func:`_sweep_point_worker` — inline with ``jobs <= 1``, in worker
+        processes otherwise (each worker memoizes in memory only) — and
+        every record it produced, including the NOED reference points
+        coverage needs for rate matching, is merged back here, the sole
         cache writer.  Point seeds derive from the point's coordinates, so
-        records and cache files are identical to a serial run.
+        records and cache files are identical for every ``jobs``.
 
         ``progress`` receives one heartbeat per computed point.
         """
@@ -363,40 +364,34 @@ class Evaluator:
 
         missing = [p for p in dict.fromkeys(norm) if not is_cached(p)]
         tracker = ProgressTracker(len(missing), progress, every=1)
-        jobs = resolve_jobs(jobs)
-        if missing and (jobs <= 1 or len(missing) <= 1):
+        if trials is not None:
+            # Rate-matched campaigns need the NOED reference perf of every
+            # protected point.  Compute those here (cheap: one compile +
+            # timed run, no campaign) so workers don't each redo them, then
+            # ship all known perf records along.
             for workload, scheme, issue_width, delay in missing:
-                self.perf(workload, scheme, issue_width, delay)
-                if trials is not None:
-                    self.coverage(workload, scheme, issue_width, delay, trials)
-                tracker.advance(1, {})
-        elif missing:
-            if trials is not None:
-                # Rate-matched campaigns need the NOED reference perf of
-                # every protected point.  Compute those here (cheap: one
-                # compile + timed run, no campaign) so workers don't each
-                # redo them, then ship all known perf records along.
-                for workload, scheme, issue_width, delay in missing:
-                    if scheme is not Scheme.NOED:
-                        self.perf(workload, Scheme.NOED, issue_width, delay)
-            known = {
-                key: data
-                for key, data in self._mem.items()
-                if key.startswith(f"v{CACHE_VERSION}_perf_")
-            }
-            tasks = [
-                (self.seed, workload, scheme.value, issue_width, delay, trials, known)
-                for workload, scheme, issue_width, delay in missing
-            ]
+                if scheme is not Scheme.NOED:
+                    self.perf(workload, Scheme.NOED, issue_width, delay)
+        known = {
+            key: data
+            for key, data in self._mem.items()
+            if key.startswith(f"v{CACHE_VERSION}_perf_")
+        }
+        tasks = [
+            (self.seed, workload, scheme.value, issue_width, delay, trials, known)
+            for workload, scheme, issue_width, delay in missing
+        ]
 
-            def on_result(index: int, records: dict[str, dict]) -> None:
-                for key, data in records.items():
-                    self._store(key, data)
-                tracker.advance(1, {})
+        def on_result(index: int, records: dict[str, dict]) -> None:
+            for key, data in records.items():
+                self._store(key, data)
+            tracker.advance(1, {})
 
-            parallel_map(
-                _sweep_point_worker, tasks, jobs=jobs, on_result=on_result
-            )
+        # parallel_map runs the points inline when jobs <= 1; either way
+        # this process stores every returned record.
+        parallel_map(
+            _sweep_point_worker, tasks, jobs=jobs, on_result=on_result
+        )
         return [
             {
                 "perf": self.perf(workload, scheme, issue_width, delay),

@@ -19,13 +19,15 @@ Methodology (paper §IV-C):
   its **detection latency** (dynamic instructions from injection to the
   ``CHKBR`` firing), and a watchdog bounds runaway executions.
 
-Each backend runs trials through exactly one engine.  On ``compiled`` (the
-default) every trial — a campaign shard's, or a single
-:meth:`FaultInjector.run_trial` — goes through the batched group engine
-(:mod:`repro.sim.batch`), which resumes from golden-run snapshots, shares
-golden prefixes, and exits early at golden re-convergence.  On ``interp``
-every trial replays from reset with none of those shortcuts: that backend
-is the differential oracle the engine is held to, bit for bit.
+Every trial — a campaign shard's, or a single
+:meth:`FaultInjector.run_trial` — takes one path on either backend: it
+resumes from the last golden snapshot at or before its first fault and
+runs :meth:`~repro.ir.interp.Interpreter.run` with the golden run's
+:class:`~repro.ir.interp.ConvergenceIndex`, which fast-forwards over
+golden-equal gaps and exits early at golden re-convergence.  The
+``interp`` backend records no snapshots and builds no index, so the same
+path replays its trials from reset: that backend is the differential
+oracle the ``compiled`` one is held to, bit for bit.
 
 Campaigns are *sharded*: the trial budget is split into fixed
 :data:`~repro.parallel.SHARD_TRIALS`-sized shards and every shard draws
@@ -53,6 +55,7 @@ import hashlib
 import logging
 import statistics
 import time
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,7 +74,13 @@ from repro.faults.classify import (
     detection_latency,
 )
 from repro.faults.models import DEFAULT_FAULT_MODEL, get_fault_model
-from repro.ir.interp import FaultSpec, Interpreter, RunResult, Snapshot
+from repro.ir.interp import (
+    ConvergenceIndex,
+    FaultSpec,
+    Interpreter,
+    RunResult,
+    Snapshot,
+)
 from repro.ir.printer import canonical_program_text
 from repro.ir.program import Program
 from repro.isa.registers import RegClass
@@ -86,7 +95,6 @@ from repro.parallel import (
     plan_task_groups,
     resolve_jobs,
 )
-from repro.sim.batch import BatchRunner, GroupStats, TrialPlan
 from repro.sim.shared import SharedSnapshots
 from repro.utils.rng import make_rng
 
@@ -95,8 +103,8 @@ logger = logging.getLogger(__name__)
 #: Watchdog budget = factor x golden dynamic instruction count.
 WATCHDOG_FACTOR = 25
 
-#: Number of golden-run snapshots the compiled engine records.  Each trial
-#: group resumes from the nearest snapshot at or before its earliest fault,
+#: Number of golden-run snapshots the compiled backend records.  Each trial
+#: resumes from the nearest snapshot at or before its earliest fault,
 #: so the expected skipped prefix per trial is ``~(1 - 1/(2*count))`` of
 #: the fault position; 64 keeps the residual prefix under 1% of the golden
 #: run.  The snapshots are list storage, 8 B per register/memory word: one
@@ -298,6 +306,14 @@ class GoldenRun:
     #: once per golden run (:meth:`export`); the segment is unlinked when
     #: this run is collected.
     shared: SharedSnapshots | None = None
+    #: The golden states every trial is checked against at snapshot
+    #: boundaries, built once from this run (``None`` without snapshots).
+    converge: ConvergenceIndex | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.converge = (
+            ConvergenceIndex(self.snapshots, self.golden) if self.snapshots else None
+        )
 
     @property
     def nbytes(self) -> int:
@@ -329,9 +345,9 @@ def golden_key(
 def _execute_golden(interp: Interpreter) -> GoldenRun:
     """Run the program fault-free, then replay it once more for snapshots.
 
-    The compiled engine records architectural snapshots at
-    ~:data:`SNAPSHOT_COUNT` evenly spaced points; each trial group then
-    restores the nearest snapshot at or before its earliest fault —
+    The compiled backend records architectural snapshots at
+    ~:data:`SNAPSHOT_COUNT` evenly spaced points; each trial then resumes
+    from the nearest snapshot at or before its earliest fault —
     bit-identical to a replay from zero, because the pre-fault prefix of
     every trial *is* the golden execution.  The interp oracle records none.
     """
@@ -472,6 +488,7 @@ class FaultInjector:
         self._golden_run = run
         self.golden: RunResult = run.golden
         self._snapshots: list[Snapshot] = run.snapshots
+        self._snap_keys: list[int] = [s.dyn for s in run.snapshots]
 
         # Per-block static tables.
         func = program.main
@@ -508,64 +525,62 @@ class FaultInjector:
         self.fault_model = fault_model
         self.model = get_fault_model(fault_model)
         self.model.prepare(self)
-        self._batch_runner: BatchRunner | None = None
         self._worker_spec: CampaignWorkerSpec | None = None
 
     @property
     def nbytes(self) -> int:
-        """Estimated size: the golden run, 24 B per golden block visit (two
-        per-visit tables, the engine's dispatch list) and 1 KB per
-        instruction (decoded closures, fused superblocks)."""
+        """Estimated size: the golden run, 16 B per golden block visit (two
+        per-visit tables) and 1 KB per instruction (decoded closures, fused
+        superblocks)."""
         per_insn = 1024 * sum(self._block_len.values())
-        return self._golden_run.nbytes + 24 * len(self._trace) + per_insn
+        return self._golden_run.nbytes + 16 * len(self._trace) + per_insn
 
-    # -- the trial engine --------------------------------------------------------
-    def batch_runner(self) -> BatchRunner:
-        """The compiled engine's (lazily built) group runner over this golden run."""
-        if self._batch_runner is None:
-            self._batch_runner = BatchRunner(
-                self.interp,
-                self.golden,
-                self._snapshots,
-                self._visit_dyn_start,
-                self.max_steps,
-            )
-        return self._batch_runner
+    # -- the trial path ----------------------------------------------------------
+    def _resume_point(self, faults: tuple[FaultSpec, ...]) -> Snapshot | None:
+        """The last golden snapshot at or before the trial's first fault.
 
-    def _execute(
-        self, plans: list[TrialPlan], stats: GroupStats
-    ) -> dict[int, RunResult]:
-        """Run planned trials on this backend's engine, keyed by trial index.
-
-        ``compiled`` runs them as snapshot-bucketed groups through
-        :class:`~repro.sim.batch.BatchRunner`, accumulating what the groups
-        amortized into ``stats``.  ``interp`` is the oracle: every trial
-        replays from reset with no snapshot, convergence index or chained
-        dispatch, and ``stats`` stays empty.
+        A fault at ``dyn_index`` fires once ``dyn_index + 1`` instructions
+        have committed, so any snapshot with ``dyn <= dyn_index`` is a safe
+        resume point.  ``None`` means replay from reset: the fault precedes
+        every snapshot, or the golden run recorded none.
         """
-        if self.interp.backend != "compiled":
-            return {
-                plan.index: self.interp.run(
-                    faults=plan.faults, max_steps=self.max_steps
+        k = bisect_right(self._snap_keys, min(f.dyn_index for f in faults)) - 1
+        return self._snapshots[k] if k >= 0 else None
+
+    def _execute(self, trials: list[tuple[FaultSpec, ...]]) -> list[RunResult]:
+        """Run each trial's faults, returning the results in trial order.
+
+        One path on both backends: resume from :meth:`_resume_point` and let
+        the golden run's convergence index shortcut the suffix.  The interp
+        oracle has neither snapshots, an index nor a fused chain, so there
+        the same loop replays every trial from reset, one closure per
+        instruction.  Counters are emitted once per call, never per trial.
+        """
+        interp = self.interp
+        converge = self._golden_run.converge
+        chained0, converged0 = interp.chained_visits, interp.converged
+        forwards0 = interp.forwards
+        restores = skipped = 0
+        results: list[RunResult] = []
+        for faults in trials:
+            snap = self._resume_point(faults)
+            if snap is not None:
+                restores += 1
+                skipped += snap.dyn
+            results.append(
+                interp.run(
+                    faults, self.max_steps, resume_from=snap, converge=converge
                 )
-                for plan in plans
-            }
+            )
         tel = get_telemetry()
-        runner = self.batch_runner()
-        results: dict[int, RunResult] = {}
-        for group in runner.plan(plans):
-            # One span per *group*, not per trial: batch lanes in the
-            # Chrome trace show the shared-prefix amortization without
-            # breaking the per-shard telemetry batching contract.
-            with tel.span(
-                "batch:group", cat="batch", snap=group.snap_index,
-                trials=len(group.trials),
-            ):
-                runner.run_group(
-                    group,
-                    lambda plan, result: results.__setitem__(plan.index, result),
-                    stats,
-                )
+        tel.count("campaign.batch_trials", len(trials))
+        tel.count("campaign.snapshot_restores", restores)
+        tel.count("campaign.cycles_skipped", skipped)
+        tel.count("campaign.batch_converged", interp.converged - converged0)
+        tel.count("campaign.batch_forwards", interp.forwards - forwards0)
+        tel.count(
+            "campaign.batch_guided_visits", interp.chained_visits - chained0
+        )
         return results
 
     def worker_spec(self) -> CampaignWorkerSpec:
@@ -660,9 +675,9 @@ class FaultInjector:
 
     # -- the campaign -----------------------------------------------------------
     def run_trial(self, faults: tuple[FaultSpec, ...]) -> Outcome:
-        """Classify one trial, run as a one-trial group on this backend's engine."""
-        result = self._execute([TrialPlan(index=0, faults=faults)], GroupStats())
-        return classify(self.golden, result[0])
+        """Classify one trial, run on the same path as a campaign's."""
+        (result,) = self._execute([faults])
+        return classify(self.golden, result)
 
     def run_shard(
         self,
@@ -677,18 +692,15 @@ class FaultInjector:
         shard_index)``, so shards can execute in any order, in any process,
         and still reproduce the same outcomes — the property checkpoint
         resume and crash retry both lean on.  Faults for every trial are
-        drawn up front in trial order (executions never consume RNG), the
-        engine is then free to run trials in group order, and
-        classification and latencies happen in trial order again.
+        drawn up front in trial order (executions never consume RNG), then
+        the trials run, and are classified, in that order.
         """
         tel = get_telemetry()
         rng = make_rng(seed, "fault-campaign", shard_index)
-        plans = [
-            TrialPlan(index=t, faults=self.faults_for_trial(rng, reference_dyn))
-            for t in range(shard_trials)
+        trials = [
+            self.faults_for_trial(rng, reference_dyn) for _ in range(shard_trials)
         ]
-        total_faults = sum(len(plan.faults) for plan in plans)
-        stats = GroupStats()
+        total_faults = sum(len(faults) for faults in trials)
         counts: dict[Outcome, int] = {}
         latencies: list[int] = []
         detected_dyn = 0
@@ -699,32 +711,15 @@ class FaultInjector:
             "shard", cat="campaign", timer="campaign.shard.seconds",
             shard=shard_index, trials=shard_trials,
         ) as sp:
-            results = self._execute(plans, stats)
-            for plan in plans:
-                result = results[plan.index]
+            for faults, result in zip(trials, self._execute(trials)):
                 outcome = classify(self.golden, result)
                 counts[outcome] = counts.get(outcome, 0) + 1
                 if outcome is Outcome.DETECTED:
                     detected_dyn += result.dyn_instructions
-                latency = detection_latency(result, plan.faults)
+                latency = detection_latency(result, faults)
                 if latency is not None:
                     latencies.append(latency)
-            if stats.restores:
-                tel.count("campaign.snapshot_restores", stats.restores)
-                tel.count("campaign.cycles_skipped", stats.skipped_dyn)
-            if stats.groups:
-                tel.count("campaign.batch_groups", stats.groups)
-                tel.count("campaign.batch_trials", shard_trials)
-                tel.count("campaign.batch_converged", stats.converged)
-                tel.count("campaign.batch_forwards", stats.forwards)
-                tel.count("campaign.batch_golden_dyn", stats.golden_advanced)
-                tel.count("campaign.batch_guided_visits", stats.guided_visits)
-            sp.set(
-                faults=total_faults, groups=stats.groups,
-                restores=stats.restores, skipped_dyn=stats.skipped_dyn,
-                converged=stats.converged, forwards=stats.forwards,
-                guided=stats.guided_visits,
-            )
+            sp.set(faults=total_faults)
         return ShardResult(
             index=shard_index,
             trials=shard_trials,

@@ -123,13 +123,14 @@ class Snapshot:
 class ConvergenceIndex:
     """Golden states a faulted run can be checked against mid-flight.
 
-    Built from the golden run's :class:`Snapshot` list (see
-    :mod:`repro.sim.batch`).  When :meth:`Interpreter.run` is given one via
-    ``converge`` it compares the live registers and memory against the
-    golden state each time execution crosses a snapshot boundary.  A match
-    means the run replays the golden continuation instruction for
-    instruction until its next fault fires — execution is a deterministic
-    function of (label, registers, memory), and output is append-only — so:
+    Built once per golden run from its :class:`Snapshot` list (see
+    :class:`~repro.faults.injector.GoldenRun`), and a pure function of the
+    two.  When :meth:`Interpreter.run` is given one via ``converge`` it
+    compares the live registers and memory against the golden state each
+    time execution crosses a snapshot boundary.  A match means the run
+    replays the golden continuation instruction for instruction until its
+    next fault fires — execution is a deterministic function of (label,
+    registers, memory), and output is append-only — so:
 
     * with every fault applied, the run finishes immediately with the
       golden final kind / exit code / dyn count and ``output =
@@ -145,16 +146,12 @@ class ConvergenceIndex:
     Purely a shortcut either way: a run that never matches is byte-identical
     to one executed without the index, and a run that matches ends exactly
     as executing the skipped stretch would have (asserted by the
-    engine/oracle parity tests).
-
-    ``hits`` counts early exits and ``forwards`` fast-forwards taken against
-    this index (telemetry only).
+    compiled/oracle parity tests).  The index is read-only; the
+    interpreter counts the shortcuts it takes (:attr:`Interpreter.converged`,
+    :attr:`Interpreter.forwards`).
     """
 
-    __slots__ = (
-        "keys", "labels", "regs", "mems", "out_lens", "final", "hits",
-        "forwards",
-    )
+    __slots__ = ("keys", "labels", "regs", "mems", "out_lens", "final")
 
     def __init__(self, snapshots: list["Snapshot"], final: "RunResult") -> None:
         self.keys = [s.dyn for s in snapshots]
@@ -175,8 +172,6 @@ class ConvergenceIndex:
             trap=final.trap,
             block_trace=(),
         )
-        self.hits = 0
-        self.forwards = 0
 
 
 #: Recognized :attr:`FaultSpec.kind` values.
@@ -426,8 +421,12 @@ class Interpreter:
         #: Longest block: a chained visit starting below ``x - _maxlen``
         #: commits its whole block before instruction ``x``.
         self._maxlen = max((cb.n for cb in self._blocks.values()), default=0)
-        #: Block visits :meth:`run` executed on its chained path (telemetry).
+        #: Shortcuts :meth:`run` took (telemetry): block visits executed on
+        #: its chained path, convergence early exits and golden
+        #: fast-forwards between faults.
         self.chained_visits = 0
+        self.converged = 0
+        self.forwards = 0
 
         self.backend = resolve_backend(backend)
 
@@ -643,18 +642,21 @@ class Interpreter:
         checkpointed injection).  ``resume_from`` starts execution from a
         previously captured snapshot instead of reset state; ``faults``
         whose ``dyn_index`` precedes the snapshot would be silently skipped,
-        so callers must pick a snapshot at or before the earliest fault.
-        The returned ``dyn_instructions`` stays absolute (counted from the
+        so callers must pick a snapshot at or before the earliest fault:
+        every fault trial resumes from the last golden snapshot at or
+        before its first fault (``FaultInjector._resume_point``).  The
+        returned ``dyn_instructions`` stays absolute (counted from the
         true program start), keeping outcome classification and detection
         latency identical to a replay from zero.
 
-        ``converge`` (a :class:`ConvergenceIndex`) enables the batched
-        engine's golden shortcuts: crossing a golden snapshot boundary with
+        ``converge`` (a :class:`ConvergenceIndex`) enables the fault
+        trials' golden shortcuts: crossing a golden snapshot boundary with
         state equal to the golden state there returns the golden final
         result immediately once every fault is applied, and fast-forwards
         to the golden state just before the next fault otherwise.  Either
         way the returned :class:`RunResult` is identical to executing the
-        skipped instructions.  It cannot be combined with trace or snapshot
+        skipped instructions; :attr:`converged` and :attr:`forwards` count
+        the two shortcuts.  It cannot be combined with trace or snapshot
         recording, whose per-block bookkeeping a shortcut would skip.
 
         On the compiled backend without trace or snapshot recording, the
@@ -742,7 +744,7 @@ class Interpreter:
                                 # the golden final result, splicing the
                                 # golden output suffix onto whatever this
                                 # run has emitted so far.
-                                converge.hits += 1
+                                self.converged += 1
                                 if len(O) == n_out and O == list(
                                     final.output[:n_out]
                                 ):
@@ -760,7 +762,7 @@ class Interpreter:
                             # it, so jump straight to that boundary.
                             k = bisect_right(conv_keys, nf - 1) - 1
                             if k > j:
-                                converge.forwards += 1
+                                self.forwards += 1
                                 R[:] = converge.regs[k]
                                 M[:] = converge.mems[k]
                                 O.extend(

@@ -166,7 +166,7 @@ def plan_task_groups(
     """Group ``n_items`` work items into contiguous pool-task ranges.
 
     Each group carries at least ``min_task_seconds`` of estimated work
-    (``est_item_seconds`` per item), so that cheap items — batched campaign
+    (``est_item_seconds`` per item), so that cheap items — campaign
     shards take only a few milliseconds — stop paying one IPC round trip
     each.  Grouping is capped at ``ceil(n_items / jobs)`` items per task so
     every worker still gets work.  Like :func:`plan_shards`, the grouping

@@ -37,9 +37,9 @@ each distinct block once per process.  Hits/misses are exported as the
 
 Every fusion is semantics-preserving by construction and differentially
 tested against the interpreted backend (``tests/test_compiled_backend.py``,
-plus the fuzz harness in ``tests/test_fuzz_differential.py``).  A block
-using an opcode the code generator does not know falls back to the
-per-instruction closure loop for that block alone.
+plus the fuzz harness in ``tests/test_fuzz_differential.py``).  Every
+:class:`~repro.isa.opcodes.Opcode` has a generator path, so every block
+fuses; an opcode the generator does not know raises :class:`SimError`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable
 
-from repro.errors import MemoryFault
+from repro.errors import MemoryFault, SimError
 from repro.ir.interp import _DETECT, _div_s, _rem_s, _signed_const
 from repro.ir.printer import print_program
 from repro.isa.opcodes import LatencyClass, Opcode
@@ -79,10 +79,6 @@ def _compile_factory(source: str) -> Callable:
     ns: dict = {}
     exec(code, ns)  # noqa: S102 - source is generated from trusted IR
     return ns["_factory"]
-
-
-class UnsupportedOpcode(Exception):
-    """Raised internally when a block cannot be fused."""
 
 
 # -- shared ALU / move / output emission --------------------------------------
@@ -144,9 +140,9 @@ _RAW_OPS = frozenset(_RAW_RR)
 def _alu_lines(insn, slot_of) -> list[str] | None:
     """Statements for a non-memory, non-control instruction.
 
-    Returns ``None`` for opcodes this helper does not cover (memory and
-    control flow, which the two emitters handle themselves).  Raises
-    :class:`UnsupportedOpcode` for an opcode nobody can fuse.
+    Returns ``None`` for the memory and control-flow opcodes, which the two
+    emitters handle themselves.  Raises :class:`SimError` for an opcode
+    nobody can fuse.
     """
     op = insn.opcode
     if op is Opcode.NOP:
@@ -223,7 +219,7 @@ def _alu_lines(insn, slot_of) -> list[str] | None:
         Opcode.JMP, Opcode.BRT, Opcode.BRF, Opcode.HALT, Opcode.CHKBR,
     ):
         return None
-    raise UnsupportedOpcode(str(op))
+    raise SimError(f"cannot fuse opcode {op}")
 
 
 def _addr_lines(base: int, imm: int, mem_words: int, what: str) -> list[str]:
@@ -275,24 +271,9 @@ def _functional_body(block, slot_of, frame_base: int, mem_words: int) -> list[st
         elif op is Opcode.BRF:
             taken, fall = insn.targets
             lines.append(f"return {fall!r} if R[{srcs[0]}] else {taken!r}")
-        elif op is Opcode.HALT:
+        else:  # HALT: _alu_lines rejects everything outside these nine
             lines.append(f"return ('halt', {imm!r})")
-        else:  # pragma: no cover - _alu_lines already rejects these
-            raise UnsupportedOpcode(str(op))
     return lines
-
-
-def _loop_fallback(fns) -> Callable[[], object]:
-    """Per-instruction closure loop, for blocks that cannot be fused."""
-
-    def run() -> object:
-        for fn in fns:
-            res = fn()
-            if res is not None:
-                return res
-        return None
-
-    return run
 
 
 #: Per-program memo of generated functional-fusion sources, keyed weakly by
@@ -302,11 +283,10 @@ def _loop_fallback(fns) -> Callable[[], object]:
 #: text is an exact content fingerprint (it embeds every opcode, operand,
 #: label and duplicate tag the generator reads), and the geometry pair
 #: covers the only interpreter state the source embeds besides the program
-#: (register slots derive deterministically from the program).  A ``None``
-#: source marks a block that cannot be fused (closure fallback).  Saves the
+#: (register slots derive deterministically from the program).  Saves the
 #: per-block source *generation* walk when several interpreters share one
 #: Program — e.g. a pool worker's profile-path injector, or a bench harness
-#: building interp/compiled/batched injectors over one compile.  The code
+#: building several injectors over one compile.  The code
 #: objects themselves are still deduplicated by the source-keyed decode
 #: cache above.
 _FUSE_SOURCE_CACHE: "weakref.WeakKeyDictionary[object, dict]" = (
@@ -314,7 +294,7 @@ _FUSE_SOURCE_CACHE: "weakref.WeakKeyDictionary[object, dict]" = (
 )
 
 
-def _functional_sources(interp) -> dict[str, str | None]:
+def _functional_sources(interp) -> dict[str, str]:
     """Generated (or memoized) per-block sources for ``interp``'s program."""
     tel = get_telemetry()
     per_program = _FUSE_SOURCE_CACHE.setdefault(interp.program, {})
@@ -329,13 +309,9 @@ def _functional_sources(interp) -> dict[str, str | None]:
     sources = {}
     slot_of = interp._slot_of
     for block in interp.program.main.blocks():
-        try:
-            body = _functional_body(
-                block, slot_of, interp.frame_base, interp.mem_words
-            )
-        except UnsupportedOpcode:
-            sources[block.label] = None
-            continue
+        body = _functional_body(
+            block, slot_of, interp.frame_base, interp.mem_words
+        )
         if not body:
             body = ["return None"]
         source = "def _factory(R, M, O, D, div, rem, MF):\n    def _block():\n"
@@ -358,46 +334,11 @@ def fuse_functional_blocks(interp) -> dict[str, Callable[[], object]]:
     """
     fused: dict[str, Callable[[], object]] = {}
     for label, source in _functional_sources(interp).items():
-        if source is None:
-            fused[label] = _loop_fallback(interp._blocks[label].fns)
-            continue
         factory = _compile_factory(source)
         fused[label] = factory(
             interp._R, interp._M, interp._O, _DETECT, _div_s, _rem_s, MemoryFault
         )
     return fused
-
-
-# -- golden trace advance (batched fault trials) ------------------------------
-
-
-class TraceAdvancer:
-    """Replay a known fault-free block trace with minimum dispatch.
-
-    The batched trial engine (:mod:`repro.sim.batch`) advances a whole
-    group of trials through their shared golden prefix *once*.  Because the
-    golden control flow is already known (the profiling run recorded the
-    block trace), none of the interpreter run loop's bookkeeping — fault
-    scheduling, watchdog accounting, jump decoding — is needed: the prefix
-    is a flat list of the pre-fused superblock callables, and advancing is
-    one Python-level loop over a slice of it.
-
-    The callables close over the interpreter's live register/memory/output
-    arrays, so the advanced state is byte-identical to running the same
-    visits through :meth:`Interpreter.run`.
-    """
-
-    __slots__ = ("_fns",)
-
-    def __init__(self, interp, trace: tuple[str, ...]) -> None:
-        chain = interp.chain
-        self._fns = [chain[label][0] for label in trace]
-
-    def advance(self, start_visit: int, stop_visit: int) -> None:
-        """Execute golden trace visits ``[start_visit, stop_visit)``."""
-        fns = self._fns
-        for i in range(start_visit, stop_visit):
-            fns[i]()
 
 
 # -- timed fusion (cycle-level executor) --------------------------------------
@@ -486,19 +427,16 @@ def _timed_body(block, order, cycles, slot_of, frame_base: int, mem_words: int,
             lines.append(
                 f"return (({fall!r} if R[{srcs[0]}] else {taken!r}), {n}, s + ce)"
             )
-        elif op is Opcode.HALT:
+        else:  # HALT: _alu_lines rejects everything outside these nine
             lines.append(f"return (('halt', {imm!r}), {n}, s + ce)")
-        else:  # pragma: no cover - _alu_lines already rejects these
-            raise UnsupportedOpcode(str(op))
     return lines
 
 
-def fuse_timed_blocks(executor) -> dict[str, tuple[Callable, int, int]] | None:
+def fuse_timed_blocks(executor) -> dict[str, tuple[Callable, int, int]]:
     """Fuse every block of a :class:`VLIWExecutor` with inline timing.
 
-    Returns ``{label: (fused_fn, n_instructions, schedule_length)}``, or
-    ``None`` when some block cannot be fused (the executor then falls back
-    to the interpreted backend).  ``fused_fn() -> (jump, n_executed,
+    Returns ``{label: (fused_fn, n_instructions, schedule_length)}``.
+    ``fused_fn() -> (jump, n_executed,
     stall_delta)``; on a :class:`~repro.errors.SimTrap` the number of
     instructions completed before the trapping one is left in
     ``executor._progress[0]`` and the block's flushed stall cycles in
@@ -517,14 +455,11 @@ def fuse_timed_blocks(executor) -> dict[str, tuple[Callable, int, int]] | None:
             range(len(block.instructions)),
             key=lambda i: (sched.cycle_of[i], i),
         )
-        try:
-            body = _timed_body(
-                block, order, sched.cycle_of, slot_of,
-                interp.frame_base, interp.mem_words,
-                lat_load, lat_store, executor.overlap_misses,
-            )
-        except UnsupportedOpcode:
-            return None
+        body = _timed_body(
+            block, order, sched.cycle_of, slot_of,
+            interp.frame_base, interp.mem_words,
+            lat_load, lat_store, executor.overlap_misses,
+        )
         n = len(order)
         if not body:
             body = [f"return (None, {n}, s + ce)"]

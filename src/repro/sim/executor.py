@@ -35,8 +35,8 @@ from repro.ir.interp import ExitKind
 
 _MASK = (1 << 64) - 1
 
-#: Default watchdog: a compiled workload finishing under ``N`` cycles in the
-#: fault-free run gets ``_WATCHDOG_FACTOR * N`` cycles before TIMEOUT.
+#: Default cycle budget before :meth:`VLIWExecutor.run` reports TIMEOUT
+#: (``max_cycles`` overrides it per executor or per run).
 DEFAULT_MAX_CYCLES = 2_000_000_000
 
 
@@ -123,8 +123,6 @@ class VLIWExecutor:
             from repro.sim.compiled import fuse_timed_blocks
 
             self._fused = fuse_timed_blocks(self)
-            if self._fused is None:  # unfusable opcode: fall back wholesale
-                self.backend = "interp"
 
     def _build(self, program: Program) -> None:
         slot_of = self._interp._slot_of

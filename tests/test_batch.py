@@ -1,17 +1,17 @@
-"""Batched fault-trial execution: planner units and engine/oracle parity.
+"""The fault-trial path: compiled/oracle parity and the golden run store.
 
-The compiled backend's campaign engine (``repro.sim.batch``) restructures
-*how* trials execute — snapshot-bucketed groups, one shared golden-prefix
-advance per group, chained dispatch of fault-free stretches, golden
-fast-forwards between faults and re-convergence early exits — while
-promising bit-identical :class:`CampaignResult`s.  These tests hold it to
-that promise against the interp backend, which replays every trial from
-reset and serves as the oracle, across the full workload x scheme matrix
-and every fault model, and exercise the pieces the promise rests on: group
-planning never reorders RNG consumption, checkpoints move between the
-oracle and the engine mid-campaign, watchdog and trap trials end exactly
-as on the oracle, a fast-forward lands before the next fault, and chained
-dispatch is a pure engine swap (disabling it changes nothing but speed).
+On the compiled backend every trial resumes from its nearest golden
+snapshot, runs fault-free stretches on the chained fast loop, fast-forwards
+over golden-equal gaps between faults and exits early at golden
+re-convergence — while promising bit-identical :class:`CampaignResult`s.
+These tests hold it to that promise against the interp backend, which
+takes the same path with none of those shortcuts (every trial replays from
+reset) and serves as the oracle, across the full workload x scheme matrix
+and every fault model, and exercise the pieces the promise rests on:
+checkpoints move between the oracle and the compiled backend
+mid-campaign, watchdog and trap trials end exactly as on the oracle, a
+fast-forward lands before the next fault, and chained dispatch is a pure
+speed knob (disabling it changes nothing but speed).
 """
 
 from __future__ import annotations
@@ -28,19 +28,18 @@ from repro import obs, store
 from repro.faults.injector import MIN_TASK_SECONDS, FaultInjector
 from repro.faults.models import fault_model_names
 from repro.ir.builder import IRBuilder
-from repro.ir.interp import ExitKind, FaultSpec
+from repro.ir.interp import ConvergenceIndex, ExitKind, FaultSpec
 from repro.ir.program import GlobalArray, Program
 from repro.machine.config import MachineConfig
 from repro.parallel import plan_task_groups
 from repro.pipeline import Scheme, compile_program
-from repro.sim.batch import GroupStats, TrialPlan, plan_groups
 from repro.sim.executor import VLIWExecutor
 from repro.utils.rng import make_rng
 from repro.workloads import get_workload, workload_names
 
 MACHINE = MachineConfig(issue_width=2, inter_cluster_delay=1)
 SEED = 2013
-TRIALS = 25  # one shard: fastest config that still exercises grouping
+TRIALS = 25  # one shard
 
 _COMPILED: dict[tuple[str, Scheme], object] = {}
 
@@ -77,46 +76,6 @@ def _signature(res) -> tuple:
         res.detections_timed,
         res.detection_dyn_sum,
     )
-
-
-def _plan(index: int, dyn: int) -> TrialPlan:
-    return TrialPlan(
-        index=index,
-        faults=(FaultSpec(dyn_index=dyn, kind="reg", bit=0),),
-    )
-
-
-class TestPlanGroups:
-    def test_buckets_by_nearest_snapshot_at_or_before(self):
-        plans = [_plan(0, 5), _plan(1, 150), _plan(2, 99), _plan(3, 100)]
-        groups = plan_groups(plans, snap_keys=[0, 100, 200])
-        assert [g.snap_index for g in groups] == [0, 1]
-        assert [t.index for t in groups[0].trials] == [0, 2]
-        assert [t.index for t in groups[1].trials] == [3, 1]
-
-    def test_faults_before_first_snapshot_use_reset_bucket(self):
-        groups = plan_groups([_plan(0, 3)], snap_keys=[10, 20])
-        assert [g.snap_index for g in groups] == [-1]
-
-    def test_no_snapshots_is_one_reset_bucket(self):
-        plans = [_plan(i, 100 - i) for i in range(4)]
-        groups = plan_groups(plans, snap_keys=[])
-        assert [g.snap_index for g in groups] == [-1]
-        # Trials sorted by fault position for a strictly forward advance.
-        assert [t.first_dyn for t in groups[0].trials] == [97, 98, 99, 100]
-
-    def test_tie_on_fault_position_breaks_by_trial_index(self):
-        plans = [_plan(3, 50), _plan(1, 50), _plan(2, 50)]
-        groups = plan_groups(plans, snap_keys=[0])
-        assert [t.index for t in groups[0].trials] == [1, 2, 3]
-
-    def test_grouping_is_a_pure_reordering(self):
-        plans = [_plan(i, dyn) for i, dyn in enumerate([7, 3, 250, 99, 180])]
-        groups = plan_groups(plans, snap_keys=[0, 100, 200])
-        regrouped = sorted(
-            (t for g in groups for t in g.trials), key=lambda t: t.index
-        )
-        assert regrouped == plans
 
 
 class TestPlanTaskGroups:
@@ -170,6 +129,8 @@ def test_three_way_parity_per_fault_model(model):
 
 
 def test_run_trial_is_a_one_trial_group_matching_the_oracle():
+    """A single trial takes the campaign's path: it resumes from a
+    snapshot on the compiled backend, from reset on the oracle."""
     cp = _compiled("parser", Scheme.CASTED)
     oracle = _injector(cp, backend="interp")
     engine = _injector(cp, backend="compiled")
@@ -177,14 +138,19 @@ def test_run_trial_is_a_one_trial_group_matching_the_oracle():
     for _ in range(20):
         faults = (engine.sample_fault(rng),)
         assert engine.run_trial(faults) == oracle.run_trial(faults)
-    assert engine._batch_runner is not None
-    assert oracle._batch_runner is None
+    assert engine._golden_run.converge is not None
+    assert oracle._golden_run.converge is None
+    assert engine.interp.chained_visits > 0
+    assert oracle.interp.chained_visits == 0
 
 
-def _trial_results(injector: FaultInjector, plans: list[TrialPlan]) -> dict:
-    """Per-trial :class:`RunResult`s from ``injector``'s engine, and its stats."""
-    stats = GroupStats()
-    return injector._execute(plans, stats), stats
+def _trial_results(injector: FaultInjector, trials: list) -> tuple:
+    """Per-trial :class:`RunResult`s from ``injector``, and the interpreter's
+    (convergence exits, fast-forwards) taken meanwhile."""
+    interp = injector.interp
+    converged, forwards = interp.converged, interp.forwards
+    results = injector._execute(trials)
+    return results, (interp.converged - converged, interp.forwards - forwards)
 
 
 def test_watchdog_and_trap_trials_match_the_oracle():
@@ -203,14 +169,11 @@ def test_watchdog_and_trap_trials_match_the_oracle():
     engine = _injector(cp, backend="compiled", fault_model="cf")
     oracle = _injector(cp, backend="interp", fault_model="cf")
     rng = make_rng(109, "fault-campaign", 0)
-    plans = [
-        TrialPlan(index=t, faults=engine.faults_for_trial(rng, reference))
-        for t in range(TRIALS)
-    ]
-    got, _ = _trial_results(engine, plans)
-    want, _ = _trial_results(oracle, plans)
+    trials = [engine.faults_for_trial(rng, reference) for _ in range(TRIALS)]
+    got, _ = _trial_results(engine, trials)
+    want, _ = _trial_results(oracle, trials)
     assert got == want
-    kinds = [result.kind for result in want.values()]
+    kinds = [result.kind for result in want]
     assert ExitKind.TIMEOUT in kinds
     assert ExitKind.EXCEPTION in kinds
 
@@ -246,31 +209,25 @@ def test_fast_forward_between_pending_faults_matches_the_oracle():
     program = _masked_fault_loop()
     engine = FaultInjector(program, backend="compiled")
     oracle = FaultInjector(program, backend="interp")
-    keys = engine.batch_runner().snap_keys
+    keys = [s.dyn for s in engine._snapshots]
     # Visit 0 is the entry block; visit v >= 1 is loop iteration v - 1.
     masked = int(engine._visit_dyn_start[4])
     live = int(engine._visit_dyn_start[40]) + 6
     assert np.searchsorted(keys, live, "right") - np.searchsorted(
         keys, masked, "right"
     ) >= 2
-    plans = [
-        TrialPlan(
-            index=0,
-            faults=(
-                FaultSpec(dyn_index=masked, bit=3),
-                FaultSpec(dyn_index=live, bit=5),
-            ),
-        )
+    trials = [
+        (FaultSpec(dyn_index=masked, bit=3), FaultSpec(dyn_index=live, bit=5))
     ]
-    got, stats = _trial_results(engine, plans)
-    want, _ = _trial_results(oracle, plans)
+    got, (_, forwards) = _trial_results(engine, trials)
+    want, _ = _trial_results(oracle, trials)
     assert got == want
     assert want[0].output != engine.golden.output
-    assert stats.forwards >= 1
+    assert forwards >= 1
 
 
 def test_golden_snapshots_survive_convergence_exits_and_fast_forwards():
-    """The engine references the golden snapshots and never writes them.
+    """Trials reference the golden snapshots and never write them.
 
     The masked-then-live trial fast-forwards between its faults and the
     masked-only trial takes a convergence exit; afterwards every snapshot
@@ -281,19 +238,13 @@ def test_golden_snapshots_survive_convergence_exits_and_fast_forwards():
     recorded = [(s.regs[:], s.mem[:], s.output) for s in engine._snapshots]
     masked = int(engine._visit_dyn_start[4])
     live = int(engine._visit_dyn_start[40]) + 6
-    plans = [
-        TrialPlan(
-            index=0,
-            faults=(
-                FaultSpec(dyn_index=masked, bit=3),
-                FaultSpec(dyn_index=live, bit=5),
-            ),
-        ),
-        TrialPlan(index=1, faults=(FaultSpec(dyn_index=masked, bit=3),)),
+    trials = [
+        (FaultSpec(dyn_index=masked, bit=3), FaultSpec(dyn_index=live, bit=5)),
+        (FaultSpec(dyn_index=masked, bit=3),),
     ]
-    _, stats = _trial_results(engine, plans)
-    assert stats.forwards >= 1
-    assert stats.converged >= 1
+    _, (converged, forwards) = _trial_results(engine, trials)
+    assert forwards >= 1
+    assert converged >= 1
     assert [(s.regs, s.mem, s.output) for s in engine._snapshots] == recorded
     assert all(
         type(s.regs) is list and type(s.mem) is list for s in engine._snapshots
@@ -303,31 +254,32 @@ def test_golden_snapshots_survive_convergence_exits_and_fast_forwards():
 class TestGoldenRunStore:
     """One golden run per program, held once per process."""
 
-    def test_batch_runner_references_the_snapshots(self):
-        """Building the runner copies no snapshot: besides its trace
-        dispatch list (one pointer per golden block visit), it allocates
-        under 1% of the snapshots' bytes, and the convergence index holds
-        each snapshot's own memory list."""
+    def test_convergence_index_references_the_snapshots(self):
+        """The golden run's one convergence index copies no snapshot:
+        building one allocates under 1% of the snapshots' bytes, and it
+        holds each snapshot's own register and memory lists."""
         cp = _compiled("parser", Scheme.CASTED)
         inj = _injector(cp, backend="compiled")
-        inj.interp.chain  # fuse outside the measurement
+        run = inj._golden_run
         snap_bytes = sum(
             sys.getsizeof(s.regs) + sys.getsizeof(s.mem) + sys.getsizeof(s.output)
             for s in inj._snapshots
         )
         tracemalloc.start()
         try:
-            runner = inj.batch_runner()
+            index = ConvergenceIndex(run.snapshots, run.golden)
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        dispatch = sys.getsizeof(runner._advancer._fns)
         assert inj._snapshots
-        assert retained - dispatch < 0.01 * snap_bytes
-        for j, snap in enumerate(inj._snapshots):
-            assert runner._converge.mems[j] is snap.mem
-            assert runner._converge.regs[j] is snap.regs
-        assert runner.snap_keys is runner._converge.keys
+        assert retained < 0.01 * snap_bytes
+        for converge in (index, run.converge):
+            for j, snap in enumerate(inj._snapshots):
+                assert converge.mems[j] is snap.mem
+                assert converge.regs[j] is snap.regs
+        # One index per golden run, shared by every injector of it.
+        other = _injector(cp, backend="compiled", fault_model="mem")
+        assert other._golden_run.converge is run.converge
 
     def test_fault_models_share_one_golden_run(self):
         cp = _compiled("mcf", Scheme.CASTED)
@@ -459,7 +411,7 @@ class TestCheckpointResumeMidBatch:
 
     def test_scalar_checkpoint_resumes_into_batched_run(self, tmp_path):
         """Shards are the checkpoint unit, so a checkpoint written by the
-        interp oracle's scalar replay resumes on the compiled engine."""
+        interp oracle's replay from reset resumes on the compiled backend."""
         cp = _compiled("parser", Scheme.CASTED)
         full = _injector(cp, backend="compiled").run_campaign(75, SEED)
 
@@ -481,7 +433,6 @@ class TestEngineKnobs:
         cp = _compiled("parser", Scheme.CASTED)
         chained = _injector(cp, backend="compiled")
         unchained = _injector(cp, backend="compiled")
-        unchained.batch_runner()
         unchained.interp.chain = None
         r1 = chained.run_campaign(50, SEED)
         r2 = unchained.run_campaign(50, SEED)

@@ -1,11 +1,11 @@
 """Checkpointed fault injection: snapshot/resume determinism.
 
 The compiled backend's injector replays the golden run once, records
-architectural snapshots, and then starts every trial group from the
-nearest snapshot at or before its earliest fault.  The whole feature is
-only admissible because it is *invisible* in the results: every test here
+architectural snapshots, and then starts every trial from the nearest
+snapshot at or before its earliest fault.  The whole feature is only
+admissible because it is *invisible* in the results: every test here
 asserts bit-identical outcomes between the interp oracle's replay-from-zero
-and the compiled engine's snapshot-resume, across snapshot intervals,
+and the compiled backend's snapshot-resume, across snapshot intervals,
 fault models and ``jobs`` settings.
 """
 
@@ -20,7 +20,7 @@ from repro.frontend import compile_source
 from repro.ir.interp import FaultSpec, Snapshot
 from repro.machine.config import MachineConfig
 from repro.pipeline import Scheme, compile_program
-from repro.sim.batch import GroupStats, TrialPlan, plan_groups
+from repro.utils.rng import make_rng
 
 # Small but snapshot-eligible kernel (~19k dynamic instructions, well above
 # SNAPSHOT_MIN_DYN): memory traffic, data-dependent branches and output on
@@ -111,7 +111,7 @@ class TestSnapshotCapture:
         )
         inj = _injector(cp=cp)
         assert inj._snapshots == []
-        # ...and trials still run, as groups resuming from reset state.
+        # ...and trials still run, resuming from reset state.
         res = inj.run_campaign(trials=3, seed=9)
         assert res.trials == 3
 
@@ -135,9 +135,7 @@ class TestTrialEquivalence:
             for kind, arg in (("reg", None), ("cf", None), ("mem", 5)):
                 faults = (FaultSpec(dyn_index=dyn_index, bit=3, kind=kind, arg=arg),)
                 a = plain.interp.run(faults=faults, max_steps=plain.max_steps)
-                (b,) = ckpt._execute(
-                    [TrialPlan(index=0, faults=faults)], GroupStats()
-                ).values()
+                (b,) = ckpt._execute([faults])
                 assert (a.kind, a.exit_code, a.output, a.dyn_instructions) == (
                     b.kind, b.exit_code, b.output, b.dyn_instructions
                 ), (dyn_index, kind)
@@ -147,9 +145,15 @@ class TestTrialEquivalence:
         keys = [s.dyn for s in inj._snapshots]
 
         def resume_dyn(faults: tuple[FaultSpec, ...]) -> int:
-            (group,) = plan_groups([TrialPlan(index=0, faults=faults)], keys)
-            return keys[group.snap_index] if group.snap_index >= 0 else 0
+            snap = inj._resume_point(faults)
+            return snap.dyn if snap is not None else 0
 
+        # A fault before the first snapshot replays from reset.
+        assert inj._resume_point((FaultSpec(dyn_index=keys[0] - 1),)) is None
+        # A fault on a snapshot's own position resumes from that snapshot:
+        # it fires after the snapshot's first instruction commits.
+        for snap in inj._snapshots[::8]:
+            assert inj._resume_point((FaultSpec(dyn_index=snap.dyn),)) is snap
         for dyn_index in (0, 7, 1000, inj.golden.dyn_instructions - 1):
             assert resume_dyn((FaultSpec(dyn_index=dyn_index),)) <= dyn_index
             # multi-fault trials key off the earliest fault
@@ -219,7 +223,13 @@ class TestTelemetry:
         finally:
             obs.reset()
         assert 0 < restores <= 25
-        assert skipped > 0
+        # Each resumed trial skips exactly its snapshot's prefix.
+        rng = make_rng(4, "fault-campaign", 0)
+        snaps = [
+            inj._resume_point(inj.faults_for_trial(rng, None)) for _ in range(25)
+        ]
+        resumed = [s.dyn for s in snaps if s is not None]
+        assert (restores, skipped) == (len(resumed), sum(resumed))
 
     def test_no_restore_counters_without_snapshots(self, casted, monkeypatch):
         monkeypatch.setattr(injector_mod, "SNAPSHOT_MIN_DYN", 10**9)
@@ -230,7 +240,8 @@ class TestTelemetry:
             counters = dict(tel.metrics.counters)
         finally:
             obs.reset()
-        assert "campaign.snapshot_restores" not in counters
+        assert counters["campaign.snapshot_restores"] == 0
+        assert counters["campaign.cycles_skipped"] == 0
         assert counters["campaign.batch_trials"] == 25
 
     def test_interp_oracle_takes_no_engine_shortcuts(self, casted):
@@ -244,8 +255,11 @@ class TestTelemetry:
         finally:
             obs.reset()
         assert res.trials == 25
-        assert inj._batch_runner is None
+        assert inj._golden_run.converge is None
         assert inj.interp.chained_visits == 0
-        assert not [k for k in counters if k.startswith("campaign.batch_")]
-        assert "campaign.snapshot_restores" not in counters
-        assert "campaign.cycles_skipped" not in counters
+        assert counters["campaign.batch_trials"] == 25
+        for shortcut in (
+            "snapshot_restores", "cycles_skipped", "batch_converged",
+            "batch_forwards", "batch_guided_visits",
+        ):
+            assert counters[f"campaign.{shortcut}"] == 0, shortcut

@@ -12,13 +12,19 @@ attribution).  Random-program differential coverage lives in
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import obs
 from repro.ir.interp import Interpreter, resolve_backend
 from repro.errors import SimError
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import GP, PR, RegClass
 from repro.machine.config import MachineConfig
 from repro.pipeline import Scheme, compile_program
+from repro.sim.compiled import _functional_body, _timed_body
 from repro.sim.executor import VLIWExecutor
 from repro.workloads import get_workload, workload_names
 
@@ -133,3 +139,53 @@ class TestDecodeCache:
             assert ex._interp.chain is not None
         finally:
             obs.reset()
+
+
+def _one_of(op: Opcode) -> Instruction:
+    """A well-formed instruction of ``op`` over fresh registers."""
+    info = op.info
+    make = {RegClass.GP: GP, RegClass.PR: PR}
+    srcs = tuple(make[rc](i) for i, rc in enumerate(info.in_classes))
+    dests = (make[info.out_class](9),) if info.out_class is not None else ()
+    n_targets = info.n_targets + (1 if info.is_side_exit else 0)
+    return Instruction(
+        op, dests=dests, srcs=srcs, imm=1 if info.needs_imm else None,
+        targets=tuple(f"b{i}" for i in range(n_targets)),
+    )
+
+
+def _emit_both(insn) -> list[list[str]]:
+    """Fuse a one-instruction block on the functional and timed emitters."""
+    block = SimpleNamespace(instructions=[insn])
+    slot_of = {r: i for i, r in enumerate((*insn.dests, *insn.srcs))}
+    return [
+        _functional_body(block, slot_of, frame_base=8, mem_words=64),
+        _timed_body(
+            block, [0], [0], slot_of, frame_base=8, mem_words=64,
+            lat_load=2, lat_store=1, overlap=True,
+        ),
+    ]
+
+
+class TestEveryOpcodeFuses:
+    """Every opcode has a generator path on both emitters, so no block
+    ever needs a per-instruction fallback."""
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
+    def test_one_instruction_of_each_opcode_fuses(self, op):
+        for body in _emit_both(_one_of(op)):
+            source = "def _block():\n" + "".join(
+                f"    {line}\n" for line in [*body, "return None"]
+            )
+            compile(source, "<fused>", "exec")
+
+    def test_unknown_opcode_raises_simerror(self):
+        bogus = SimpleNamespace(opcode="bogus", dests=(), srcs=(), imm=None)
+        block = SimpleNamespace(instructions=[bogus])
+        with pytest.raises(SimError, match="cannot fuse"):
+            _functional_body(block, {}, frame_base=8, mem_words=64)
+        with pytest.raises(SimError, match="cannot fuse"):
+            _timed_body(
+                block, [0], [0], {}, frame_base=8, mem_words=64,
+                lat_load=2, lat_store=1, overlap=True,
+            )
