@@ -55,6 +55,7 @@ import hashlib
 import logging
 import statistics
 import time
+from array import array
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -78,6 +79,7 @@ from repro.ir.interp import (
     ConvergenceIndex,
     FaultSpec,
     Interpreter,
+    MemDelta,
     RunResult,
     Snapshot,
 )
@@ -107,10 +109,17 @@ WATCHDOG_FACTOR = 25
 #: resumes from the nearest snapshot at or before its earliest fault,
 #: so the expected skipped prefix per trial is ``~(1 - 1/(2*count))`` of
 #: the fault position; 64 keeps the residual prefix under 1% of the golden
-#: run.  The snapshots are list storage, 8 B per register/memory word: one
-#: program's 64 take 0.35-1.2 MB at iw2/d2 over the seven kernels (NOED and
-#: CASTED alike; 10.2 MB for all 14 programs).
+#: run.  Memory is stored as keyframes and deltas
+#: (:data:`SNAPSHOT_KEYFRAME_EVERY`): under tracemalloc one program's 64
+#: take 0.14-0.30 MB at iw2/d2 over the seven kernels, NOED and CASTED
+#: (2.9 MB for all 14 programs, against 10.7 MB as full memory lists).
 SNAPSHOT_COUNT = 64
+
+#: Every this-many-th golden snapshot keeps its full memory list (a
+#: keyframe); the others keep only the memory words that changed since the
+#: previous snapshot.  A restore copies the keyframe, then applies at most
+#: ``SNAPSHOT_KEYFRAME_EVERY - 1`` deltas.
+SNAPSHOT_KEYFRAME_EVERY = 8
 
 #: Skip snapshots entirely below this golden dynamic-instruction count —
 #: tiny programs replay faster than they restore.
@@ -284,24 +293,32 @@ class CampaignResult:
 
 #: Content key of a golden run: canonical program text SHA-256, resolved
 #: ``mem_words``, ``frame_words``, resolved backend, and the snapshot policy
-#: (``SNAPSHOT_COUNT``, ``SNAPSHOT_MIN_DYN``) the run was recorded under.
-GoldenKey = tuple[str, int, int, str, int, int]
+#: (``SNAPSHOT_COUNT``, ``SNAPSHOT_MIN_DYN``, ``SNAPSHOT_KEYFRAME_EVERY``)
+#: the run was recorded under.
+GoldenKey = tuple[str, int, int, str, int, int, int]
 
 
 @dataclass(eq=False)
 class GoldenRun:
     """Everything :class:`FaultInjector` computes by *executing* the program.
 
-    The traced golden run and the architectural snapshots, held once per
-    process in the artifact store (:mod:`repro.store`, under
-    :func:`golden_key`) and shared by every injector of the same program,
-    geometry and backend — whatever its fault model.  The snapshots are
-    read-only (see :class:`~repro.ir.interp.Snapshot`): restores, the
-    convergence index and the pool export all reference the one copy.
+    The traced golden run, its per-visit sampling tables and the
+    architectural snapshots, held once per process in the artifact store
+    (:mod:`repro.store`, under :func:`golden_key`) and shared by every
+    injector of the same program, geometry and backend — whatever its
+    fault model.  The snapshots are keyframes and deltas, and read-only
+    (see :class:`~repro.ir.interp.Snapshot`): restores, the convergence
+    index and the pool export all reference the one copy.
     """
 
     golden: RunResult
     snapshots: list[Snapshot]
+    #: Dynamic index of each golden block visit's first instruction.
+    #: int64, like :attr:`visit_dest_cum`: one ``np.searchsorted`` for a
+    #: Python int took 9.6 us on an int32 table against 2.5 us on int64.
+    visit_dyn_start: npt.NDArray[np.int64]
+    #: Output-producing instructions committed through each golden visit.
+    visit_dest_cum: npt.NDArray[np.int64]
     #: The snapshots' shared-memory export for pool workers, made at most
     #: once per golden run (:meth:`export`); the segment is unlinked when
     #: this run is collected.
@@ -317,9 +334,17 @@ class GoldenRun:
 
     @property
     def nbytes(self) -> int:
-        """Estimated size: one 8-byte word per trace entry and snapshot word."""
-        words = sum(len(s.regs) + len(s.mem) + len(s.output) for s in self.snapshots)
-        return 8 * (len(self.golden.block_trace) + words)
+        """Estimated size: 8 B per trace entry, per register, output and
+        keyframe memory word, 12 B per delta word (a 4-byte address and a
+        value) and 16 B per golden visit (the two per-visit tables)."""
+        words = delta_words = 0
+        for s in self.snapshots:
+            words += len(s.regs) + len(s.output)
+            if s.deltas:
+                delta_words += len(s.deltas[-1][1])
+            else:
+                words += len(s.base)
+        return 8 * words + 12 * delta_words + 24 * len(self.golden.block_trace)
 
     def export(self) -> SharedSnapshots | None:
         """The shared-memory handle pool workers attach (``None``: no snapshots)."""
@@ -338,18 +363,70 @@ def golden_key(
     """The content key a golden run of ``program`` is stored under."""
     digest = hashlib.sha256(canonical_program_text(program).encode()).hexdigest()
     return (
-        digest, mem_words, frame_words, backend, SNAPSHOT_COUNT, SNAPSHOT_MIN_DYN
+        digest, mem_words, frame_words, backend,
+        SNAPSHOT_COUNT, SNAPSHOT_MIN_DYN, SNAPSHOT_KEYFRAME_EVERY,
     )
+
+
+def _visit_tables(
+    program: Program, trace: tuple[str, ...]
+) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+    """``(visit_dyn_start, visit_dest_cum)`` over a golden block trace."""
+    lens: dict[str, int] = {}
+    dests: dict[str, int] = {}
+    for block in program.main.blocks():
+        lens[block.label] = len(block.instructions)
+        dests[block.label] = sum(1 for insn in block.instructions if insn.dests)
+    visit_lens = np.array([lens[lb] for lb in trace], dtype=np.int64)
+    visit_dests = np.array([dests[lb] for lb in trace], dtype=np.int64)
+    return np.concatenate(([0], np.cumsum(visit_lens)[:-1])), np.cumsum(visit_dests)
+
+
+def _delta(
+    prev: npt.NDArray[np.uint64], cur: npt.NDArray[np.uint64], mem: list[int]
+) -> MemDelta:
+    """The words of ``mem`` (as ``cur``) that differ from ``prev``."""
+    addrs = array("I", np.flatnonzero(cur != prev).astype(np.uint32).tobytes())
+    return addrs, tuple([mem[a] for a in addrs])
+
+
+def _record_snapshots(interp: Interpreter, golden_dyn: int) -> list[Snapshot]:
+    """Replay the golden run, recording ~:data:`SNAPSHOT_COUNT` snapshots.
+
+    Every :data:`SNAPSHOT_KEYFRAME_EVERY`-th snapshot keeps its full
+    memory list; each other one keeps only the words that changed since
+    the previous snapshot.  The full lists the replay emits are compacted
+    as they arrive, so at most two of them are alive at once besides the
+    keyframes.
+    """
+    snapshots: list[Snapshot] = []
+    prev = np.empty(0, dtype=np.uint64)
+
+    def record(full: Snapshot) -> None:
+        nonlocal prev
+        cur = np.array(full.base, dtype=np.uint64)
+        if len(snapshots) % SNAPSHOT_KEYFRAME_EVERY:
+            delta = _delta(prev, cur, full.base)
+            full = snapshots[-1].step(
+                full.dyn, full.label, full.regs, delta, full.output
+            )
+        snapshots.append(full)
+        prev = cur
+
+    interval = max(1, golden_dyn // SNAPSHOT_COUNT)
+    interp.run(snapshot_every=interval, snapshot_sink=record)
+    return snapshots
 
 
 def _execute_golden(interp: Interpreter) -> GoldenRun:
     """Run the program fault-free, then replay it once more for snapshots.
 
     The compiled backend records architectural snapshots at
-    ~:data:`SNAPSHOT_COUNT` evenly spaced points; each trial then resumes
-    from the nearest snapshot at or before its earliest fault —
-    bit-identical to a replay from zero, because the pre-fault prefix of
-    every trial *is* the golden execution.  The interp oracle records none.
+    ~:data:`SNAPSHOT_COUNT` evenly spaced points (:func:`_record_snapshots`);
+    each trial then resumes from the nearest snapshot at or before its
+    earliest fault — bit-identical to a replay from zero, because the
+    pre-fault prefix of every trial *is* the golden execution.  The interp
+    oracle records none.
     """
     golden = interp.run(record_trace=True)
     if not golden.block_trace:
@@ -361,10 +438,11 @@ def _execute_golden(interp: Interpreter) -> GoldenRun:
             "injector:snapshots", cat="campaign",
             timer="campaign.snapshot_record.seconds",
         ) as sp:
-            interval = max(1, golden_dyn // SNAPSHOT_COUNT)
-            interp.run(snapshot_every=interval, snapshot_sink=snapshots)
+            snapshots = _record_snapshots(interp, golden_dyn)
             sp.set(snapshots=len(snapshots))
-    return GoldenRun(golden, snapshots)
+    return GoldenRun(
+        golden, snapshots, *_visit_tables(interp.program, golden.block_trace)
+    )
 
 
 @dataclass(frozen=True)
@@ -382,10 +460,18 @@ class WorkerProfile:
     golden: RunResult
     snapshots: SharedSnapshots | None
 
-    def attach(self) -> GoldenRun:
-        """Materialize the run from shared memory (worker side)."""
+    def attach(self, program: Program) -> GoldenRun:
+        """Materialize the run from shared memory (worker side).
+
+        The per-visit tables are rebuilt from ``program`` and the golden
+        trace rather than shipped.
+        """
         snapshots = self.snapshots.load() if self.snapshots is not None else []
-        return GoldenRun(self.golden, snapshots, self.snapshots)
+        return GoldenRun(
+            self.golden, snapshots,
+            *_visit_tables(program, self.golden.block_trace),
+            shared=self.snapshots,
+        )
 
 
 class CampaignWorkerSpec:
@@ -478,7 +564,9 @@ class FaultInjector:
                 nonlocal adopted
                 adopted = False
                 # The only golden execution: a miss with nothing shipped.
-                return profile.attach() if profile else _execute_golden(self.interp)
+                if profile is not None:
+                    return profile.attach(program)
+                return _execute_golden(self.interp)
 
             run = store.get(key, build)
             sp.set(golden_dyn=run.golden.dyn_instructions, adopted=adopted)
@@ -506,18 +594,13 @@ class FaultInjector:
             self._block_dest_positions[block.label] = np.array(positions, dtype=np.int64)
             self._block_dest_is_pr[block.label] = np.array(is_pr, dtype=bool)
 
-        # Per-visit cumulative tables over the golden trace.
+        # Per-visit cumulative tables over the golden trace, held by the
+        # golden run and shared by every injector of it.
         trace = self.golden.block_trace
-        lens = np.array([self._block_len[lb] for lb in trace], dtype=np.int64)
-        dests = np.array(
-            [len(self._block_dest_positions[lb]) for lb in trace], dtype=np.int64
-        )
-        self._visit_dyn_start: npt.NDArray[np.int64] = np.concatenate(
-            ([0], np.cumsum(lens)[:-1])
-        )
-        self._visit_dest_cum: npt.NDArray[np.int64] = np.cumsum(dests)
+        self._visit_dyn_start = run.visit_dyn_start
+        self._visit_dest_cum = run.visit_dest_cum
         self.n_dest_sites = int(self._visit_dest_cum[-1]) if len(trace) else 0
-        self._trace: list[str] = trace
+        self._trace = trace
         self.max_steps: int = (
             self.golden.dyn_instructions * WATCHDOG_FACTOR + 10_000
         )
@@ -529,11 +612,10 @@ class FaultInjector:
 
     @property
     def nbytes(self) -> int:
-        """Estimated size: the golden run, 16 B per golden block visit (two
-        per-visit tables) and 1 KB per instruction (decoded closures, fused
-        superblocks)."""
+        """Estimated size: the golden run and 1 KB per instruction (decoded
+        closures, fused superblocks)."""
         per_insn = 1024 * sum(self._block_len.values())
-        return self._golden_run.nbytes + 16 * len(self._trace) + per_insn
+        return self._golden_run.nbytes + per_insn
 
     # -- the trial path ----------------------------------------------------------
     def _resume_point(self, faults: tuple[FaultSpec, ...]) -> Snapshot | None:

@@ -28,10 +28,11 @@ from __future__ import annotations
 import enum
 import os
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, TypeAlias
 
 from repro.errors import ArithmeticTrap, MemoryFault, SimError, SimTrap
 from repro.ir.program import Program
@@ -96,6 +97,17 @@ class RunResult:
         return (self.kind, self.exit_code, self.output)
 
 
+#: One step of golden memory change: the addresses whose words changed
+#: since the previous snapshot, and their new values.
+MemDelta: TypeAlias = tuple["array[int]", tuple[int, ...]]
+
+
+def _apply_deltas(M: list[int], deltas: tuple[MemDelta, ...]) -> None:
+    for addrs, vals in deltas:
+        for a, v in zip(addrs, vals):
+            M[a] = v
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """Complete architectural state at a block boundary of a fault-free run.
@@ -105,19 +117,40 @@ class Snapshot:
     executing the first ``dyn`` instructions from reset (checkpointed fault
     campaigns rely on this — see ``docs/fault_injection.md``).
 
-    ``regs`` and ``mem`` are lists captured once (``R[:]``, ``M[:]``) and are
-    **read-only by contract**: a golden run's snapshots are held once per
-    process and shared by every restore, the :class:`ConvergenceIndex` and
-    the pool export, so nothing may write to them.  Lists, not tuples, so
-    the convergence check compares them against the live register/memory
-    lists with one C-level ``==``.
+    Memory is stored **keyframe and delta**: ``base`` is the full memory
+    list of this snapshot's keyframe, and ``deltas`` the per-step changes
+    from that keyframe to this snapshot, oldest first — empty for the
+    keyframe itself.  The snapshots of one group share ``base`` and the
+    prefix of their ``deltas`` by reference, so a golden run holds one full
+    memory list per keyframe plus the words that changed between
+    snapshots.  :meth:`Interpreter.restore` copies ``base`` with one slice
+    assignment, then applies ``deltas``.
+
+    ``regs`` and ``base`` are lists captured once (``R[:]``, ``M[:]``) and,
+    with the deltas, are **read-only by contract**: a golden run's
+    snapshots are held once per process and shared by every restore, the
+    :class:`ConvergenceIndex` and the pool export, so nothing may write to
+    them.  ``regs`` is a list, not a tuple, so the convergence check
+    compares it against the live register list with one C-level ``==``.
     """
 
     dyn: int
     label: str
     regs: list[int]
-    mem: list[int]
+    base: list[int]
+    deltas: tuple[MemDelta, ...]
     output: tuple[int, ...]
+
+    def step(
+        self,
+        dyn: int,
+        label: str,
+        regs: list[int],
+        delta: MemDelta,
+        output: tuple[int, ...],
+    ) -> "Snapshot":
+        """The next snapshot of this one's group: this memory plus ``delta``."""
+        return Snapshot(dyn, label, regs, self.base, self.deltas + (delta,), output)
 
 
 class ConvergenceIndex:
@@ -146,21 +179,25 @@ class ConvergenceIndex:
     Purely a shortcut either way: a run that never matches is byte-identical
     to one executed without the index, and a run that matches ends exactly
     as executing the skipped stretch would have (asserted by the
-    compiled/oracle parity tests).  The index is read-only; the
-    interpreter counts the shortcuts it takes (:attr:`Interpreter.converged`,
-    :attr:`Interpreter.forwards`).
+    compiled/oracle parity tests).  The index is read-only and holds the
+    snapshots' own registers, keyframes and deltas, never a copy: the
+    golden memory a compare needs is rebuilt in the interpreter's own
+    cursor (:meth:`Interpreter._golden_mem`), which advances by deltas.
+    The interpreter also counts the shortcuts it takes
+    (:attr:`Interpreter.converged`, :attr:`Interpreter.forwards`).
     """
 
-    __slots__ = ("keys", "labels", "regs", "mems", "out_lens", "final")
+    __slots__ = ("keys", "labels", "regs", "bases", "deltas", "out_lens", "final")
 
     def __init__(self, snapshots: list["Snapshot"], final: "RunResult") -> None:
         self.keys = [s.dyn for s in snapshots]
         self.labels = [s.label for s in snapshots]
         # The snapshots' own (read-only) lists, not copies: the hot-loop
-        # comparison against the live register/memory lists is a single
-        # C-level == with first-mismatch early exit.
+        # register comparison is a single C-level == with first-mismatch
+        # early exit.
         self.regs = [s.regs for s in snapshots]
-        self.mems = [s.mem for s in snapshots]
+        self.bases = [s.base for s in snapshots]
+        self.deltas = [s.deltas for s in snapshots]
         #: Golden output length at each boundary — the split point for the
         #: synthesized output of an output-diverged but state-converged run.
         self.out_lens = [len(s.output) for s in snapshots]
@@ -427,6 +464,12 @@ class Interpreter:
         self.chained_visits = 0
         self.converged = 0
         self.forwards = 0
+        #: Golden-memory cursor for convergence compares: ``_gmem`` holds
+        #: the keyframe ``_gbase`` with its group's first ``_gsteps``
+        #: deltas applied (see :meth:`_golden_mem`).
+        self._gmem: list[int] = []
+        self._gbase: list[int] | None = None
+        self._gsteps = 0
 
         self.backend = resolve_backend(backend)
 
@@ -617,12 +660,39 @@ class Interpreter:
         self._O.clear()
 
     def restore(self, snap: Snapshot) -> None:
-        """Load architectural state from a :class:`Snapshot`."""
-        if len(snap.regs) != len(self._R) or len(snap.mem) != len(self._M):
+        """Load architectural state from a :class:`Snapshot`.
+
+        One slice assignment copies the keyframe; the snapshot's deltas
+        then overwrite the words that changed since it.
+        """
+        if len(snap.regs) != len(self._R) or len(snap.base) != len(self._M):
             raise SimError("snapshot shape does not match this interpreter")
         self._R[:] = snap.regs
-        self._M[:] = snap.mem
+        M = self._M
+        M[:] = snap.base
+        _apply_deltas(M, snap.deltas)
         self._O[:] = snap.output
+
+    def _golden_mem(
+        self, base: list[int], deltas: tuple[MemDelta, ...]
+    ) -> list[int]:
+        """The golden memory of the snapshot with ``base`` and ``deltas``.
+
+        Held in this interpreter's cursor list, which advances by deltas:
+        boundaries are crossed in order, so a compare usually applies one
+        delta.  The cursor starts again from the keyframe only when the
+        target lies in another group or behind it.  The returned list is
+        the cursor itself — compare against it or copy it, never keep it.
+        """
+        G = self._gmem
+        done = self._gsteps
+        if self._gbase is not base or done > len(deltas):
+            G[:] = base
+            self._gbase = base
+            done = 0
+        _apply_deltas(G, deltas[done:])
+        self._gsteps = len(deltas)
+        return G
 
     def run(
         self,
@@ -630,16 +700,18 @@ class Interpreter:
         max_steps: int | None = None,
         record_trace: bool = False,
         snapshot_every: int | None = None,
-        snapshot_sink: list[Snapshot] | None = None,
+        snapshot_sink: Callable[[Snapshot], None] | None = None,
         resume_from: Snapshot | None = None,
         converge: ConvergenceIndex | None = None,
     ) -> RunResult:
         """Execute from the entry block and classify the ending.
 
-        ``snapshot_every``/``snapshot_sink`` capture a :class:`Snapshot` at
-        the first block boundary at or past each multiple of
-        ``snapshot_every`` committed instructions (golden-run side of
-        checkpointed injection).  ``resume_from`` starts execution from a
+        ``snapshot_every``/``snapshot_sink`` pass a full (keyframe-shaped)
+        :class:`Snapshot` to ``snapshot_sink`` at the first block boundary
+        at or past each multiple of ``snapshot_every`` committed
+        instructions (golden-run side of checkpointed injection; the
+        injector turns the stream into keyframes and deltas).
+        ``resume_from`` starts execution from a
         previously captured snapshot instead of reset state; ``faults``
         whose ``dyn_index`` precedes the snapshot would be silently skipped,
         so callers must pick a snapshot at or before the earliest fault:
@@ -734,7 +806,9 @@ class Interpreter:
                         if (
                             converge.labels[j] == label
                             and R == converge.regs[j]
-                            and M == converge.mems[j]
+                            and M == self._golden_mem(
+                                converge.bases[j], converge.deltas[j]
+                            )
                         ):
                             final = converge.final
                             n_out = converge.out_lens[j]
@@ -764,7 +838,9 @@ class Interpreter:
                             if k > j:
                                 self.forwards += 1
                                 R[:] = converge.regs[k]
-                                M[:] = converge.mems[k]
+                                M[:] = self._golden_mem(
+                                    converge.bases[k], converge.deltas[k]
+                                )
                                 O.extend(
                                     final.output[n_out:converge.out_lens[k]]
                                 )
@@ -804,9 +880,7 @@ class Interpreter:
                 if trace is not None:
                     trace.append(label)
                 if next_mark >= 0 and dyn >= next_mark:
-                    snapshot_sink.append(
-                        Snapshot(dyn, label, R[:], M[:], tuple(O))
-                    )
+                    snapshot_sink(Snapshot(dyn, label, R[:], M[:], (), tuple(O)))
                     next_mark = (dyn // snapshot_every + 1) * snapshot_every
                 if dyn + cb.n > budget:
                     return finish(ExitKind.TIMEOUT, None, "watchdog", dyn)

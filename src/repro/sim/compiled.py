@@ -84,8 +84,6 @@ def _compile_factory(source: str) -> Callable:
 # -- shared ALU / move / output emission --------------------------------------
 
 _RAW_RR = {
-    Opcode.ADD: "(R[{a}] + R[{b}]) & {m}",
-    Opcode.SUB: "(R[{a}] - R[{b}]) & {m}",
     Opcode.MUL: "(R[{a}] * R[{b}]) & {m}",
     Opcode.AND: "R[{a}] & R[{b}]",
     Opcode.OR: "R[{a}] | R[{b}]",
@@ -95,8 +93,6 @@ _RAW_RR = {
 }
 
 _RAW_RI = {
-    Opcode.ADD: "(R[{a}] + {k}) & {m}",
-    Opcode.SUB: "(R[{a}] - {k}) & {m}",
     Opcode.MUL: "(R[{a}] * {k}) & {m}",
     Opcode.AND: "R[{a}] & {k}",
     Opcode.OR: "R[{a}] | {k}",
@@ -133,6 +129,14 @@ _UNARY = {
     Opcode.NOT: "(~x) & {m}",
 }
 
+#: ADD and SUB wrap at most once, so a compare replaces the 64-bit mask:
+#: registers hold ``[0, 2**64)``, a sum lies below ``2**65`` and a
+#: difference above ``-2**64``.
+_WRAP = {
+    Opcode.ADD: ("+", f"t if t < {_W} else t - {_W}"),
+    Opcode.SUB: ("-", f"t if t >= 0 else t + {_W}"),
+}
+
 _SIGNED_OPS = frozenset(_SIGNED)
 _RAW_OPS = frozenset(_RAW_RR)
 
@@ -155,6 +159,10 @@ def _alu_lines(insn, slot_of) -> list[str] | None:
         return [f"R[{d}] = {imm & _MASK}"]
     if op is Opcode.MOV or op is Opcode.PMOV:
         return [f"R[{d}] = R[{srcs[0]}]"]
+    if op in _WRAP:
+        sign, wrap = _WRAP[op]
+        b = f"R[{srcs[1]}]" if imm is None else imm & _MASK
+        return [f"t = R[{srcs[0]}] {sign} {b}", f"R[{d}] = {wrap}"]
     if op in _RAW_OPS:
         if imm is not None:
             tmpl = _RAW_RI[op]

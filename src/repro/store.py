@@ -37,6 +37,12 @@ A = TypeVar("A", bound=Artifact)
 #: 8-15 MB the two eight-entry injector caches it replaced pinned, and it
 #: loses no more campaign-injector hits in paper-repro than they did; at
 #: 16 MiB the sweep workers' pinned compiles raised peak RSS by 9%.
+#: Keyframe-and-delta snapshots halved a campaign injector's estimate
+#: (parser/CASTED at iw2/d2: 1.90 to 0.96 MB), so 12 MiB now pins more
+#: entries.  Re-measured on traced paper-repro reps (2-vCPU VM, 4 reps a
+#: side), the sweep workers still rebuilt an evicted injector 3 times per
+#: rep, and the largest worker's peak RSS read 60.4-61.2 MB against
+#: 61.6-62.0 MB before, so the bound stays.
 MAX_BYTES = 12 << 20
 
 #: Pinned entries and their sizes at pin time, least recently used first.

@@ -20,12 +20,19 @@ import gc
 import pickle
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
 from repro import obs, store
-from repro.faults.injector import MIN_TASK_SECONDS, FaultInjector
+from repro.faults import injector as injector_mod
+from repro.faults.injector import (
+    MIN_TASK_SECONDS,
+    SNAPSHOT_COUNT,
+    SNAPSHOT_KEYFRAME_EVERY,
+    FaultInjector,
+)
 from repro.faults.models import fault_model_names
 from repro.ir.builder import IRBuilder
 from repro.ir.interp import ConvergenceIndex, ExitKind, FaultSpec
@@ -226,16 +233,31 @@ def test_fast_forward_between_pending_faults_matches_the_oracle():
     assert forwards >= 1
 
 
+def _snapshot_state(snapshots) -> list[tuple]:
+    """Deep copies of each snapshot's registers, keyframe and deltas."""
+    return [
+        (
+            s.regs[:], s.base[:],
+            [(addrs.tolist(), vals) for addrs, vals in s.deltas],
+            s.output,
+        )
+        for s in snapshots
+    ]
+
+
 def test_golden_snapshots_survive_convergence_exits_and_fast_forwards():
     """Trials reference the golden snapshots and never write them.
 
     The masked-then-live trial fast-forwards between its faults and the
-    masked-only trial takes a convergence exit; afterwards every snapshot
-    still holds exactly the state it was recorded with, as lists.
+    masked-only trial takes a convergence exit; afterwards every snapshot's
+    registers, keyframe and deltas still hold exactly what was recorded, in
+    the compact form: list registers and keyframes, ``array('I')`` delta
+    addresses with tuple values.
     """
     program = _masked_fault_loop()
     engine = FaultInjector(program, backend="compiled")
-    recorded = [(s.regs[:], s.mem[:], s.output) for s in engine._snapshots]
+    recorded = _snapshot_state(engine._snapshots)
+    assert any(s.deltas for s in engine._snapshots)
     masked = int(engine._visit_dyn_start[4])
     live = int(engine._visit_dyn_start[40]) + 6
     trials = [
@@ -245,26 +267,25 @@ def test_golden_snapshots_survive_convergence_exits_and_fast_forwards():
     _, (converged, forwards) = _trial_results(engine, trials)
     assert forwards >= 1
     assert converged >= 1
-    assert [(s.regs, s.mem, s.output) for s in engine._snapshots] == recorded
-    assert all(
-        type(s.regs) is list and type(s.mem) is list for s in engine._snapshots
-    )
+    assert _snapshot_state(engine._snapshots) == recorded
+    for s in engine._snapshots:
+        assert type(s.regs) is list and type(s.base) is list
+        for addrs, vals in s.deltas:
+            assert type(addrs) is array and addrs.typecode == "I"
+            assert type(vals) is tuple
 
 
 class TestGoldenRunStore:
     """One golden run per program, held once per process."""
 
     def test_convergence_index_references_the_snapshots(self):
-        """The golden run's one convergence index copies no snapshot:
-        building one allocates under 1% of the snapshots' bytes, and it
-        holds each snapshot's own register and memory lists."""
+        """The golden run's one convergence index copies no snapshot: it
+        holds each snapshot's own register list, keyframe and delta tuple,
+        and building one allocates less than a single keyframe's memory
+        list — only its per-boundary pointer lists."""
         cp = _compiled("parser", Scheme.CASTED)
         inj = _injector(cp, backend="compiled")
         run = inj._golden_run
-        snap_bytes = sum(
-            sys.getsizeof(s.regs) + sys.getsizeof(s.mem) + sys.getsizeof(s.output)
-            for s in inj._snapshots
-        )
         tracemalloc.start()
         try:
             index = ConvergenceIndex(run.snapshots, run.golden)
@@ -272,10 +293,11 @@ class TestGoldenRunStore:
         finally:
             tracemalloc.stop()
         assert inj._snapshots
-        assert retained < 0.01 * snap_bytes
+        assert retained < sys.getsizeof(inj._snapshots[0].base)
         for converge in (index, run.converge):
             for j, snap in enumerate(inj._snapshots):
-                assert converge.mems[j] is snap.mem
+                assert converge.bases[j] is snap.base
+                assert converge.deltas[j] is snap.deltas
                 assert converge.regs[j] is snap.regs
         # One index per golden run, shared by every injector of it.
         other = _injector(cp, backend="compiled", fault_model="mem")
@@ -388,6 +410,97 @@ class TestGoldenRunStore:
         assert rebuilt is not parent
         assert rebuilt.golden is parent.golden
         assert rebuilt._snapshots is parent._snapshots
+
+
+def _full_recording(inj: FaultInjector) -> list:
+    """Every golden snapshot as a full memory list, as recorded before
+    snapshots were stored as keyframes and deltas."""
+    full: list = []
+    interval = max(1, inj.golden.dyn_instructions // SNAPSHOT_COUNT)
+    inj.interp.run(snapshot_every=interval, snapshot_sink=full.append)
+    return full
+
+
+class TestCompactSnapshots:
+    """Keyframe-and-delta snapshots hold exactly the full-list state."""
+
+    @pytest.mark.parametrize("workload", workload_names())
+    def test_every_snapshot_restores_the_full_recording(self, workload):
+        for scheme in (Scheme.NOED, Scheme.CASTED):
+            inj = _injector(_compiled(workload, scheme), backend="compiled")
+            interp = inj.interp
+            snaps = inj._snapshots
+            full = _full_recording(inj)
+            assert [(s.dyn, s.label) for s in snaps] == [
+                (f.dyn, f.label) for f in full
+            ]
+            for j, (snap, want) in enumerate(zip(snaps, full)):
+                assert len(snap.deltas) == j % SNAPSHOT_KEYFRAME_EVERY
+                assert snap.base is snaps[j - len(snap.deltas)].base
+                interp.restore(snap)
+                assert interp._M == want.base, (scheme, j)
+                assert interp._R == want.regs
+                assert interp._O == list(want.output)
+            # The convergence cursor reaches the same memory forwards,
+            # backwards and across groups.
+            order = [*range(len(snaps)), *reversed(range(len(snaps)))]
+            for j in order + order[:: SNAPSHOT_KEYFRAME_EVERY - 1]:
+                got = interp._golden_mem(snaps[j].base, snaps[j].deltas)
+                assert got == full[j].base, (scheme, j)
+
+    def test_snapshots_take_a_quarter_of_the_full_lists(self):
+        """parser/CASTED's compact snapshots allocate at most 25% of the
+        bytes the same 64 snapshots take as full memory lists."""
+        inj = _injector(_compiled("parser", Scheme.CASTED), backend="compiled")
+
+        def traced(record) -> int:
+            tracemalloc.start()
+            try:
+                kept = record()
+                assert kept
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        full = traced(lambda: _full_recording(inj))
+        compact = traced(
+            lambda: injector_mod._record_snapshots(
+                inj.interp, inj.golden.dyn_instructions
+            )
+        )
+        assert compact <= 0.25 * full
+
+    def test_shipped_spec_restores_identical_state(self):
+        """A worker without the run attaches the compact shared export,
+        rebuilds the parent's snapshot objects and per-visit tables, and
+        every snapshot restores the parent's state."""
+        parent = _injector(_compiled("parser", Scheme.CASTED), backend="compiled")
+        spec = pickle.loads(pickle.dumps(parent.worker_spec()))
+        store._held.clear()
+        store._pinned.clear()
+        worker = spec.build()
+        assert worker._golden_run is not parent._golden_run
+        assert len(worker._snapshots) == len(parent._snapshots)
+        for j, (got, want) in enumerate(
+            zip(worker._snapshots, parent._snapshots)
+        ):
+            assert (got.dyn, got.label, got.regs, got.base, got.output) == (
+                want.dyn, want.label, want.regs, want.base, want.output
+            )
+            assert [(a.tolist(), v) for a, v in got.deltas] == [
+                (a.tolist(), v) for a, v in want.deltas
+            ]
+            assert got.base is worker._snapshots[j - len(got.deltas)].base
+            worker.interp.restore(got)
+            parent.interp.restore(want)
+            assert worker.interp._R == parent.interp._R
+            assert worker.interp._M == parent.interp._M
+            assert worker.interp._O == parent.interp._O
+        assert np.array_equal(worker._visit_dyn_start, parent._visit_dyn_start)
+        assert np.array_equal(worker._visit_dest_cum, parent._visit_dest_cum)
+        assert worker.run_shard(0, TRIALS, SEED) == parent.run_shard(
+            0, TRIALS, SEED
+        )
 
 
 class TestCheckpointResumeMidBatch:
