@@ -103,6 +103,17 @@ def _add_common(
     p.add_argument("--delay", type=int, default=1, help="inter-cluster delay")
 
 
+def _trial_count(text: str) -> int:
+    """``--trials``: a non-negative integer (argparse exits 2 otherwise)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs",
@@ -774,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_obs(p)
     _add_jobs(p)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_trial_count, default=200)
     p.add_argument("--seed", type=int, default=2013)
     p.add_argument(
         "--progress", action="store_true",
@@ -865,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
             "all", "trace",
         ],
     )
-    p.add_argument("--trials", type=int, default=120)
+    p.add_argument("--trials", type=_trial_count, default=120)
     p.add_argument("--file", help="trace file to summarize (report trace)")
     p.add_argument(
         "--chrome", metavar="OUT",

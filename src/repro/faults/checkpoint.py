@@ -33,7 +33,8 @@ campaign (different seed, trial budget, fault model, binary, or shard size)
 raises: silently mixing streams would corrupt the statistics.  So does a
 shard record outside the header's shard plan (an index not in
 ``[0, n_shards)``, or a trial count other than the plan's for that index):
-merging it would report more trials than the campaign asked for.
+merging it would report more trials than the campaign asked for.  A shard
+record counting an outcome name the taxonomy does not know raises too.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ IDENTITY_KEYS = (
     "seed", "trials", "fault_model", "golden_dyn", "shard_trials",
     "reference_dyn",
 )
+
+
+#: The outcome names a shard record's ``counts`` may hold.
+_OUTCOME_NAMES = frozenset(o.value for o in Outcome)
 
 
 class CheckpointError(ReproError):
@@ -162,11 +167,14 @@ class CampaignCheckpoint:
                     f"with {rec['trials']} trials is not in the campaign's "
                     f"{len(plan)}-shard plan"
                 )
+            for name in rec["counts"]:
+                if name not in _OUTCOME_NAMES:  # a stale or foreign file
+                    raise CheckpointError(
+                        f"checkpoint {self.path} line {lineno}: unknown "
+                        f"outcome {name!r}"
+                    )
             # Identical by determinism if duplicated; last write wins.
             records[index] = rec
-        for rec in records.values():
-            for name in rec["counts"]:
-                Outcome(name)  # unknown outcome => stale/foreign file
         return records, torn_line
 
     # -- writing ---------------------------------------------------------------

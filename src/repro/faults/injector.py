@@ -35,7 +35,10 @@ from its own RNG stream, seeded by ``(seed, shard_index)``.  The shard
 plan depends only on the trial count — never on the worker count — so a
 campaign's outcome counts are bit-identical for a given seed whether it
 runs serially (``jobs=1``) or fanned out over a process pool
-(``jobs=N``).  See ``docs/performance.md``.
+(``jobs=N``).  A pool worker builds its own injector from the constructor
+arguments, and gets the golden run the way every process does: from its
+artifact store, which a forked worker inherits from its parent, or by
+executing the program once.  See ``docs/performance.md``.
 
 Sharding also buys **resilience** (``docs/fault_injection.md``):
 
@@ -97,7 +100,6 @@ from repro.parallel import (
     plan_task_groups,
     resolve_jobs,
 )
-from repro.sim.shared import SharedSnapshots
 from repro.utils.rng import make_rng
 
 logger = logging.getLogger(__name__)
@@ -307,8 +309,11 @@ class GoldenRun:
     (:mod:`repro.store`, under :func:`golden_key`) and shared by every
     injector of the same program, geometry and backend — whatever its
     fault model.  The snapshots are keyframes and deltas, and read-only
-    (see :class:`~repro.ir.interp.Snapshot`): restores, the convergence
-    index and the pool export all reference the one copy.
+    (see :class:`~repro.ir.interp.Snapshot`): restores and the convergence
+    index both reference the one copy.  Only :func:`_execute_golden`
+    makes one, so a pool worker either inherits its parent's run by fork
+    or executes the program itself; the run is deterministic, so both
+    give the same trials.
     """
 
     golden: RunResult
@@ -319,10 +324,6 @@ class GoldenRun:
     visit_dyn_start: npt.NDArray[np.int64]
     #: Output-producing instructions committed through each golden visit.
     visit_dest_cum: npt.NDArray[np.int64]
-    #: The snapshots' shared-memory export for pool workers, made at most
-    #: once per golden run (:meth:`export`); the segment is unlinked when
-    #: this run is collected.
-    shared: SharedSnapshots | None = None
     #: The golden states every trial is checked against at snapshot
     #: boundaries, built once from this run (``None`` without snapshots).
     converge: ConvergenceIndex | None = field(init=False)
@@ -345,12 +346,6 @@ class GoldenRun:
             else:
                 words += len(s.base)
         return 8 * words + 12 * delta_words + 24 * len(self.golden.block_trace)
-
-    def export(self) -> SharedSnapshots | None:
-        """The shared-memory handle pool workers attach (``None``: no snapshots)."""
-        if self.shared is None and self.snapshots:
-            self.shared = SharedSnapshots.export(self.snapshots)
-        return self.shared
 
 
 #: Store key of a campaign injector: its golden run's key and fault model.
@@ -445,45 +440,18 @@ def _execute_golden(interp: Interpreter) -> GoldenRun:
     )
 
 
-@dataclass(frozen=True)
-class WorkerProfile:
-    """A parent's :class:`GoldenRun`, packaged for pool workers.
-
-    A worker-side rebuild only re-decodes the program (the compiled
-    closures don't pickle) and adopts this run instead of executing it.
-    Snapshots travel as a :class:`~repro.sim.shared.SharedSnapshots`
-    shared-memory handle, never as pickled register/memory arrays, and a
-    worker that already holds ``key`` never attaches them.
-    """
-
-    key: GoldenKey
-    golden: RunResult
-    snapshots: SharedSnapshots | None
-
-    def attach(self, program: Program) -> GoldenRun:
-        """Materialize the run from shared memory (worker side).
-
-        The per-visit tables are rebuilt from ``program`` and the golden
-        trace rather than shipped.
-        """
-        snapshots = self.snapshots.load() if self.snapshots is not None else []
-        return GoldenRun(
-            self.golden, snapshots,
-            *_visit_tables(program, self.golden.block_trace),
-            shared=self.snapshots,
-        )
-
-
 class CampaignWorkerSpec:
     """A content-addressed recipe for building a campaign injector in a worker.
 
     ``key`` is the injector's artifact-store key (the golden run's
     :data:`GoldenKey` plus the fault model), so a worker reuses one
     injector across every task — of every map — that shares it.
-    ``payload`` is pickled once in the parent
-    (:class:`~repro.parallel.PickledOnce`): tasks ship the same immutable
-    bytes, and a worker whose store already holds ``key`` never even
-    unpickles them.
+    ``payload`` holds the constructor arguments, pickled once in the
+    parent (:class:`~repro.parallel.PickledOnce`): tasks ship the same
+    immutable bytes, and a worker whose store already holds ``key`` never
+    even unpickles them.  No golden state travels: the built injector
+    finds the golden run in the worker's store (inherited by fork) or
+    executes it once per worker and program.
     """
 
     __slots__ = ("key", "payload")
@@ -495,13 +463,16 @@ class CampaignWorkerSpec:
     def build(self) -> "FaultInjector":
         # The init span marks worker store misses on each worker's trace
         # lane: with the persistent pool it appears once per (workload,
-        # scheme) per worker, not once per map.
+        # scheme) per worker, not once per map.  Its ``injector:profile``
+        # child reads ``adopted=False`` where the worker executed the
+        # golden run.
         with get_telemetry().span("worker:init", cat="worker") as sp:
-            ctor_args, profile = self.payload.load()
-            program, mem_words, frame_words, fault_model, backend = ctor_args
+            program, mem_words, frame_words, fault_model, backend = (
+                self.payload.load()
+            )
             injector = FaultInjector(
                 program, mem_words=mem_words, frame_words=frame_words,
-                fault_model=fault_model, backend=backend, profile=profile,
+                fault_model=fault_model, backend=backend,
             )
             sp.set(fault_model=fault_model)
         return injector
@@ -512,8 +483,7 @@ class FaultInjector:
 
     The golden run is profiled once per *process*, not per injector: the
     constructor looks its content key up in the artifact store
-    (:mod:`repro.store`) and adopts a held run, or one shipped to a pool
-    worker as ``profile``; only a miss with nothing shipped executes the
+    (:mod:`repro.store`) and adopts a held run; only a miss executes the
     program.
     """
 
@@ -524,48 +494,30 @@ class FaultInjector:
         frame_words: int = 0,
         fault_model: str = DEFAULT_FAULT_MODEL,
         backend: str | None = None,
-        profile: WorkerProfile | None = None,
     ) -> None:
         # Kept so campaign shards can rebuild an identical injector inside
         # pool workers (the interpreter's compiled closures don't pickle).
         self._ctor_args = (program, mem_words, frame_words, fault_model)
         self.program = program
-        tel = get_telemetry()
-        if profile is not None:
-            # Worker-side rebuild: decode the program, then adopt the
-            # parent's golden run (attached from shared memory unless this
-            # worker already holds it).
-            span = tel.span("worker:attach-profile", cat="worker")
-        else:
-            # The profile span covers program decode plus, unless this
-            # process already holds the golden run, executing it and
-            # recording its snapshots (the compiled backend's superblocks
-            # are fused on that first run).
-            span = tel.span(
-                "injector:profile", cat="campaign",
-                timer="campaign.profile.seconds",
-            )
-        with span as sp:
+        # The profile span covers program decode plus, unless this process
+        # already holds the golden run, executing it and recording its
+        # snapshots (the compiled backend's superblocks are fused on that
+        # first run).
+        with get_telemetry().span(
+            "injector:profile", cat="campaign", timer="campaign.profile.seconds",
+        ) as sp:
             self.interp = Interpreter(
                 program, mem_words=mem_words, frame_words=frame_words,
                 backend=backend,
             )
-            key = (
-                profile.key
-                if profile is not None
-                else golden_key(
-                    program, self.interp.mem_words, frame_words,
-                    self.interp.backend,
-                )
+            key = golden_key(
+                program, self.interp.mem_words, frame_words, self.interp.backend
             )
             adopted = True
 
             def build() -> GoldenRun:
                 nonlocal adopted
                 adopted = False
-                # The only golden execution: a miss with nothing shipped.
-                if profile is not None:
-                    return profile.attach(program)
                 return _execute_golden(self.interp)
 
             run = store.get(key, build)
@@ -668,25 +620,17 @@ class FaultInjector:
     def worker_spec(self) -> CampaignWorkerSpec:
         """The content-addressed build recipe pool workers store this injector by.
 
-        Memoized: the constructor payload is pickled exactly once per
+        Memoized: the constructor arguments are pickled exactly once per
         injector, no matter how many campaigns, dispatch waves, or retry
-        rounds ship it, and the snapshots are exported to shared memory at
-        most once per golden run (:meth:`GoldenRun.export`).  The key
-        extends the golden run's content key — which already holds the
-        program digest and the *resolved* backend, so a worker rebuild can
-        never resolve differently from the parent — with the fault model.
+        rounds ship them.  The key extends the golden run's content key —
+        which already holds the program digest and the *resolved*
+        backend, so a worker rebuild can never resolve differently from
+        the parent — with the fault model.
         """
         if self._worker_spec is None:
             ctor_args = (*self._ctor_args, self.interp.backend)
             key: InjectorKey = (self._golden_key, self.fault_model)
-            profile = WorkerProfile(
-                key=self._golden_key,
-                golden=self.golden,
-                snapshots=self._golden_run.export(),
-            )
-            self._worker_spec = CampaignWorkerSpec(
-                key, PickledOnce((ctor_args, profile))
-            )
+            self._worker_spec = CampaignWorkerSpec(key, PickledOnce(ctor_args))
         return self._worker_spec
 
     # -- fault-site enumeration ----------------------------------------------
@@ -1051,8 +995,9 @@ def _campaign_task_worker(
     """Run a cost-calibrated group of shards in one pool dispatch.
 
     The injector comes from the worker's artifact store: the first task
-    per (program, scheme) on a worker builds it from the spec's shipped
-    profile (decode only — no golden replays), every later task reuses it.
+    per (program, scheme) on a worker builds it from the spec, decoding
+    the program and adopting the golden run the worker inherited by fork,
+    or executing it where the worker has none; every later task reuses it.
     Returns the wall seconds spent alongside the shard results so the
     parent can calibrate adaptive task sizing.
     """

@@ -128,10 +128,10 @@ class Snapshot:
 
     ``regs`` and ``base`` are lists captured once (``R[:]``, ``M[:]``) and,
     with the deltas, are **read-only by contract**: a golden run's
-    snapshots are held once per process and shared by every restore, the
-    :class:`ConvergenceIndex` and the pool export, so nothing may write to
-    them.  ``regs`` is a list, not a tuple, so the convergence check
-    compares it against the live register list with one C-level ``==``.
+    snapshots are held once per process and shared by every restore and
+    the :class:`ConvergenceIndex`, so nothing may write to them.  ``regs``
+    is a list, not a tuple, so the convergence check compares it against
+    the live register list with one C-level ``==``.
     """
 
     dyn: int

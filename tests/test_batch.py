@@ -16,7 +16,6 @@ speed knob (disabling it changes nothing but speed).
 
 from __future__ import annotations
 
-import gc
 import pickle
 import sys
 import tracemalloc
@@ -383,27 +382,10 @@ class TestGoldenRunStore:
             e.get("name") == "injector:snapshots" for e in tel.tracer.events
         )
 
-    def test_evicted_exported_run_unlinks_its_segment(self):
-        """Once the store unpins an exported golden run and its last holder
-        drops, its shared-memory segment is gone."""
-        cp = _compiled("mcf", Scheme.CASTED)
-        inj = _injector(cp, backend="compiled")
-        inj.worker_spec()
-        shared = inj._golden_run.shared
-        assert shared is not None
-        attach = pickle.loads(pickle.dumps(shared))  # a worker's view
-        assert len(attach.load()) == len(inj._snapshots)
-        store.get("filler", lambda: _Blob(store.MAX_BYTES))
-        assert inj._golden_key not in store._pinned
-        assert len(attach.load()) == len(inj._snapshots)  # still held
-        del inj, shared
-        gc.collect()
-        with pytest.raises(FileNotFoundError):
-            attach.load()
-
     def test_shipped_profile_adopts_the_held_run(self):
-        """A pool worker's rebuild goes through the same adoption as a
-        store hit: in a process that holds the run, nothing is attached."""
+        """A worker spec's rebuild adopts the golden run its process
+        already holds, as a forked worker adopts its parent's, and never
+        executes the program again."""
         program = _masked_fault_loop()
         parent = FaultInjector(program, backend="compiled", fault_model="mem")
         rebuilt = parent.worker_spec().build()
@@ -471,15 +453,24 @@ class TestCompactSnapshots:
         assert compact <= 0.25 * full
 
     def test_shipped_spec_restores_identical_state(self):
-        """A worker without the run attaches the compact shared export,
-        rebuilds the parent's snapshot objects and per-visit tables, and
-        every snapshot restores the parent's state."""
+        """A worker whose store is empty executes the golden run itself and
+        gets the parent's snapshots, per-visit tables and shard results:
+        the golden run is deterministic."""
         parent = _injector(_compiled("parser", Scheme.CASTED), backend="compiled")
         spec = pickle.loads(pickle.dumps(parent.worker_spec()))
         store._held.clear()
         store._pinned.clear()
-        worker = spec.build()
+        tel = obs.configure(keep_events=True)
+        try:
+            worker = spec.build()
+        finally:
+            obs.reset()
+        profiles = [
+            e for e in tel.tracer.events if e.get("name") == "injector:profile"
+        ]
+        assert [e["args"]["adopted"] for e in profiles] == [False]
         assert worker._golden_run is not parent._golden_run
+        assert worker._golden_key == parent._golden_key
         assert len(worker._snapshots) == len(parent._snapshots)
         for j, (got, want) in enumerate(
             zip(worker._snapshots, parent._snapshots)

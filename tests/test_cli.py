@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -95,6 +97,30 @@ class TestInjectCommand:
         assert "re-execution overhead" in out
         with pytest.raises(SystemExit):  # the view replaced `recover`
             main(["recover", minic_file])
+
+    def test_negative_trials_rejected(self, capsys, minic_file):
+        for argv in (
+            ["inject", minic_file, "--trials", "-3"],
+            ["report", "fig9", "--trials", "-2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--trials: must be >= 0" in capsys.readouterr().err
+
+    def test_resume_with_unknown_outcome_is_an_error(self, capsys, minic_file, tmp_path):
+        ckpt = tmp_path / "c.ckpt"
+        argv = ["inject", minic_file, "--trials", "30", "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        header, first, *rest = ckpt.read_text().splitlines()
+        record = json.loads(first)
+        record["counts"] = {"bogus": 1}
+        ckpt.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "line 2: unknown outcome 'bogus'" in err
 
 
 class TestSweepCommand:

@@ -5,8 +5,9 @@ worker-merged ``campaign.*`` counters (and the detection-latency
 histogram) must be bit-identical to a serial run's at any ``--jobs``.
 Timing histograms (``*.seconds``) are exempt — worker-side init work
 depends on pool reuse and worker-cache state (a fresh worker decodes the
-shipped spec and attaches shared snapshots; a warm one skips it), so
-parallel runs legitimately record different amounts of those.
+shipped spec and adopts the golden run it inherited, or executes it; a
+warm one skips it), so parallel runs legitimately record different
+amounts of those.
 """
 
 from __future__ import annotations

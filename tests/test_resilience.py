@@ -251,7 +251,7 @@ class TestCheckpointFile:
         ck.load(resume=False)
         ck.append({"shard": 0, "trials": 25, "counts": {"vaporized": 25},
                    "faults": 25, "detected_dyn": 0, "latencies": []})
-        with pytest.raises(ValueError):
+        with pytest.raises(CheckpointError, match="line 2: unknown outcome 'vaporized'"):
             CampaignCheckpoint(path, HEADER).load(resume=True)
 
 

@@ -10,6 +10,9 @@ makes that safe:
   lifetime or task grouping);
 * **spawn-once accounting** — one campaign + one sweep under one pool
   spawn workers exactly once (``pool.spawns``/``pool.reuses``);
+* **golden runs without transport** — a worker forked after the injector
+  was built inherits its golden run; one forked before executes it, with
+  the same results;
 * **worker-resident cache** — a second campaign over the same injector
   hits the workers' content-addressed cache (``pool.worker_cache.hits``)
   instead of rebuilding golden state;
@@ -27,7 +30,7 @@ import select
 
 import pytest
 
-from repro import obs
+from repro import obs, store
 from repro import parallel as parallel_mod
 from repro.eval.experiment import Evaluator
 from repro.faults.injector import FaultInjector
@@ -119,6 +122,32 @@ class TestPoolDeterminism:
             pooled_files = run(2, d2)
         assert serial_files
         assert serial_files == pooled_files
+
+
+class TestWorkerGoldenRuns:
+    @pytest.mark.parametrize("pool_first", [True, False])
+    def test_workers_inherit_or_execute_the_golden_run(self, pool_first):
+        """Workers forked before the injector existed execute the golden run
+        themselves; workers forked after it inherit the parent's.  Either
+        way the campaign matches the serial one."""
+        store._held.clear()
+        store._pinned.clear()
+        tel = obs.configure(keep_events=True)
+        with WorkerPool(2):
+            if pool_first:
+                parallel_mod.parallel_map(_double, [1, 2], jobs=2)
+            inj = _injector()
+            pooled = inj.run_campaign(TRIALS, SEED, jobs=2)
+        obs.reset()
+        serial = inj.run_campaign(TRIALS, SEED, jobs=1)
+        assert _signature(pooled) == _signature(serial)
+        adopted = [
+            e["args"]["adopted"]
+            for e in tel.tracer.events
+            if "pid" in e and e["name"] == "injector:profile"
+        ]
+        assert adopted
+        assert set(adopted) == {not pool_first}
 
 
 class TestPoolReuse:
