@@ -104,7 +104,7 @@ def _add_common(
 
 
 def _trial_count(text: str) -> int:
-    """``--trials``: a non-negative integer (argparse exits 2 otherwise)."""
+    """A trial count: a non-negative integer (argparse exits 2 otherwise)."""
     try:
         n = int(text)
     except ValueError:
@@ -769,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         "once) so static coverage is campaign-comparable",
     )
     p.add_argument(
-        "--validate", type=int, default=0, metavar="N",
+        "--validate", type=_trial_count, default=0, metavar="N",
         help="run N attributed single-fault trials and check every measured "
         "outcome against its site's static verdict (exit 2 on violation)",
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimError
-from repro.ir.interp import ExitKind, Interpreter
+from repro.ir.interp import ExitKind, Interpreter, visit_counts
 from repro.ir.program import Program
 from repro.isa.opcodes import LatencyClass, Opcode
 from repro.utils.tables import format_table
@@ -75,7 +75,7 @@ def dynamic_mix(
     interp = Interpreter(
         program, mem_words=mem_words, frame_words=frame_words, max_steps=max_steps
     )
-    result = interp.run(record_trace=True)
+    result, visits = interp.run_visits()
     if result.kind not in (ExitKind.OK, ExitKind.DETECTED):
         raise SimError(f"profiling run ended with {result.kind}")
 
@@ -95,10 +95,7 @@ def dynamic_mix(
         block_role[block.label] = roles
 
     total = 0
-    from collections import Counter
-
-    visits = Counter(result.block_trace)
-    for label, n in visits.items():
+    for label, n in visit_counts(interp.labels, visits).items():
         for c, k in block_cat[label].items():
             by_category[c] = by_category.get(c, 0) + n * k
             total += n * k

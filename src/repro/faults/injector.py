@@ -22,12 +22,12 @@ Methodology (paper §IV-C):
 Every trial — a campaign shard's, or a single
 :meth:`FaultInjector.run_trial` — takes one path on either backend: it
 resumes from the last golden snapshot at or before its first fault and
-runs :meth:`~repro.ir.interp.Interpreter.run` with the golden run's
-:class:`~repro.ir.interp.ConvergenceIndex`, which fast-forwards over
-golden-equal gaps and exits early at golden re-convergence.  The
-``interp`` backend records no snapshots and builds no index, so the same
-path replays its trials from reset: that backend is the differential
-oracle the ``compiled`` one is held to, bit for bit.
+runs :meth:`~repro.ir.interp.Interpreter.run` against the program's
+:class:`GoldenRun`, whose snapshots let it fast-forward over golden-equal
+gaps and exit early at golden re-convergence.  The ``interp`` backend
+records no snapshots, so the same path replays its trials from reset:
+that backend is the differential oracle the ``compiled`` one is held to,
+bit for bit.
 
 Campaigns are *sharded*: the trial budget is split into fixed
 :data:`~repro.parallel.SHARD_TRIALS`-sized shards and every shard draws
@@ -61,7 +61,7 @@ import time
 from array import array
 from bisect import bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -79,12 +79,12 @@ from repro.faults.classify import (
 )
 from repro.faults.models import DEFAULT_FAULT_MODEL, get_fault_model
 from repro.ir.interp import (
-    ConvergenceIndex,
     FaultSpec,
     Interpreter,
     MemDelta,
     RunResult,
     Snapshot,
+    visit_counts,
 )
 from repro.ir.printer import canonical_program_text
 from repro.ir.program import Program
@@ -302,42 +302,72 @@ GoldenKey = tuple[str, int, int, str, int, int, int]
 
 @dataclass(eq=False)
 class GoldenRun:
-    """Everything :class:`FaultInjector` computes by *executing* the program.
+    """The one record of a golden execution: everything
+    :class:`FaultInjector` computes by *executing* the program.
 
-    The traced golden run, its per-visit sampling tables and the
-    architectural snapshots, held once per process in the artifact store
-    (:mod:`repro.store`, under :func:`golden_key`) and shared by every
+    It holds the final result, the architectural snapshots and the block
+    visit sequence, and is held once per process in the artifact store
+    (:mod:`repro.store`, under :func:`golden_key`), shared by every
     injector of the same program, geometry and backend — whatever its
     fault model.  The snapshots are keyframes and deltas, and read-only
-    (see :class:`~repro.ir.interp.Snapshot`): restores and the convergence
-    index both reference the one copy.  Only :func:`_execute_golden`
-    makes one, so a pool worker either inherits its parent's run by fork
-    or executes the program itself; the run is deterministic, so both
-    give the same trials.
+    (see :class:`~repro.ir.interp.Snapshot`): trial restores copy from
+    them, and :meth:`~repro.ir.interp.Interpreter.run` takes the golden
+    run itself as ``converge`` and compares against them in place.  Only
+    :func:`_execute_golden` makes one, so a pool worker either inherits
+    its parent's run by fork or executes the program itself; the run is
+    deterministic, so both give the same trials.
     """
 
     golden: RunResult
     snapshots: list[Snapshot]
-    #: Dynamic index of each golden block visit's first instruction.
-    #: int64, like :attr:`visit_dest_cum`: one ``np.searchsorted`` for a
-    #: Python int took 9.6 us on an int32 table against 2.5 us on int64.
-    visit_dyn_start: npt.NDArray[np.int64]
+    #: The program's block labels, in the order :attr:`visits` indexes.
+    labels: tuple[str, ...]
+    #: The block of every golden visit, in execution order, as an index
+    #: into :attr:`labels` (see :meth:`Interpreter.run_visits`).
+    visits: npt.NDArray[np.unsignedinteger[Any]]
+    #: Instructions, and output-producing instructions, per block: the two
+    #: rows :attr:`visit_dyn_cum` and :attr:`visit_dest_cum` accumulate.
+    block_sizes: InitVar[list[list[int]]]
+    #: ``dyn`` of every snapshot, in order.
+    dyn_keys: list[int] = field(init=False)
+    #: Instructions committed through each golden visit.  int64, like
+    #: :attr:`visit_dest_cum`: one ``np.searchsorted`` for a Python int took
+    #: 9.6 us on an int32 table against 2.5 us on int64.
+    visit_dyn_cum: npt.NDArray[np.int64] = field(init=False)
     #: Output-producing instructions committed through each golden visit.
-    visit_dest_cum: npt.NDArray[np.int64]
-    #: The golden states every trial is checked against at snapshot
-    #: boundaries, built once from this run (``None`` without snapshots).
-    converge: ConvergenceIndex | None = field(init=False)
+    visit_dest_cum: npt.NDArray[np.int64] = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.converge = (
-            ConvergenceIndex(self.snapshots, self.golden) if self.snapshots else None
-        )
+    def __post_init__(self, block_sizes: list[list[int]]) -> None:
+        self.dyn_keys = [s.dyn for s in self.snapshots]
+        self.visit_dyn_cum, self.visit_dest_cum = self.cumulative(block_sizes)
+
+    def cumulative(self, per_block: npt.ArrayLike) -> npt.NDArray[np.int64]:
+        """Running totals over the golden visits of a per-block count.
+
+        ``per_block`` holds one count per block (or one row of them per
+        quantity); entry ``v`` of the result sums visits ``0..v``.
+        """
+        counts = np.asarray(per_block, dtype=np.int64)
+        # ``take``, not fancy indexing: its result is C-ordered, so each row
+        # stays contiguous for ``np.searchsorted``.
+        return np.cumsum(counts.take(self.visits, axis=-1), axis=-1)
+
+    @staticmethod
+    def locate(cum: npt.NDArray[np.int64], count: int) -> tuple[int, int]:
+        """The visit holding unit ``count`` of the running total ``cum``
+        (from :meth:`cumulative`), and that unit's rank within the visit."""
+        visit = int(np.searchsorted(cum, count, side="right"))
+        return visit, count - (int(cum[visit - 1]) if visit else 0)
+
+    def visit_start(self, visit: int) -> int:
+        """Instructions committed before golden visit ``visit`` begins."""
+        return int(self.visit_dyn_cum[visit - 1]) if visit else 0
 
     @property
     def nbytes(self) -> int:
-        """Estimated size: 8 B per trace entry, per register, output and
-        keyframe memory word, 12 B per delta word (a 4-byte address and a
-        value) and 16 B per golden visit (the two per-visit tables)."""
+        """Estimated size: 8 B per register, output and keyframe memory
+        word, 12 B per delta word (a 4-byte address and a value), and per
+        golden visit its block index (2 B) and two int64 running totals."""
         words = delta_words = 0
         for s in self.snapshots:
             words += len(s.regs) + len(s.output)
@@ -345,7 +375,8 @@ class GoldenRun:
                 delta_words += len(s.deltas[-1][1])
             else:
                 words += len(s.base)
-        return 8 * words + 12 * delta_words + 24 * len(self.golden.block_trace)
+        per_visit = self.visits.itemsize + 16
+        return 8 * words + 12 * delta_words + per_visit * len(self.visits)
 
 
 #: Store key of a campaign injector: its golden run's key and fault model.
@@ -361,20 +392,6 @@ def golden_key(
         digest, mem_words, frame_words, backend,
         SNAPSHOT_COUNT, SNAPSHOT_MIN_DYN, SNAPSHOT_KEYFRAME_EVERY,
     )
-
-
-def _visit_tables(
-    program: Program, trace: tuple[str, ...]
-) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-    """``(visit_dyn_start, visit_dest_cum)`` over a golden block trace."""
-    lens: dict[str, int] = {}
-    dests: dict[str, int] = {}
-    for block in program.main.blocks():
-        lens[block.label] = len(block.instructions)
-        dests[block.label] = sum(1 for insn in block.instructions if insn.dests)
-    visit_lens = np.array([lens[lb] for lb in trace], dtype=np.int64)
-    visit_dests = np.array([dests[lb] for lb in trace], dtype=np.int64)
-    return np.concatenate(([0], np.cumsum(visit_lens)[:-1])), np.cumsum(visit_dests)
 
 
 def _delta(
@@ -423,9 +440,9 @@ def _execute_golden(interp: Interpreter) -> GoldenRun:
     pre-fault prefix of every trial *is* the golden execution.  The interp
     oracle records none.
     """
-    golden = interp.run(record_trace=True)
-    if not golden.block_trace:
-        raise SimError("golden run carries no trace")
+    golden, visits = interp.run_visits()
+    if not len(visits):
+        raise SimError("golden run visited no block")
     snapshots: list[Snapshot] = []
     golden_dyn = golden.dyn_instructions
     if interp.backend == "compiled" and golden_dyn >= SNAPSHOT_MIN_DYN:
@@ -435,9 +452,12 @@ def _execute_golden(interp: Interpreter) -> GoldenRun:
         ) as sp:
             snapshots = _record_snapshots(interp, golden_dyn)
             sp.set(snapshots=len(snapshots))
-    return GoldenRun(
-        golden, snapshots, *_visit_tables(interp.program, golden.block_trace)
-    )
+    blocks = list(interp.program.main.blocks())
+    sizes = [
+        [len(b.instructions) for b in blocks],
+        [sum(1 for insn in b.instructions if insn.dests) for b in blocks],
+    ]
+    return GoldenRun(golden, snapshots, interp.labels, visits, sizes)
 
 
 class CampaignWorkerSpec:
@@ -524,35 +544,22 @@ class FaultInjector:
             sp.set(golden_dyn=run.golden.dyn_instructions, adopted=adopted)
         #: The content key, reused as the base of :meth:`worker_spec`'s.
         self._golden_key: GoldenKey = key
-        #: The strong reference that keeps the run findable in the store.
-        self._golden_run = run
+        #: The one view of the golden execution; holding it keeps the run
+        #: findable in the store.
+        self.golden_run = run
         self.golden: RunResult = run.golden
-        self._snapshots: list[Snapshot] = run.snapshots
-        self._snap_keys: list[int] = [s.dyn for s in run.snapshots]
 
-        # Per-block static tables.
-        func = program.main
-        self._block_len: dict[str, int] = {}
-        self._block_dest_positions: dict[str, npt.NDArray[np.int64]] = {}
-        self._block_dest_is_pr: dict[str, npt.NDArray[np.bool_]] = {}
-        for block in func.blocks():
-            positions: list[int] = []
-            is_pr: list[bool] = []
-            for i, insn in enumerate(block.instructions):
-                if insn.dests:
-                    positions.append(i)
-                    is_pr.append(insn.dests[0].rclass is RegClass.PR)
-            self._block_len[block.label] = len(block.instructions)
-            self._block_dest_positions[block.label] = np.array(positions, dtype=np.int64)
-            self._block_dest_is_pr[block.label] = np.array(is_pr, dtype=bool)
-
-        # Per-visit cumulative tables over the golden trace, held by the
-        # golden run and shared by every injector of it.
-        trace = self.golden.block_trace
-        self._visit_dyn_start = run.visit_dyn_start
-        self._visit_dest_cum = run.visit_dest_cum
-        self.n_dest_sites = int(self._visit_dest_cum[-1]) if len(trace) else 0
-        self._trace = trace
+        # Per-block static tables, by block index: the position of each
+        # output-producing instruction, and whether it writes a predicate.
+        self._dest_sites: list[list[tuple[int, bool]]] = [
+            [
+                (i, insn.dests[0].rclass is RegClass.PR)
+                for i, insn in enumerate(block.instructions)
+                if insn.dests
+            ]
+            for block in program.main.blocks()
+        ]
+        self.n_dest_sites = int(run.visit_dest_cum[-1])
         self.max_steps: int = (
             self.golden.dyn_instructions * WATCHDOG_FACTOR + 10_000
         )
@@ -566,8 +573,8 @@ class FaultInjector:
     def nbytes(self) -> int:
         """Estimated size: the golden run and 1 KB per instruction (decoded
         closures, fused superblocks)."""
-        per_insn = 1024 * sum(self._block_len.values())
-        return self._golden_run.nbytes + per_insn
+        per_insn = 1024 * sum(len(b.instructions) for b in self.program.main.blocks())
+        return self.golden_run.nbytes + per_insn
 
     # -- the trial path ----------------------------------------------------------
     def _resume_point(self, faults: tuple[FaultSpec, ...]) -> Snapshot | None:
@@ -578,20 +585,21 @@ class FaultInjector:
         resume point.  ``None`` means replay from reset: the fault precedes
         every snapshot, or the golden run recorded none.
         """
-        k = bisect_right(self._snap_keys, min(f.dyn_index for f in faults)) - 1
-        return self._snapshots[k] if k >= 0 else None
+        run = self.golden_run
+        k = bisect_right(run.dyn_keys, min(f.dyn_index for f in faults)) - 1
+        return run.snapshots[k] if k >= 0 else None
 
     def _execute(self, trials: list[tuple[FaultSpec, ...]]) -> list[RunResult]:
         """Run each trial's faults, returning the results in trial order.
 
         One path on both backends: resume from :meth:`_resume_point` and let
-        the golden run's convergence index shortcut the suffix.  The interp
-        oracle has neither snapshots, an index nor a fused chain, so there
-        the same loop replays every trial from reset, one closure per
-        instruction.  Counters are emitted once per call, never per trial.
+        the golden run's snapshots shortcut the suffix.  The interp oracle
+        has neither snapshots nor a fused chain, so there the same loop
+        replays every trial from reset, one closure per instruction.
+        Counters are emitted once per call, never per trial.
         """
         interp = self.interp
-        converge = self._golden_run.converge
+        converge = self.golden_run
         chained0, converged0 = interp.chained_visits, interp.converged
         forwards0 = interp.forwards
         restores = skipped = 0
@@ -649,19 +657,13 @@ class FaultInjector:
                 f"dyn_index {dyn_index} outside the golden run "
                 f"(0..{self.golden.dyn_instructions - 1})"
             )
-        visit = (
-            int(np.searchsorted(self._visit_dyn_start, dyn_index, side="right"))
-            - 1
-        )
-        label = self._trace[visit]
-        return label, dyn_index - int(self._visit_dyn_start[visit])
+        run = self.golden_run
+        visit, pos = run.locate(run.visit_dyn_cum, dyn_index)
+        return run.labels[run.visits[visit]], pos
 
     def visit_counts(self) -> dict[str, int]:
         """Golden execution count of every block (static-site weights)."""
-        counts: dict[str, int] = {}
-        for label in self._trace:
-            counts[label] = counts.get(label, 0) + 1
-        return counts
+        return visit_counts(self.golden_run.labels, self.golden_run.visits)
 
     # -- sampling ------------------------------------------------------------
     def sample_fault(self, rng: np.random.Generator) -> FaultSpec:
@@ -673,14 +675,12 @@ class FaultInjector:
         """
         if self.n_dest_sites == 0:
             raise SimError("program has no output-producing instructions")
+        run = self.golden_run
         site = int(rng.integers(self.n_dest_sites))
-        visit = int(np.searchsorted(self._visit_dest_cum, site, side="right"))
-        label = self._trace[visit]
-        prior = int(self._visit_dest_cum[visit - 1]) if visit else 0
-        within = site - prior
-        pos = int(self._block_dest_positions[label][within])
-        dyn_index = int(self._visit_dyn_start[visit]) + pos
-        if self._block_dest_is_pr[label][within]:
+        visit, within = run.locate(run.visit_dest_cum, site)
+        pos, is_pr = self._dest_sites[run.visits[visit]][within]
+        dyn_index = run.visit_start(visit) + pos
+        if is_pr:
             bit = 0  # predicate registers invert regardless of bit
         else:
             bit = int(rng.integers(64))

@@ -132,55 +132,35 @@ class ControlFlowModel(FaultModel):
     description = "invert a sampled branch decision / redirect a sampled jump"
 
     def prepare(self, injector: FaultInjector) -> None:
-        program = injector.program
-        func = program.main
-        self._labels = sorted(b.label for b in func.blocks())
-        # Per-block static tables: positions of control transfers, and
-        # whether each is a jump (needs a redirect target) or a branch.
-        block_cf_positions: dict[str, list[int]] = {}
-        block_cf_is_jmp: dict[str, list[bool]] = {}
-        block_cf_target: dict[str, list[str]] = {}
-        for block in func.blocks():
-            positions: list[int] = []
-            is_jmp: list[bool] = []
-            target: list[str] = []
-            for i, insn in enumerate(block.instructions):
-                if insn.opcode in (Opcode.BRT, Opcode.BRF):
-                    positions.append(i)
-                    is_jmp.append(False)
-                    target.append("")
-                elif insn.opcode is Opcode.JMP:
-                    positions.append(i)
-                    is_jmp.append(True)
-                    target.append(insn.targets[0])
-            block_cf_positions[block.label] = positions
-            block_cf_is_jmp[block.label] = is_jmp
-            block_cf_target[block.label] = target
-        self._positions = block_cf_positions
-        self._is_jmp = block_cf_is_jmp
-        self._target = block_cf_target
-        # Per-visit cumulative count of control transfers over the trace.
-        trace = injector.golden.block_trace
-        counts = np.array(
-            [len(block_cf_positions[lb]) for lb in trace], dtype=np.int64
+        blocks = list(injector.program.main.blocks())
+        self._labels = sorted(b.label for b in blocks)
+        # Per-block static tables, by block index: the position of each
+        # control transfer, and the target of a jump (``None`` for a
+        # branch, which is inverted rather than redirected).
+        self._sites: list[list[tuple[int, str | None]]] = [
+            [
+                (i, insn.targets[0] if insn.opcode is Opcode.JMP else None)
+                for i, insn in enumerate(block.instructions)
+                if insn.opcode in (Opcode.BRT, Opcode.BRF, Opcode.JMP)
+            ]
+            for block in blocks
+        ]
+        self._cf_cum = injector.golden_run.cumulative(
+            [len(sites) for sites in self._sites]
         )
-        self._cf_cum = np.cumsum(counts)
-        self.n_cf_sites = int(self._cf_cum[-1]) if len(trace) else 0
+        self.n_cf_sites = int(self._cf_cum[-1])
         if self.n_cf_sites == 0:
             raise SimError("program executes no branches — cf model unusable")
 
     def sample(self, injector: FaultInjector, rng: np.random.Generator) -> FaultSpec:
+        run = injector.golden_run
         site = int(rng.integers(self.n_cf_sites))
-        visit = int(np.searchsorted(self._cf_cum, site, side="right"))
-        label = injector.golden.block_trace[visit]
-        prior = int(self._cf_cum[visit - 1]) if visit else 0
-        within = site - prior
-        pos = self._positions[label][within]
-        dyn_index = int(injector._visit_dyn_start[visit]) + pos
+        visit, within = run.locate(self._cf_cum, site)
+        pos, actual = self._sites[run.visits[visit]][within]
+        dyn_index = run.visit_start(visit) + pos
         arg: str | None = None
-        if self._is_jmp[label][within]:
+        if actual is not None:
             # Redirect the jump to a uniformly sampled *other* block.
-            actual = self._target[label][within]
             others = [lb for lb in self._labels if lb != actual]
             arg = others[int(rng.integers(len(others)))] if others else actual
         return FaultSpec(dyn_index=dyn_index, kind="cf", arg=arg)

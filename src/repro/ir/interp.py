@@ -32,12 +32,18 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, TypeAlias
+from typing import TYPE_CHECKING, Any, Callable, TypeAlias
+
+import numpy as np
+import numpy.typing as npt
 
 from repro.errors import ArithmeticTrap, MemoryFault, SimError, SimTrap
 from repro.ir.program import Program
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import Reg, RegClass
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from repro.faults.injector import GoldenRun
 
 _W = 1 << 64
 _S = 1 << 63
@@ -89,7 +95,6 @@ class RunResult:
     output: tuple[int, ...]
     dyn_instructions: int
     trap: str | None = None
-    block_trace: tuple[str, ...] = ()
 
     @property
     def architectural_state(self) -> tuple:
@@ -129,9 +134,9 @@ class Snapshot:
     ``regs`` and ``base`` are lists captured once (``R[:]``, ``M[:]``) and,
     with the deltas, are **read-only by contract**: a golden run's
     snapshots are held once per process and shared by every restore and
-    the :class:`ConvergenceIndex`, so nothing may write to them.  ``regs``
-    is a list, not a tuple, so the convergence check compares it against
-    the live register list with one C-level ``==``.
+    every convergence compare, so nothing may write to them.  ``regs`` is
+    a list, not a tuple, so the convergence check compares it against the
+    live register list with one C-level ``==``.
     """
 
     dyn: int
@@ -153,62 +158,16 @@ class Snapshot:
         return Snapshot(dyn, label, regs, self.base, self.deltas + (delta,), output)
 
 
-class ConvergenceIndex:
-    """Golden states a faulted run can be checked against mid-flight.
+def visit_counts(
+    labels: tuple[str, ...], visits: npt.NDArray[np.unsignedinteger[Any]]
+) -> dict[str, int]:
+    """Visit count of every visited block, by label, in block order.
 
-    Built once per golden run from its :class:`Snapshot` list (see
-    :class:`~repro.faults.injector.GoldenRun`), and a pure function of the
-    two.  When :meth:`Interpreter.run` is given one via ``converge`` it
-    compares the live registers and memory against the golden state each
-    time execution crosses a snapshot boundary.  A match means the run
-    replays the golden continuation instruction for instruction until its
-    next fault fires — execution is a deterministic function of (label,
-    registers, memory), and output is append-only — so:
-
-    * with every fault applied, the run finishes immediately with the
-      golden final kind / exit code / dyn count and ``output =
-      emitted-so-far + the golden output suffix past this boundary``.  A
-      trial whose emitted output already equals the golden prefix gets the
-      shared ``final`` object; one that diverged in output alone (the
-      silent-corruption shape: a wrong value was printed, the architectural
-      state healed) still exits early with its own synthesized output;
-    * with a fault still pending, the run fast-forwards to the last golden
-      snapshot at or before that fault's ``dyn_index``, appending the golden
-      output between the two boundaries.
-
-    Purely a shortcut either way: a run that never matches is byte-identical
-    to one executed without the index, and a run that matches ends exactly
-    as executing the skipped stretch would have (asserted by the
-    compiled/oracle parity tests).  The index is read-only and holds the
-    snapshots' own registers, keyframes and deltas, never a copy: the
-    golden memory a compare needs is rebuilt in the interpreter's own
-    cursor (:meth:`Interpreter._golden_mem`), which advances by deltas.
-    The interpreter also counts the shortcuts it takes
-    (:attr:`Interpreter.converged`, :attr:`Interpreter.forwards`).
+    ``visits`` holds block indices into ``labels``, as
+    :meth:`Interpreter.run_visits` records them.
     """
-
-    __slots__ = ("keys", "labels", "regs", "bases", "deltas", "out_lens", "final")
-
-    def __init__(self, snapshots: list["Snapshot"], final: "RunResult") -> None:
-        self.keys = [s.dyn for s in snapshots]
-        self.labels = [s.label for s in snapshots]
-        # The snapshots' own (read-only) lists, not copies: the hot-loop
-        # register comparison is a single C-level == with first-mismatch
-        # early exit.
-        self.regs = [s.regs for s in snapshots]
-        self.bases = [s.base for s in snapshots]
-        self.deltas = [s.deltas for s in snapshots]
-        #: Golden output length at each boundary — the split point for the
-        #: synthesized output of an output-diverged but state-converged run.
-        self.out_lens = [len(s.output) for s in snapshots]
-        self.final = RunResult(
-            kind=final.kind,
-            exit_code=final.exit_code,
-            output=final.output,
-            dyn_instructions=final.dyn_instructions,
-            trap=final.trap,
-            block_trace=(),
-        )
+    counts = np.bincount(visits, minlength=len(labels)).tolist()
+    return {label: n for label, n in zip(labels, counts) if n}
 
 
 #: Recognized :attr:`FaultSpec.kind` values.
@@ -285,11 +244,13 @@ _DETECT = "__detect__"
 
 class _CompiledBlock:
     __slots__ = (
-        "label", "fns", "dest_slots", "dest_is_pr", "src_slots", "targets", "n"
+        "label", "index", "fns", "dest_slots", "dest_is_pr", "src_slots",
+        "targets", "n",
     )
 
-    def __init__(self, label: str) -> None:
+    def __init__(self, label: str, index: int) -> None:
         self.label = label
+        self.index = index
         self.fns: list[Callable[[], object]] = []
         self.dest_slots: list[int] = []
         self.dest_is_pr: list[bool] = []
@@ -437,8 +398,8 @@ class Interpreter:
         self._O: list[int] = []
 
         self._blocks: dict[str, _CompiledBlock] = {}
-        for block in program.main.blocks():
-            cb = _CompiledBlock(block.label)
+        for index, block in enumerate(program.main.blocks()):
+            cb = _CompiledBlock(block.label, index)
             for insn in block.instructions:
                 cb.fns.append(self._make_closure(insn))
                 if insn.dests:
@@ -455,6 +416,8 @@ class Interpreter:
                 )
             cb.n = len(cb.fns)
             self._blocks[block.label] = cb
+        #: Block labels in program order: a recorded visit is an index here.
+        self.labels: tuple[str, ...] = tuple(self._blocks)
         #: Longest block: a chained visit starting below ``x - _maxlen``
         #: commits its whole block before instruction ``x``.
         self._maxlen = max((cb.n for cb in self._blocks.values()), default=0)
@@ -694,18 +657,32 @@ class Interpreter:
         self._gsteps = len(deltas)
         return G
 
+    def run_visits(
+        self, max_steps: int | None = None
+    ) -> tuple[RunResult, npt.NDArray[np.unsignedinteger[Any]]]:
+        """A fault-free run from reset, and the block it visited each time.
+
+        The visits are indices into :attr:`labels`, in execution order:
+        ``uint16``, or ``uint32`` for a program of more than 65,536 blocks.
+        """
+        visits = array("H" if len(self.labels) <= 1 << 16 else "I")
+        result = self.run(max_steps=max_steps, visit_sink=visits.append)
+        return result, np.array(visits)
+
     def run(
         self,
         faults: tuple[FaultSpec, ...] = (),
         max_steps: int | None = None,
-        record_trace: bool = False,
+        visit_sink: Callable[[int], None] | None = None,
         snapshot_every: int | None = None,
         snapshot_sink: Callable[[Snapshot], None] | None = None,
         resume_from: Snapshot | None = None,
-        converge: ConvergenceIndex | None = None,
+        converge: GoldenRun | None = None,
     ) -> RunResult:
         """Execute from the entry block and classify the ending.
 
+        ``visit_sink`` receives the index (into :attr:`labels`) of every
+        block as the run enters it (see :meth:`run_visits`).
         ``snapshot_every``/``snapshot_sink`` pass a full (keyframe-shaped)
         :class:`Snapshot` to ``snapshot_sink`` at the first block boundary
         at or past each multiple of ``snapshot_every`` committed
@@ -721,17 +698,29 @@ class Interpreter:
         true program start), keeping outcome classification and detection
         latency identical to a replay from zero.
 
-        ``converge`` (a :class:`ConvergenceIndex`) enables the fault
-        trials' golden shortcuts: crossing a golden snapshot boundary with
-        state equal to the golden state there returns the golden final
-        result immediately once every fault is applied, and fast-forwards
-        to the golden state just before the next fault otherwise.  Either
-        way the returned :class:`RunResult` is identical to executing the
+        ``converge`` (the program's
+        :class:`~repro.faults.injector.GoldenRun`) enables the fault
+        trials' golden shortcuts.  The run compares its live state against
+        the golden run's snapshot (label, registers, memory) each time it
+        crosses a snapshot boundary.  A match means the run replays the
+        golden continuation instruction for instruction until its next
+        fault fires: execution is a deterministic function of (label,
+        registers, memory), and output is append-only.  So with every
+        fault applied it finishes at once with the golden final result,
+        the golden output suffix past the boundary spliced onto what it has
+        emitted (a trial whose output already equals the golden prefix
+        returns the golden :class:`RunResult` itself).  With a fault still
+        pending it fast-forwards to the last golden snapshot at or before
+        that fault, appending the golden output in between.  Either way
+        the returned :class:`RunResult` is identical to executing the
         skipped instructions; :attr:`converged` and :attr:`forwards` count
-        the two shortcuts.  It cannot be combined with trace or snapshot
-        recording, whose per-block bookkeeping a shortcut would skip.
+        the two shortcuts.  The golden memory a compare needs is rebuilt in
+        this interpreter's cursor (:meth:`_golden_mem`), never copied into
+        the golden run.  ``converge`` cannot be combined with visit or
+        snapshot recording, whose per-block bookkeeping a shortcut would
+        skip.
 
-        On the compiled backend without trace or snapshot recording, the
+        On the compiled backend without visit or snapshot recording, the
         fault-free stretches of a run execute **chained**: visits run back
         to back through :attr:`chain` with no per-visit bookkeeping, while
         the committed count stays below ``stop``.  ``stop`` keeps the
@@ -758,7 +747,6 @@ class Interpreter:
         # Sentinel -1 never equals a (1-based) committed count.
         nf = fault_list[0].dyn_index + 1 if fault_list else -1
 
-        trace: list[str] | None = [] if record_trace else None
         blocks = self._blocks
         chain = self.chain
 
@@ -768,17 +756,19 @@ class Interpreter:
                 raise SimError("snapshot_every must be >= 1")
             next_mark = snapshot_every
 
-        recording = trace is not None or next_mark >= 0
+        recording = visit_sink is not None or next_mark >= 0
         chained = None if recording else chain
         maxlen = self._maxlen
         budget_stop = budget - maxlen
 
         conv_keys: list[int] = []
+        snaps: list[Snapshot] = []
         ci = 0
         if converge is not None:
             if recording:
                 raise SimError("converge cannot be combined with recording")
-            conv_keys = converge.keys
+            conv_keys = converge.dyn_keys
+            snaps = converge.snapshots
             # Boundaries at or before the resume point are the pre-fault
             # prefix — never candidates.
             ci = bisect_right(conv_keys, dyn)
@@ -786,14 +776,7 @@ class Interpreter:
 
         def finish(kind: ExitKind, code: int | None, trap: str | None,
                    dyn: int) -> RunResult:
-            return RunResult(
-                kind,
-                code,
-                tuple(O),
-                dyn,
-                trap=trap,
-                block_trace=tuple(trace) if trace is not None else (),
-            )
+            return RunResult(kind, code, tuple(O), dyn, trap=trap)
 
         try:
             while True:
@@ -803,15 +786,14 @@ class Interpreter:
                     if ci < conv_n and conv_keys[ci] == dyn:
                         j = ci
                         ci += 1
+                        snap = snaps[j]
                         if (
-                            converge.labels[j] == label
-                            and R == converge.regs[j]
-                            and M == self._golden_mem(
-                                converge.bases[j], converge.deltas[j]
-                            )
+                            snap.label == label
+                            and R == snap.regs
+                            and M == self._golden_mem(snap.base, snap.deltas)
                         ):
-                            final = converge.final
-                            n_out = converge.out_lens[j]
+                            final = converge.golden
+                            n_out = len(snap.output)
                             if nf < 0:
                                 # All faults applied: the suffix replays the
                                 # golden continuation verbatim — finish with
@@ -829,7 +811,6 @@ class Interpreter:
                                     tuple(O) + final.output[n_out:],
                                     final.dyn_instructions,
                                     trap=final.trap,
-                                    block_trace=(),
                                 )
                             # A fault is pending: the golden run reaches the
                             # last boundary at or before it without firing
@@ -837,15 +818,12 @@ class Interpreter:
                             k = bisect_right(conv_keys, nf - 1) - 1
                             if k > j:
                                 self.forwards += 1
-                                R[:] = converge.regs[k]
-                                M[:] = self._golden_mem(
-                                    converge.bases[k], converge.deltas[k]
-                                )
-                                O.extend(
-                                    final.output[n_out:converge.out_lens[k]]
-                                )
-                                dyn = conv_keys[k]
-                                label = converge.labels[k]
+                                to = snaps[k]
+                                R[:] = to.regs
+                                M[:] = self._golden_mem(to.base, to.deltas)
+                                O.extend(final.output[n_out:len(to.output)])
+                                dyn = to.dyn
+                                label = to.label
                                 ci = k + 1
                 stop = -1
                 if chained is not None:
@@ -877,8 +855,8 @@ class Interpreter:
                         return finish(ExitKind.OK, label[1], None, dyn)
                     raise SimError("chained block fell through")  # pragma: no cover
                 cb = blocks[label]
-                if trace is not None:
-                    trace.append(label)
+                if visit_sink is not None:
+                    visit_sink(cb.index)
                 if next_mark >= 0 and dyn >= next_mark:
                     snapshot_sink(Snapshot(dyn, label, R[:], M[:], (), tuple(O)))
                     next_mark = (dyn // snapshot_every + 1) * snapshot_every

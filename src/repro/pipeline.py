@@ -110,12 +110,11 @@ def collect_block_profile(program: Program, max_steps: int = 50_000_000) -> dict
     profile-guided CASTED placement (block labels survive every pass, so a
     front-end-IR profile applies to the transformed code).
     """
-    from collections import Counter
+    from repro.ir.interp import Interpreter, visit_counts
 
-    from repro.ir.interp import Interpreter
-
-    result = Interpreter(program, max_steps=max_steps).run(record_trace=True)
-    return dict(Counter(result.block_trace))
+    interp = Interpreter(program, max_steps=max_steps)
+    _, visits = interp.run_visits()
+    return visit_counts(interp.labels, visits)
 
 
 def _assignment_pass(

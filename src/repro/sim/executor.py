@@ -21,6 +21,7 @@ campaigns use; a differential test asserts it anyway.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import SimError, SimTrap
@@ -166,7 +167,7 @@ class VLIWExecutor:
     # -- execution ------------------------------------------------------------
     def functional_run(
         self,
-        record_trace: bool = False,
+        visit_sink: Callable[[int], None] | None = None,
         faults: tuple[FaultSpec, ...] = (),
         max_steps: int | None = None,
     ) -> RunResult:
@@ -175,11 +176,13 @@ class VLIWExecutor:
         Executes on the embedded reference interpreter — the same closures
         the cycle-accurate :meth:`run` drives — and returns its
         :class:`~repro.ir.interp.RunResult`.  This is the supported way to
-        obtain the block-visit trace (``record_trace=True``) that tools like
-        :mod:`repro.sim.tracing` replay against the static schedules.
+        obtain the block-visit sequence (``visit_sink`` receives each
+        visited block's index in ``program.main.blocks()`` order) that
+        tools like :mod:`repro.sim.tracing` replay against the static
+        schedules.
         """
         return self._interp.run(
-            faults=faults, max_steps=max_steps, record_trace=record_trace
+            faults=faults, max_steps=max_steps, visit_sink=visit_sink
         )
 
     def run(self, max_cycles: int | None = None) -> SimResult:

@@ -34,16 +34,16 @@ def issue_trace(
 ) -> Iterator[IssueRecord]:
     """Yield issue records in global time order.
 
-    Runs the program once on the cycle-level executor to obtain the block
-    trace and per-visit stall charges, then unrolls the static schedules.
+    Runs the program once on the cycle-level executor's functional model
+    to obtain the block-visit sequence, then unrolls the static schedules.
     """
-    executor = VLIWExecutor(compiled)
-    # Functional pre-run for the visit sequence.
-    result = executor.functional_run(record_trace=True)
+    visits: list[int] = []
+    VLIWExecutor(compiled).functional_run(visit_sink=visits.append)
 
+    labels = compiled.program.main.block_labels()
     emitted = 0
     global_cycle = 0
-    for label in result.block_trace:
+    for label in map(labels.__getitem__, visits):
         block = compiled.program.main.block(label)
         sched = compiled.schedules.blocks[label]
         order = sorted(

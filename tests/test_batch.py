@@ -34,7 +34,7 @@ from repro.faults.injector import (
 )
 from repro.faults.models import fault_model_names
 from repro.ir.builder import IRBuilder
-from repro.ir.interp import ConvergenceIndex, ExitKind, FaultSpec
+from repro.ir.interp import ExitKind, FaultSpec
 from repro.ir.program import GlobalArray, Program
 from repro.machine.config import MachineConfig
 from repro.parallel import plan_task_groups
@@ -144,8 +144,8 @@ def test_run_trial_is_a_one_trial_group_matching_the_oracle():
     for _ in range(20):
         faults = (engine.sample_fault(rng),)
         assert engine.run_trial(faults) == oracle.run_trial(faults)
-    assert engine._golden_run.converge is not None
-    assert oracle._golden_run.converge is None
+    assert engine.golden_run.dyn_keys
+    assert oracle.golden_run.dyn_keys == []
     assert engine.interp.chained_visits > 0
     assert oracle.interp.chained_visits == 0
 
@@ -215,10 +215,10 @@ def test_fast_forward_between_pending_faults_matches_the_oracle():
     program = _masked_fault_loop()
     engine = FaultInjector(program, backend="compiled")
     oracle = FaultInjector(program, backend="interp")
-    keys = [s.dyn for s in engine._snapshots]
+    keys = engine.golden_run.dyn_keys
     # Visit 0 is the entry block; visit v >= 1 is loop iteration v - 1.
-    masked = int(engine._visit_dyn_start[4])
-    live = int(engine._visit_dyn_start[40]) + 6
+    masked = engine.golden_run.visit_start(4)
+    live = engine.golden_run.visit_start(40) + 6
     assert np.searchsorted(keys, live, "right") - np.searchsorted(
         keys, masked, "right"
     ) >= 2
@@ -255,10 +255,10 @@ def test_golden_snapshots_survive_convergence_exits_and_fast_forwards():
     """
     program = _masked_fault_loop()
     engine = FaultInjector(program, backend="compiled")
-    recorded = _snapshot_state(engine._snapshots)
-    assert any(s.deltas for s in engine._snapshots)
-    masked = int(engine._visit_dyn_start[4])
-    live = int(engine._visit_dyn_start[40]) + 6
+    recorded = _snapshot_state(engine.golden_run.snapshots)
+    assert any(s.deltas for s in engine.golden_run.snapshots)
+    masked = engine.golden_run.visit_start(4)
+    live = engine.golden_run.visit_start(40) + 6
     trials = [
         (FaultSpec(dyn_index=masked, bit=3), FaultSpec(dyn_index=live, bit=5)),
         (FaultSpec(dyn_index=masked, bit=3),),
@@ -266,8 +266,8 @@ def test_golden_snapshots_survive_convergence_exits_and_fast_forwards():
     _, (converged, forwards) = _trial_results(engine, trials)
     assert forwards >= 1
     assert converged >= 1
-    assert _snapshot_state(engine._snapshots) == recorded
-    for s in engine._snapshots:
+    assert _snapshot_state(engine.golden_run.snapshots) == recorded
+    for s in engine.golden_run.snapshots:
         assert type(s.regs) is list and type(s.base) is list
         for addrs, vals in s.deltas:
             assert type(addrs) is array and addrs.typecode == "I"
@@ -278,29 +278,32 @@ class TestGoldenRunStore:
     """One golden run per program, held once per process."""
 
     def test_convergence_index_references_the_snapshots(self):
-        """The golden run's one convergence index copies no snapshot: it
-        holds each snapshot's own register list, keyframe and delta tuple,
-        and building one allocates less than a single keyframe's memory
-        list — only its per-boundary pointer lists."""
-        cp = _compiled("parser", Scheme.CASTED)
-        inj = _injector(cp, backend="compiled")
-        run = inj._golden_run
+        """Trials converge against the golden run itself, which copies no
+        snapshot: its one key list matches the snapshots, every injector
+        of the program shares it, and once the interpreter's golden-memory
+        cursor exists, trials that take convergence exits return the golden
+        result itself and allocate less than a single keyframe's memory
+        list."""
+        program = _masked_fault_loop()
+        inj = FaultInjector(program, backend="compiled")
+        run = inj.golden_run
+        assert run.snapshots
+        assert run.dyn_keys == [s.dyn for s in run.snapshots]
+        masked = (FaultSpec(dyn_index=run.visit_start(4), bit=3),)
+        inj._execute([masked])  # sizes the cursor
+        converged = inj.interp.converged
         tracemalloc.start()
         try:
-            index = ConvergenceIndex(run.snapshots, run.golden)
+            results = inj._execute([masked] * 10)
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert inj._snapshots
-        assert retained < sys.getsizeof(inj._snapshots[0].base)
-        for converge in (index, run.converge):
-            for j, snap in enumerate(inj._snapshots):
-                assert converge.bases[j] is snap.base
-                assert converge.deltas[j] is snap.deltas
-                assert converge.regs[j] is snap.regs
-        # One index per golden run, shared by every injector of it.
-        other = _injector(cp, backend="compiled", fault_model="mem")
-        assert other._golden_run.converge is run.converge
+        assert inj.interp.converged - converged == 10
+        assert all(result is run.golden for result in results)
+        assert retained < sys.getsizeof(run.snapshots[0].base)
+        # One golden run, shared by every injector of the program.
+        other = FaultInjector(program, backend="compiled", fault_model="mem")
+        assert other.golden_run is run
 
     def test_fault_models_share_one_golden_run(self):
         cp = _compiled("mcf", Scheme.CASTED)
@@ -309,10 +312,10 @@ class TestGoldenRunStore:
             for m in ("reg-bit", "mem", "cf")
         ]
         first = injectors[0]
-        assert first._snapshots
+        assert first.golden_run.snapshots
         for other in injectors[1:]:
             assert other.golden is first.golden
-            assert other._snapshots is first._snapshots
+            assert other.golden_run.snapshots is first.golden_run.snapshots
             assert other.interp is not first.interp
 
     def test_different_text_geometry_or_backend_does_not_share(self):
@@ -373,7 +376,7 @@ class TestGoldenRunStore:
         finally:
             obs.reset()
         assert second.golden is first.golden
-        assert second._snapshots is first._snapshots
+        assert second.golden_run.snapshots is first.golden_run.snapshots
         profiles = [
             e for e in tel.tracer.events if e.get("name") == "injector:profile"
         ]
@@ -391,7 +394,7 @@ class TestGoldenRunStore:
         rebuilt = parent.worker_spec().build()
         assert rebuilt is not parent
         assert rebuilt.golden is parent.golden
-        assert rebuilt._snapshots is parent._snapshots
+        assert rebuilt.golden_run.snapshots is parent.golden_run.snapshots
 
 
 def _full_recording(inj: FaultInjector) -> list:
@@ -411,7 +414,7 @@ class TestCompactSnapshots:
         for scheme in (Scheme.NOED, Scheme.CASTED):
             inj = _injector(_compiled(workload, scheme), backend="compiled")
             interp = inj.interp
-            snaps = inj._snapshots
+            snaps = inj.golden_run.snapshots
             full = _full_recording(inj)
             assert [(s.dyn, s.label) for s in snaps] == [
                 (f.dyn, f.label) for f in full
@@ -469,26 +472,28 @@ class TestCompactSnapshots:
             e for e in tel.tracer.events if e.get("name") == "injector:profile"
         ]
         assert [e["args"]["adopted"] for e in profiles] == [False]
-        assert worker._golden_run is not parent._golden_run
+        assert worker.golden_run is not parent.golden_run
         assert worker._golden_key == parent._golden_key
-        assert len(worker._snapshots) == len(parent._snapshots)
-        for j, (got, want) in enumerate(
-            zip(worker._snapshots, parent._snapshots)
-        ):
+        got_run, want_run = worker.golden_run, parent.golden_run
+        assert len(got_run.snapshots) == len(want_run.snapshots)
+        for j, (got, want) in enumerate(zip(got_run.snapshots, want_run.snapshots)):
             assert (got.dyn, got.label, got.regs, got.base, got.output) == (
                 want.dyn, want.label, want.regs, want.base, want.output
             )
             assert [(a.tolist(), v) for a, v in got.deltas] == [
                 (a.tolist(), v) for a, v in want.deltas
             ]
-            assert got.base is worker._snapshots[j - len(got.deltas)].base
+            assert got.base is got_run.snapshots[j - len(got.deltas)].base
             worker.interp.restore(got)
             parent.interp.restore(want)
             assert worker.interp._R == parent.interp._R
             assert worker.interp._M == parent.interp._M
             assert worker.interp._O == parent.interp._O
-        assert np.array_equal(worker._visit_dyn_start, parent._visit_dyn_start)
-        assert np.array_equal(worker._visit_dest_cum, parent._visit_dest_cum)
+        assert got_run.dyn_keys == want_run.dyn_keys
+        assert got_run.labels == want_run.labels
+        assert np.array_equal(got_run.visits, want_run.visits)
+        assert np.array_equal(got_run.visit_dyn_cum, want_run.visit_dyn_cum)
+        assert np.array_equal(got_run.visit_dest_cum, want_run.visit_dest_cum)
         assert worker.run_shard(0, TRIALS, SEED) == parent.run_shard(
             0, TRIALS, SEED
         )

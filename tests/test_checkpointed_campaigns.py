@@ -82,19 +82,20 @@ def _signature(res) -> tuple:
 class TestSnapshotCapture:
     def test_snapshots_cover_the_run(self, casted):
         inj = _injector(cp=casted)
-        assert inj._snapshots, "program is large enough to checkpoint"
-        dyns = [s.dyn for s in inj._snapshots]
+        assert inj.golden_run.snapshots, "program is large enough to checkpoint"
+        dyns = [s.dyn for s in inj.golden_run.snapshots]
         assert dyns == sorted(dyns)
         assert len(dyns) == len(set(dyns))
         assert dyns[-1] < inj.golden.dyn_instructions
-        for snap in inj._snapshots:
+        for snap in inj.golden_run.snapshots:
             assert isinstance(snap, Snapshot)
             assert snap.label in {b.label for b in inj.program.main.blocks()}
 
     def test_snapshot_resume_replays_golden_exactly(self, casted):
         """Fault-free resume from any snapshot finishes like the golden run."""
         inj = _injector(cp=casted)
-        for snap in inj._snapshots[:: max(1, len(inj._snapshots) // 8)]:
+        snaps = inj.golden_run.snapshots
+        for snap in snaps[:: max(1, len(snaps) // 8)]:
             res = inj.interp.run(resume_from=snap)
             assert res.kind == inj.golden.kind
             assert res.exit_code == inj.golden.exit_code
@@ -110,7 +111,7 @@ class TestSnapshotCapture:
             MACHINE,
         )
         inj = _injector(cp=cp)
-        assert inj._snapshots == []
+        assert inj.golden_run.snapshots == []
         # ...and trials still run, resuming from reset state.
         res = inj.run_campaign(trials=3, seed=9)
         assert res.trials == 3
@@ -119,7 +120,7 @@ class TestSnapshotCapture:
         """Raising the eligibility floor past the run records none."""
         monkeypatch.setattr(injector_mod, "SNAPSHOT_MIN_DYN", 10**9)
         inj = _injector(cp=casted)
-        assert inj._snapshots == []
+        assert inj.golden_run.snapshots == []
 
 
 class TestTrialEquivalence:
@@ -142,7 +143,7 @@ class TestTrialEquivalence:
 
     def test_snapshot_selection_never_overshoots_fault(self, casted):
         inj = _injector(cp=casted)
-        keys = [s.dyn for s in inj._snapshots]
+        keys = [s.dyn for s in inj.golden_run.snapshots]
 
         def resume_dyn(faults: tuple[FaultSpec, ...]) -> int:
             snap = inj._resume_point(faults)
@@ -152,7 +153,7 @@ class TestTrialEquivalence:
         assert inj._resume_point((FaultSpec(dyn_index=keys[0] - 1),)) is None
         # A fault on a snapshot's own position resumes from that snapshot:
         # it fires after the snapshot's first instruction commits.
-        for snap in inj._snapshots[::8]:
+        for snap in inj.golden_run.snapshots[::8]:
             assert inj._resume_point((FaultSpec(dyn_index=snap.dyn),)) is snap
         for dyn_index in (0, 7, 1000, inj.golden.dyn_instructions - 1):
             assert resume_dyn((FaultSpec(dyn_index=dyn_index),)) <= dyn_index
@@ -178,7 +179,7 @@ class TestCampaignDeterminism:
         for snapshot_count in (2, 4, 16):
             monkeypatch.setattr(injector_mod, "SNAPSHOT_COUNT", snapshot_count)
             inj = _injector(cp=casted)
-            assert 0 < len(inj._snapshots) <= snapshot_count
+            assert 0 < len(inj.golden_run.snapshots) <= snapshot_count
             res = inj.run_campaign(self.TRIALS, self.SEED)
             assert _signature(res) == _signature(reference), snapshot_count
 
@@ -247,7 +248,7 @@ class TestTelemetry:
     def test_interp_oracle_takes_no_engine_shortcuts(self, casted):
         """No snapshots, restores, convergence exits or chained visits."""
         inj = _oracle(cp=casted)
-        assert inj._snapshots == []
+        assert inj.golden_run.snapshots == []
         tel = obs.configure()
         try:
             res = inj.run_campaign(25, seed=4)
@@ -255,7 +256,7 @@ class TestTelemetry:
         finally:
             obs.reset()
         assert res.trials == 25
-        assert inj._golden_run.converge is None
+        assert inj.golden_run.dyn_keys == []
         assert inj.interp.chained_visits == 0
         assert counters["campaign.batch_trials"] == 25
         for shortcut in (

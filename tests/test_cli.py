@@ -162,6 +162,21 @@ class TestTraceCommand:
         assert len(out.splitlines()) == 11
 
 
+class TestProveCommand:
+    def test_negative_validate_rejected(self, capsys, minic_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["prove", minic_file, "--validate", "-1"])
+        assert exc.value.code == 2
+        assert "--validate: must be >= 0" in capsys.readouterr().err
+
+    def test_profile_and_validate(self, capsys, minic_file):
+        argv = ["prove", minic_file, "--profile", "--validate", "20"]
+        assert main(argv) == 0
+        assert "cross-validation [reg-bit]: 20 trial(s), 0 violation(s)" in (
+            capsys.readouterr().out
+        )
+
+
 class TestReportAll:
     def test_collates_results(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -60,9 +61,10 @@ class TestFunctionalEquivalence:
     @pytest.mark.parametrize("workload", workload_names())
     def test_frontend_runresults_identical(self, workload):
         program = get_workload(workload).program
-        ref = Interpreter(program, backend="interp").run(record_trace=True)
-        fused = Interpreter(program, backend="compiled").run(record_trace=True)
-        assert fused == ref  # kind, exit code, output, dyn count, trace
+        ref, ref_visits = Interpreter(program, backend="interp").run_visits()
+        fused, fused_visits = Interpreter(program, backend="compiled").run_visits()
+        assert fused == ref  # kind, exit code, output, dyn count
+        assert np.array_equal(fused_visits, ref_visits)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_protected_runresults_identical(self, scheme):

@@ -316,9 +316,10 @@ class TestCrossValidation:
             compiled.program, compiled.mem_words, compiled.frame_words
         )
         counts = inj.visit_counts()
-        assert sum(counts.values()) == len(inj.golden.block_trace)
+        run = inj.golden_run
+        assert sum(counts.values()) == len(run.visits)
         label, index = inj.site_of(0)
-        assert label == inj.golden.block_trace[0]
+        assert label == run.labels[run.visits[0]]
         assert index == 0
         with pytest.raises(SimError):
             inj.site_of(-1)

@@ -50,9 +50,9 @@ def interp(compiled):
 
 def linear_instructions(compiled, interp):
     """Instruction at each dynamic index (straight-line program)."""
-    trace = interp.run(record_trace=True).block_trace
+    _, visits = interp.run_visits()
     flat = []
-    for label in trace:
+    for label in (interp.labels[v] for v in visits):
         flat.extend(compiled.program.main.block(label).instructions)
     return flat
 

@@ -62,9 +62,9 @@ class TestSampling:
         prog = build_loop_program()
         # reconstruct the instruction at each sampled dyn index and check it
         # writes a register
-        trace = loop_injector.golden.block_trace
+        run = loop_injector.golden_run
         flat = []
-        for label in trace:
+        for label in (run.labels[v] for v in run.visits):
             flat.extend(prog.main.block(label).instructions)
         for _ in range(100):
             spec = loop_injector.sample_fault(rng)

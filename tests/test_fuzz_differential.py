@@ -16,6 +16,7 @@ the single highest-leverage test in the suite: it has no opinion about
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -200,13 +201,14 @@ class TestDifferentialFuzz:
         interpreter — functionally on front-end IR and cycle-exactly on a
         protected, scheduled binary."""
         program = compile_source(source)
-        ref = Interpreter(program, backend="interp").run(
-            max_steps=2_000_000, record_trace=True
+        ref, ref_visits = Interpreter(program, backend="interp").run_visits(
+            max_steps=2_000_000
         )
-        fused = Interpreter(program, backend="compiled").run(
-            max_steps=2_000_000, record_trace=True
+        fused, fused_visits = Interpreter(program, backend="compiled").run_visits(
+            max_steps=2_000_000
         )
         assert fused == ref
+        assert np.array_equal(fused_visits, ref_visits)
         if ref.kind is not ExitKind.OK:
             return
         machine = MACHINES[len(source) % len(MACHINES)]

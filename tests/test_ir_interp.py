@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,10 +33,14 @@ class TestBasicExecution:
         assert r.dyn_instructions == 3  # movi, out, halt
 
     def test_trace_recording(self, loop_program):
-        r = Interpreter(loop_program).run(record_trace=True)
-        assert r.block_trace[0] == "entry"
-        assert r.block_trace.count("loop") == 10
-        assert r.block_trace[-1] == "exit"
+        interp = Interpreter(loop_program)
+        r, visits = interp.run_visits()
+        assert r == interp.run()
+        trace = [interp.labels[v] for v in visits]
+        assert trace[0] == "entry"
+        assert trace.count("loop") == 10
+        assert trace[-1] == "exit"
+        assert visits.dtype == np.uint16
 
     def test_exit_code(self):
         prog = straightline(lambda b: b.halt(7))

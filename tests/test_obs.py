@@ -415,12 +415,14 @@ class TestFunctionalRun:
         machine = MachineConfig(issue_width=2, inter_cluster_delay=1)
         compiled = compile_program(build_loop_program(4), Scheme.DCED, machine)
         executor = VLIWExecutor(compiled)
-        result = executor.functional_run(record_trace=True)
+        visits: list[int] = []
+        result = executor.functional_run(visit_sink=visits.append)
         assert result.kind is ExitKind.OK
-        assert result.block_trace
-        assert result.block_trace[0] == compiled.program.main.entry.label
-        # without the flag no trace is recorded
-        assert executor.functional_run().block_trace == ()
+        assert visits
+        labels = compiled.program.main.block_labels()
+        assert labels[visits[0]] == compiled.program.main.entry.label
+        # without a sink the run is the same, and records nothing
+        assert executor.functional_run() == result
 
 
 class TestCLI:

@@ -64,9 +64,10 @@ class TestExecution:
 def _dynamic_mix(name):
     """Dynamic opcode-category frequencies of a workload."""
     prog = get_workload(name).program
-    r = Interpreter(prog).run(record_trace=True)
+    interp = Interpreter(prog)
+    _, visits = interp.run_visits()
     counts = {"mem": 0, "branch": 0, "mul": 0, "total": 0}
-    for label in r.block_trace:
+    for label in (interp.labels[v] for v in visits):
         for insn in prog.main.block(label).instructions:
             counts["total"] += 1
             if insn.info.is_mem:
