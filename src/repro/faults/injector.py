@@ -107,25 +107,21 @@ logger = logging.getLogger(__name__)
 #: Watchdog budget = factor x golden dynamic instruction count.
 WATCHDOG_FACTOR = 25
 
-#: Number of golden-run snapshots the compiled backend records.  Each trial
-#: resumes from the nearest snapshot at or before its earliest fault,
-#: so the expected skipped prefix per trial is ``~(1 - 1/(2*count))`` of
-#: the fault position; 64 keeps the residual prefix under 1% of the golden
-#: run.  Memory is stored as keyframes and deltas
-#: (:data:`SNAPSHOT_KEYFRAME_EVERY`): under tracemalloc one program's 64
-#: take 0.14-0.30 MB at iw2/d2 over the seven kernels, NOED and CASTED
-#: (2.9 MB for all 14 programs, against 10.7 MB as full memory lists).
-SNAPSHOT_COUNT = 64
+#: Committed instructions between golden-run snapshots on the compiled
+#: backend, each taken at the first block boundary at or past a multiple.
+#: A trial resumes from the last one at or before its first fault, so its
+#: residual prefix averages half an interval; a shorter run records none.
+#: At iw2/d2 the kernels' golden runs (48-171 k instructions, NOED and
+#: CASTED) record 23-83 each, stored as keyframes and deltas
+#: (:data:`SNAPSHOT_KEYFRAME_EVERY`): 0.09-0.27 MB a program under
+#: tracemalloc, 2.5 MB for all 14 against 8.3 MB as full memory lists.
+SNAPSHOT_INTERVAL = 2_048
 
 #: Every this-many-th golden snapshot keeps its full memory list (a
 #: keyframe); the others keep only the memory words that changed since the
 #: previous snapshot.  A restore copies the keyframe, then applies at most
 #: ``SNAPSHOT_KEYFRAME_EVERY - 1`` deltas.
 SNAPSHOT_KEYFRAME_EVERY = 8
-
-#: Skip snapshots entirely below this golden dynamic-instruction count —
-#: tiny programs replay faster than they restore.
-SNAPSHOT_MIN_DYN = 2_000
 
 #: Minimum seconds of measured work per pool task: shards are grouped into
 #: tasks until each task carries at least this much, so cheap shards stop
@@ -295,9 +291,9 @@ class CampaignResult:
 
 #: Content key of a golden run: canonical program text SHA-256, resolved
 #: ``mem_words``, ``frame_words``, resolved backend, and the snapshot policy
-#: (``SNAPSHOT_COUNT``, ``SNAPSHOT_MIN_DYN``, ``SNAPSHOT_KEYFRAME_EVERY``)
-#: the run was recorded under.
-GoldenKey = tuple[str, int, int, str, int, int, int]
+#: (``SNAPSHOT_INTERVAL``, ``SNAPSHOT_KEYFRAME_EVERY``) the run was
+#: recorded under.
+GoldenKey = tuple[str, int, int, str, int, int]
 
 
 @dataclass(eq=False)
@@ -366,8 +362,9 @@ class GoldenRun:
     @property
     def nbytes(self) -> int:
         """Estimated size: 8 B per register, output and keyframe memory
-        word, 12 B per delta word (a 4-byte address and a value), and per
-        golden visit its block index (2 B) and two int64 running totals."""
+        word, 12 B per delta word (a 4-byte address and a value), 550 B of
+        object headers per snapshot, and per golden visit its block index
+        (2 B) and two int64 running totals."""
         words = delta_words = 0
         for s in self.snapshots:
             words += len(s.regs) + len(s.output)
@@ -375,8 +372,9 @@ class GoldenRun:
                 delta_words += len(s.deltas[-1][1])
             else:
                 words += len(s.base)
+        heads = 550 * len(self.snapshots)
         per_visit = self.visits.itemsize + 16
-        return 8 * words + 12 * delta_words + per_visit * len(self.visits)
+        return 8 * words + 12 * delta_words + heads + per_visit * len(self.visits)
 
 
 #: Store key of a campaign injector: its golden run's key and fault model.
@@ -390,7 +388,7 @@ def golden_key(
     digest = hashlib.sha256(canonical_program_text(program).encode()).hexdigest()
     return (
         digest, mem_words, frame_words, backend,
-        SNAPSHOT_COUNT, SNAPSHOT_MIN_DYN, SNAPSHOT_KEYFRAME_EVERY,
+        SNAPSHOT_INTERVAL, SNAPSHOT_KEYFRAME_EVERY,
     )
 
 
@@ -402,16 +400,15 @@ def _delta(
     return addrs, tuple([mem[a] for a in addrs])
 
 
-def _record_snapshots(interp: Interpreter, golden_dyn: int) -> list[Snapshot]:
-    """Replay the golden run, recording ~:data:`SNAPSHOT_COUNT` snapshots.
+def _snapshot_recorder(snapshots: list[Snapshot]) -> Callable[[Snapshot], None]:
+    """A ``snapshot_sink`` that appends to ``snapshots`` as keyframes and deltas.
 
     Every :data:`SNAPSHOT_KEYFRAME_EVERY`-th snapshot keeps its full
     memory list; each other one keeps only the words that changed since
-    the previous snapshot.  The full lists the replay emits are compacted
-    as they arrive, so at most two of them are alive at once besides the
+    the previous snapshot.  The full lists the run emits are compacted as
+    they arrive, so at most two of them are alive at once besides the
     keyframes.
     """
-    snapshots: list[Snapshot] = []
     prev = np.empty(0, dtype=np.uint64)
 
     def record(full: Snapshot) -> None:
@@ -425,39 +422,38 @@ def _record_snapshots(interp: Interpreter, golden_dyn: int) -> list[Snapshot]:
         snapshots.append(full)
         prev = cur
 
-    interval = max(1, golden_dyn // SNAPSHOT_COUNT)
-    interp.run(snapshot_every=interval, snapshot_sink=record)
-    return snapshots
+    return record
 
 
 def _execute_golden(interp: Interpreter) -> GoldenRun:
-    """Run the program fault-free, then replay it once more for snapshots.
+    """Run the program fault-free once, recording its visits and snapshots.
 
-    The compiled backend records architectural snapshots at
-    ~:data:`SNAPSHOT_COUNT` evenly spaced points (:func:`_record_snapshots`);
-    each trial then resumes from the nearest snapshot at or before its
-    earliest fault — bit-identical to a replay from zero, because the
-    pre-fault prefix of every trial *is* the golden execution.  The interp
-    oracle records none.
+    The compiled backend records an architectural snapshot every
+    :data:`SNAPSHOT_INTERVAL` committed instructions
+    (:func:`_snapshot_recorder`); each trial then resumes from the nearest
+    snapshot at or before its earliest fault — bit-identical to a replay
+    from zero, because the pre-fault prefix of every trial *is* the golden
+    execution.  The interp oracle records none.
     """
-    golden, visits = interp.run_visits()
-    if not len(visits):
-        raise SimError("golden run visited no block")
+    visits = interp.visit_buffer()
     snapshots: list[Snapshot] = []
-    golden_dyn = golden.dyn_instructions
-    if interp.backend == "compiled" and golden_dyn >= SNAPSHOT_MIN_DYN:
-        with get_telemetry().span(
-            "injector:snapshots", cat="campaign",
-            timer="campaign.snapshot_record.seconds",
-        ) as sp:
-            snapshots = _record_snapshots(interp, golden_dyn)
-            sp.set(snapshots=len(snapshots))
+    interp.chain  # fuse superblocks here, in the caller's profile span
+    with get_telemetry().span(
+        "injector:snapshots", cat="campaign",
+        timer="campaign.snapshot_record.seconds",
+    ) as sp:
+        golden = interp.run(
+            visit_sink=visits.append,
+            snapshot_every=SNAPSHOT_INTERVAL if interp.backend == "compiled" else None,
+            snapshot_sink=_snapshot_recorder(snapshots),
+        )
+        sp.set(snapshots=len(snapshots))
     blocks = list(interp.program.main.blocks())
     sizes = [
         [len(b.instructions) for b in blocks],
         [sum(1 for insn in b.instructions if insn.dests) for b in blocks],
     ]
-    return GoldenRun(golden, snapshots, interp.labels, visits, sizes)
+    return GoldenRun(golden, snapshots, interp.labels, np.array(visits), sizes)
 
 
 class CampaignWorkerSpec:
@@ -520,9 +516,7 @@ class FaultInjector:
         self._ctor_args = (program, mem_words, frame_words, fault_model)
         self.program = program
         # The profile span covers program decode plus, unless this process
-        # already holds the golden run, executing it and recording its
-        # snapshots (the compiled backend's superblocks are fused on that
-        # first run).
+        # already holds the golden run, fusing superblocks and executing it.
         with get_telemetry().span(
             "injector:profile", cat="campaign", timer="campaign.profile.seconds",
         ) as sp:
@@ -542,6 +536,7 @@ class FaultInjector:
 
             run = store.get(key, build)
             sp.set(golden_dyn=run.golden.dyn_instructions, adopted=adopted)
+            sp.set(snapshots=len(run.snapshots))
         #: The content key, reused as the base of :meth:`worker_spec`'s.
         self._golden_key: GoldenKey = key
         #: The one view of the golden execution; holding it keeps the run
@@ -571,10 +566,12 @@ class FaultInjector:
 
     @property
     def nbytes(self) -> int:
-        """Estimated size: the golden run and 1 KB per instruction (decoded
-        closures, fused superblocks)."""
-        per_insn = 1024 * sum(len(b.instructions) for b in self.program.main.blocks())
-        return self.golden_run.nbytes + per_insn
+        """Estimated size: the golden run, 600 B per instruction (its decoded
+        closure and static tables), 700 B per block (its fused superblock's
+        closure) and 8 B per word of the live memory list."""
+        insns = sum(len(b.instructions) for b in self.program.main.blocks())
+        decoded = 600 * insns + 700 * len(self.interp.labels) + 8 * self.interp.mem_words
+        return self.golden_run.nbytes + decoded
 
     # -- the trial path ----------------------------------------------------------
     def _resume_point(self, faults: tuple[FaultSpec, ...]) -> Snapshot | None:

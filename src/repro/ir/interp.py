@@ -657,15 +657,17 @@ class Interpreter:
         self._gsteps = len(deltas)
         return G
 
+    def visit_buffer(self) -> "array[int]":
+        """An empty ``visit_sink`` target for :meth:`run`: its indices into
+        :attr:`labels` are ``uint16``, or ``uint32`` past 65,536 blocks."""
+        return array("H" if len(self.labels) <= 1 << 16 else "I")
+
     def run_visits(
         self, max_steps: int | None = None
     ) -> tuple[RunResult, npt.NDArray[np.unsignedinteger[Any]]]:
-        """A fault-free run from reset, and the block it visited each time.
-
-        The visits are indices into :attr:`labels`, in execution order:
-        ``uint16``, or ``uint32`` for a program of more than 65,536 blocks.
-        """
-        visits = array("H" if len(self.labels) <= 1 << 16 else "I")
+        """A fault-free run from reset, and the block it visited each time,
+        in execution order (see :meth:`visit_buffer`)."""
+        visits = self.visit_buffer()
         result = self.run(max_steps=max_steps, visit_sink=visits.append)
         return result, np.array(visits)
 

@@ -28,7 +28,7 @@ from repro import obs, store
 from repro.faults import injector as injector_mod
 from repro.faults.injector import (
     MIN_TASK_SECONDS,
-    SNAPSHOT_COUNT,
+    SNAPSHOT_INTERVAL,
     SNAPSHOT_KEYFRAME_EVERY,
     FaultInjector,
 )
@@ -208,6 +208,14 @@ def _masked_fault_loop(n: int = 300) -> Program:
     return Program(f, [GlobalArray("buf", n)])
 
 
+@pytest.fixture
+def loop_snapshots(monkeypatch):
+    """Snapshot :func:`_masked_fault_loop`'s 3,000-instruction golden run
+    every 5 iterations, so trials cross several snapshots between visits."""
+    monkeypatch.setattr(injector_mod, "SNAPSHOT_INTERVAL", 50)
+
+
+@pytest.mark.usefixtures("loop_snapshots")
 def test_fast_forward_between_pending_faults_matches_the_oracle():
     """A masked fault, then a live one several snapshot intervals later:
     the trial fast-forwards over the golden-equal gap between them and
@@ -244,6 +252,7 @@ def _snapshot_state(snapshots) -> list[tuple]:
     ]
 
 
+@pytest.mark.usefixtures("loop_snapshots")
 def test_golden_snapshots_survive_convergence_exits_and_fast_forwards():
     """Trials reference the golden snapshots and never write them.
 
@@ -277,6 +286,7 @@ def test_golden_snapshots_survive_convergence_exits_and_fast_forwards():
 class TestGoldenRunStore:
     """One golden run per program, held once per process."""
 
+    @pytest.mark.usefixtures("loop_snapshots")
     def test_convergence_index_references_the_snapshots(self):
         """Trials converge against the golden run itself, which copies no
         snapshot: its one key list matches the snapshots, every injector
@@ -385,6 +395,7 @@ class TestGoldenRunStore:
             e.get("name") == "injector:snapshots" for e in tel.tracer.events
         )
 
+    @pytest.mark.usefixtures("loop_snapshots")
     def test_shipped_profile_adopts_the_held_run(self):
         """A worker spec's rebuild adopts the golden run its process
         already holds, as a forked worker adopts its parent's, and never
@@ -401,8 +412,7 @@ def _full_recording(inj: FaultInjector) -> list:
     """Every golden snapshot as a full memory list, as recorded before
     snapshots were stored as keyframes and deltas."""
     full: list = []
-    interval = max(1, inj.golden.dyn_instructions // SNAPSHOT_COUNT)
-    inj.interp.run(snapshot_every=interval, snapshot_sink=full.append)
+    inj.interp.run(snapshot_every=SNAPSHOT_INTERVAL, snapshot_sink=full.append)
     return full
 
 
@@ -435,7 +445,7 @@ class TestCompactSnapshots:
 
     def test_snapshots_take_a_quarter_of_the_full_lists(self):
         """parser/CASTED's compact snapshots allocate at most 25% of the
-        bytes the same 64 snapshots take as full memory lists."""
+        bytes the same snapshots take as full memory lists."""
         inj = _injector(_compiled("parser", Scheme.CASTED), backend="compiled")
 
         def traced(record) -> int:
@@ -447,12 +457,16 @@ class TestCompactSnapshots:
             finally:
                 tracemalloc.stop()
 
-        full = traced(lambda: _full_recording(inj))
-        compact = traced(
-            lambda: injector_mod._record_snapshots(
-                inj.interp, inj.golden.dyn_instructions
+        def record_compact() -> list:
+            snapshots: list = []
+            inj.interp.run(
+                snapshot_every=SNAPSHOT_INTERVAL,
+                snapshot_sink=injector_mod._snapshot_recorder(snapshots),
             )
-        )
+            return snapshots
+
+        full = traced(lambda: _full_recording(inj))
+        compact = traced(record_compact)
         assert compact <= 0.25 * full
 
     def test_shipped_spec_restores_identical_state(self):

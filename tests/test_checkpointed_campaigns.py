@@ -1,8 +1,8 @@
 """Checkpointed fault injection: snapshot/resume determinism.
 
-The compiled backend's injector replays the golden run once, records
-architectural snapshots, and then starts every trial from the nearest
-snapshot at or before its earliest fault.  The whole feature is only
+The compiled backend's injector records architectural snapshots during
+its one golden run, and then starts every trial from the nearest snapshot
+at or before its earliest fault.  The whole feature is only
 admissible because it is *invisible* in the results: every test here
 asserts bit-identical outcomes between the interp oracle's replay-from-zero
 and the compiled backend's snapshot-resume, across snapshot intervals,
@@ -11,19 +11,22 @@ fault models and ``jobs`` settings.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
+import numpy as np
 import pytest
 
-from repro import obs
+from repro import obs, store
 from repro.faults import injector as injector_mod
 from repro.faults.injector import FaultInjector
 from repro.frontend import compile_source
-from repro.ir.interp import FaultSpec, Snapshot
+from repro.ir.interp import FaultSpec, Interpreter, Snapshot
 from repro.machine.config import MachineConfig
 from repro.pipeline import Scheme, compile_program
 from repro.utils.rng import make_rng
 
-# Small but snapshot-eligible kernel (~19k dynamic instructions, well above
-# SNAPSHOT_MIN_DYN): memory traffic, data-dependent branches and output on
+# Small but snapshot-eligible kernel (~20k dynamic instructions, about ten
+# SNAPSHOT_INTERVALs): memory traffic, data-dependent branches and output on
 # every iteration, so reg/cf/mem faults all have visible targets.
 _SRC = """
 global arr[32] = { 3, 1, 4, 1, 5, 9, 2, 6 };
@@ -117,10 +120,71 @@ class TestSnapshotCapture:
         assert res.trials == 3
 
     def test_snapshots_disabled_on_request(self, casted, monkeypatch):
-        """Raising the eligibility floor past the run records none."""
-        monkeypatch.setattr(injector_mod, "SNAPSHOT_MIN_DYN", 10**9)
+        """An interval longer than the run records none."""
+        monkeypatch.setattr(injector_mod, "SNAPSHOT_INTERVAL", 10**9)
         inj = _injector(cp=casted)
         assert inj.golden_run.snapshots == []
+
+    @pytest.mark.parametrize("interval", [None, 100, 777])
+    def test_snapshots_land_on_the_first_boundary_past_each_interval(
+        self, casted, monkeypatch, interval
+    ):
+        """Each snapshot is the first golden block boundary at or past a
+        multiple of ``SNAPSHOT_INTERVAL``, and every such boundary has one."""
+        if interval is not None:
+            monkeypatch.setattr(injector_mod, "SNAPSHOT_INTERVAL", interval)
+        step = injector_mod.SNAPSHOT_INTERVAL
+        run = _injector(cp=casted).golden_run
+        starts = [run.visit_start(v) for v in range(len(run.visits))]
+        want = sorted({
+            bisect_left(starts, mark)
+            for mark in range(step, starts[-1] + 1, step)
+        })
+        assert [(s.dyn, s.label) for s in run.snapshots] == [
+            (starts[v], run.labels[run.visits[v]]) for v in want
+        ]
+
+    def test_runs_shorter_than_the_interval_record_none(
+        self, casted, monkeypatch
+    ):
+        """Snapshots need a block boundary at or past one interval: a run
+        that commits fewer instructions than the interval records none,
+        and its last boundary alone still records one."""
+        golden = _oracle(cp=casted).golden_run
+        last_start = golden.visit_start(len(golden.visits) - 1)
+        monkeypatch.setattr(
+            injector_mod, "SNAPSHOT_INTERVAL", golden.golden.dyn_instructions
+        )
+        assert _injector(cp=casted).golden_run.snapshots == []
+        monkeypatch.setattr(injector_mod, "SNAPSHOT_INTERVAL", last_start)
+        (snap,) = _injector(cp=casted).golden_run.snapshots
+        assert snap.dyn == last_start
+
+    @pytest.mark.parametrize("backend", ["compiled", "interp"])
+    def test_golden_run_executes_the_program_once(
+        self, casted, monkeypatch, backend
+    ):
+        """One ``Interpreter.run`` records the visits and the snapshots,
+        and gives the same result and visits as a visit-only run."""
+        interp = Interpreter(
+            casted.program, mem_words=casted.mem_words,
+            frame_words=casted.frame_words, backend=backend,
+        )
+        want, want_visits = interp.run_visits()
+        calls = []
+        run = Interpreter.run
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Interpreter, "run", counted)
+        golden = injector_mod._execute_golden(interp)
+        assert len(calls) == 1
+        assert golden.golden == want
+        assert golden.visits.dtype == want_visits.dtype
+        assert np.array_equal(golden.visits, want_visits)
+        assert bool(golden.snapshots) == (backend == "compiled")
 
 
 class TestTrialEquivalence:
@@ -176,12 +240,13 @@ class TestCampaignDeterminism:
         self, casted, monkeypatch
     ):
         reference = _oracle(cp=casted).run_campaign(self.TRIALS, self.SEED)
-        for snapshot_count in (2, 4, 16):
-            monkeypatch.setattr(injector_mod, "SNAPSHOT_COUNT", snapshot_count)
+        golden_dyn = reference.golden_dyn
+        for interval in (1_250, 5_000, 10_000):
+            monkeypatch.setattr(injector_mod, "SNAPSHOT_INTERVAL", interval)
             inj = _injector(cp=casted)
-            assert 0 < len(inj.golden_run.snapshots) <= snapshot_count
+            assert 0 < len(inj.golden_run.snapshots) <= golden_dyn // interval
             res = inj.run_campaign(self.TRIALS, self.SEED)
-            assert _signature(res) == _signature(reference), snapshot_count
+            assert _signature(res) == _signature(reference), interval
 
     def test_counts_identical_across_backends(self, casted):
         reference = _oracle(cp=casted).run_campaign(self.TRIALS, self.SEED)
@@ -232,8 +297,30 @@ class TestTelemetry:
         resumed = [s.dyn for s in snaps if s is not None]
         assert (restores, skipped) == (len(resumed), sum(resumed))
 
+    def test_golden_run_spans_count_the_snapshots(self, casted):
+        """The recording span of a golden-run miss, and the profile span of
+        every injector, adopted or not, carry the run's snapshot count."""
+        store._held.clear()
+        store._pinned.clear()
+        tel = obs.configure(keep_events=True)
+        try:
+            inj = _injector(cp=casted)
+            _injector(cp=casted, fault_model="cf")
+        finally:
+            obs.reset()
+        n = len(inj.golden_run.snapshots)
+        assert n > 0
+
+        def args(name: str) -> list[dict]:
+            return [e["args"] for e in tel.tracer.events if e.get("name") == name]
+
+        assert [a["snapshots"] for a in args("injector:snapshots")] == [n]
+        assert [(a["adopted"], a["snapshots"]) for a in args("injector:profile")] == [
+            (False, n), (True, n)
+        ]
+
     def test_no_restore_counters_without_snapshots(self, casted, monkeypatch):
-        monkeypatch.setattr(injector_mod, "SNAPSHOT_MIN_DYN", 10**9)
+        monkeypatch.setattr(injector_mod, "SNAPSHOT_INTERVAL", 10**9)
         inj = _injector(cp=casted)
         tel = obs.configure()
         try:

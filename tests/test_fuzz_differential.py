@@ -228,7 +228,7 @@ class TestDifferentialFuzz:
     ):
         """Compiled-engine campaigns are bit-identical to the interp oracle's
         replay-from-zero, whatever the program shape (snapshots forced on
-        even for tiny programs by zeroing the eligibility floor)."""
+        even for tiny programs: about eight per golden run)."""
         from repro.faults import injector as injector_mod
         from repro.faults.injector import FaultInjector
 
@@ -244,15 +244,15 @@ class TestDifferentialFuzz:
             cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
             backend="interp",
         )
-        saved = injector_mod.SNAPSHOT_MIN_DYN, injector_mod.SNAPSHOT_COUNT
-        injector_mod.SNAPSHOT_MIN_DYN, injector_mod.SNAPSHOT_COUNT = 0, 8
+        saved = injector_mod.SNAPSHOT_INTERVAL
+        injector_mod.SNAPSHOT_INTERVAL = max(1, golden.dyn_instructions // 8)
         try:
             ckpt = FaultInjector(
                 cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
                 backend="compiled",
             )
         finally:
-            injector_mod.SNAPSHOT_MIN_DYN, injector_mod.SNAPSHOT_COUNT = saved
+            injector_mod.SNAPSHOT_INTERVAL = saved
         a = plain.run_campaign(trials=6, seed=seed)
         b = ckpt.run_campaign(trials=6, seed=seed)
         assert (a.counts, a.total_faults_injected, a.detection_latency_sum) == (

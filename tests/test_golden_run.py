@@ -31,8 +31,8 @@ MACHINE = MachineConfig(issue_width=2, inter_cluster_delay=2)
 DRAWS = 500
 
 
-def _compiled(workload: str):
-    return compile_program(get_workload(workload).program, Scheme.CASTED, MACHINE)
+def _compiled(workload: str, scheme: Scheme = Scheme.CASTED):
+    return compile_program(get_workload(workload).program, scheme, MACHINE)
 
 
 class _ReferenceSampler:
@@ -145,11 +145,18 @@ def _traced(build):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("workload", ["parser", "h263dec"])
-def test_size_estimates_track_tracemalloc(workload):
+@pytest.mark.parametrize(
+    ("workload", "scheme"),
+    [
+        pytest.param(w, s, id=w if s is Scheme.CASTED else f"{w}-noed")
+        for w in workload_names()
+        for s in (Scheme.CASTED, Scheme.NOED)
+    ],
+)
+def test_size_estimates_track_tracemalloc(workload, scheme):
     """``GoldenRun.nbytes`` and ``FaultInjector.nbytes`` stay within
     0.7-1.3x of what ``tracemalloc`` counts for the object."""
-    cp = _compiled(workload)
+    cp = _compiled(workload, scheme)
     interp = Interpreter(
         cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words
     )
