@@ -332,10 +332,27 @@ class GoldenRun:
     visit_dyn_cum: npt.NDArray[np.int64] = field(init=False)
     #: Output-producing instructions committed through each golden visit.
     visit_dest_cum: npt.NDArray[np.int64] = field(init=False)
+    #: Int objects the snapshots' registers and delta words hold that the
+    #: run created: values above CPython's small-int cache (256) that are
+    #: not the object the previous snapshot held in the same place.
+    new_ints: int = field(init=False)
 
     def __post_init__(self, block_sizes: list[list[int]]) -> None:
         self.dyn_keys = [s.dyn for s in self.snapshots]
         self.visit_dyn_cum, self.visit_dest_cum = self.cumulative(block_sizes)
+        new_ints = 0
+        prev: list[int] = []
+        for s in self.snapshots:
+            if len(prev) == len(s.regs):
+                new_ints += sum(
+                    1 for a, b in zip(s.regs, prev) if a is not b and a > 256
+                )
+            else:
+                new_ints += sum(1 for v in s.regs if v > 256)
+            if s.deltas:
+                new_ints += sum(1 for v in s.deltas[-1][1] if v > 256)
+            prev = s.regs
+        self.new_ints = new_ints
 
     def cumulative(self, per_block: npt.ArrayLike) -> npt.NDArray[np.int64]:
         """Running totals over the golden visits of a per-block count.
@@ -362,9 +379,10 @@ class GoldenRun:
     @property
     def nbytes(self) -> int:
         """Estimated size: 8 B per register, output and keyframe memory
-        word, 12 B per delta word (a 4-byte address and a value), 550 B of
-        object headers per snapshot, and per golden visit its block index
-        (2 B) and two int64 running totals."""
+        word, 12 B per delta word (a 4-byte address and a value), 32 B per
+        int object the run created (:attr:`new_ints`), 350 B of object
+        headers per snapshot, and per golden visit its block index (2 B)
+        and two int64 running totals."""
         words = delta_words = 0
         for s in self.snapshots:
             words += len(s.regs) + len(s.output)
@@ -372,9 +390,12 @@ class GoldenRun:
                 delta_words += len(s.deltas[-1][1])
             else:
                 words += len(s.base)
-        heads = 550 * len(self.snapshots)
+        heads = 350 * len(self.snapshots)
         per_visit = self.visits.itemsize + 16
-        return 8 * words + 12 * delta_words + heads + per_visit * len(self.visits)
+        return (
+            8 * words + 12 * delta_words + 32 * self.new_ints + heads
+            + per_visit * len(self.visits)
+        )
 
 
 #: Store key of a campaign injector: its golden run's key and fault model.
@@ -524,6 +545,7 @@ class FaultInjector:
                 program, mem_words=mem_words, frame_words=frame_words,
                 backend=backend,
             )
+            self.interp.decode()
             key = golden_key(
                 program, self.interp.mem_words, frame_words, self.interp.backend
             )

@@ -70,6 +70,10 @@ class Function:
         """Fresh virtual register of the same class as ``reg``."""
         return self.new_gp() if reg.rclass is RegClass.GP else self.new_pr()
 
+    def vreg_counts(self) -> tuple[int, int]:
+        """Virtual registers allocated so far: (general-purpose, predicate)."""
+        return self._next_vreg[RegClass.GP], self._next_vreg[RegClass.PR]
+
     def reserve_vregs(self, rclass: RegClass, count: int) -> None:
         """Bump the allocation counter past externally created registers."""
         self._next_vreg[rclass] = max(self._next_vreg[rclass], count)

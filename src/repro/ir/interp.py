@@ -113,7 +113,7 @@ def _apply_deltas(M: list[int], deltas: tuple[MemDelta, ...]) -> None:
             M[a] = v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
     """Complete architectural state at a block boundary of a fault-free run.
 
@@ -397,30 +397,19 @@ class Interpreter:
         self._M: list[int] = [0] * mem_words
         self._O: list[int] = []
 
-        self._blocks: dict[str, _CompiledBlock] = {}
-        for index, block in enumerate(program.main.blocks()):
-            cb = _CompiledBlock(block.label, index)
+        for block in program.main.blocks():
             for insn in block.instructions:
-                cb.fns.append(self._make_closure(insn))
-                if insn.dests:
-                    cb.dest_slots.append(self._slot_of[insn.dests[0]])
-                    cb.dest_is_pr.append(insn.dests[0].rclass is RegClass.PR)
-                else:
-                    cb.dest_slots.append(-1)
-                    cb.dest_is_pr.append(False)
-                cb.src_slots.append(tuple(self._slot_of[r] for r in insn.srcs))
-                cb.targets.append(
-                    tuple(insn.targets)
-                    if insn.opcode in (Opcode.JMP, Opcode.BRT, Opcode.BRF)
-                    else ()
-                )
-            cb.n = len(cb.fns)
-            self._blocks[block.label] = cb
+                if insn.opcode in (Opcode.LOADFP, Opcode.STOREFP) and not (
+                    1 <= self.frame_base + insn.imm < mem_words
+                ):
+                    raise SimError(f"frame slot {insn.imm} outside memory")
         #: Block labels in program order: a recorded visit is an index here.
-        self.labels: tuple[str, ...] = tuple(self._blocks)
+        self.labels: tuple[str, ...] = tuple(program.main.block_labels())
         #: Longest block: a chained visit starting below ``x - _maxlen``
         #: commits its whole block before instruction ``x``.
-        self._maxlen = max((cb.n for cb in self._blocks.values()), default=0)
+        self._maxlen = max(
+            (len(b.instructions) for b in program.main.blocks()), default=0
+        )
         #: Shortcuts :meth:`run` took (telemetry): block visits executed on
         #: its chained path, convergence early exits and golden
         #: fast-forwards between faults.
@@ -435,6 +424,38 @@ class Interpreter:
         self._gsteps = 0
 
         self.backend = resolve_backend(backend)
+
+    def decode(self) -> None:
+        """Build the per-instruction closures now, not on the first run."""
+        self._blocks
+
+    @cached_property
+    def _blocks(self) -> dict[str, _CompiledBlock]:
+        """Per-instruction closures and fault-site tables, built by
+        :meth:`decode` or the first :meth:`run`: a
+        :class:`~repro.sim.executor.VLIWExecutor` on the compiled backend
+        never runs its interpreter's closures."""
+        blocks: dict[str, _CompiledBlock] = {}
+        slot_of = self._slot_of
+        for index, block in enumerate(self.program.main.blocks()):
+            cb = _CompiledBlock(block.label, index)
+            for insn in block.instructions:
+                cb.fns.append(self._make_closure(insn))
+                if insn.dests:
+                    cb.dest_slots.append(slot_of[insn.dests[0]])
+                    cb.dest_is_pr.append(insn.dests[0].rclass is RegClass.PR)
+                else:
+                    cb.dest_slots.append(-1)
+                    cb.dest_is_pr.append(False)
+                cb.src_slots.append(tuple(slot_of[r] for r in insn.srcs))
+                cb.targets.append(
+                    tuple(insn.targets)
+                    if insn.opcode in (Opcode.JMP, Opcode.BRT, Opcode.BRF)
+                    else ()
+                )
+            cb.n = len(cb.fns)
+            blocks[block.label] = cb
+        return blocks
 
     @cached_property
     def chain(self) -> dict[str, tuple[Callable[[], object], int]] | None:
@@ -455,7 +476,7 @@ class Interpreter:
         from repro.sim.compiled import fuse_functional_blocks
 
         return {
-            sys.intern(label): (fn, self._blocks[label].n)
+            sys.intern(label): (fn, len(self.program.main.block(label)))
             for label, fn in fuse_functional_blocks(self).items()
         }
 
@@ -533,8 +554,6 @@ class Interpreter:
         if op is Opcode.LOADFP:
             d = dest
             addr = self.frame_base + imm
-            if not 1 <= addr < mem_words:
-                raise SimError(f"frame slot {imm} outside memory")
 
             def f_loadfp() -> None:
                 R[d] = M[addr]
@@ -544,8 +563,6 @@ class Interpreter:
         if op is Opcode.STOREFP:
             a = srcs[0]
             addr = self.frame_base + imm
-            if not 1 <= addr < mem_words:
-                raise SimError(f"frame slot {imm} outside memory")
 
             def f_storefp() -> None:
                 M[addr] = R[a]

@@ -6,19 +6,27 @@ just before instruction scheduling.  The late CSE/DCE that GCC would run
 after scheduling are *not* re-run post-ED (paper §IV-A) — except in the
 dedicated coverage ablation.
 
-``compile_program`` never mutates its input (it clones first), so one
-workload can be compiled under every scheme/machine combination.
+Nothing before cluster assignment reads the machine, so that prefix
+(:func:`compile_prefix`) is compiled once per source program and shared
+through the artifact store (:mod:`repro.store`); each
+:func:`compile_program` call runs assignment, register allocation and
+scheduling on a clone of it.  ``compile_program`` never mutates its input,
+so one workload can be compiled under every scheme/machine combination.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import store
 from repro.errors import PassError
+from repro.ir.printer import print_program
 from repro.ir.program import Program
 from repro.machine.config import MachineConfig
+from repro.obs import get_telemetry
 from repro.passes.base import FunctionPass, PassContext
 from repro.passes.pass_manager import PassManager
 from repro.passes.constfold import ConstFoldPass
@@ -27,6 +35,7 @@ from repro.passes.cse import LocalCSEPass
 from repro.passes.dce import DeadCodeEliminationPass
 from repro.passes.licm import LoopInvariantCodeMotion
 from repro.passes.simplify_cfg import SimplifyCFGPass
+from repro.passes.checks import FULL_POLICY, CheckPolicy
 from repro.passes.error_detection import ErrorDetectionInfo, ErrorDetectionPass
 from repro.passes.regalloc import LinearScanAllocator, RegAllocResult
 from repro.passes.scheduler import ListScheduler, ScheduleResult
@@ -133,6 +142,134 @@ def _assignment_pass(
     )
 
 
+def _optimization_passes(if_convert: bool) -> list[FunctionPass]:
+    """The ``-O1`` passes, in pipeline order."""
+    passes: list[FunctionPass] = [
+        ConstFoldPass(),
+        CopyPropPass(),
+        LocalCSEPass(),
+        LoopInvariantCodeMotion(),
+    ]
+    if if_convert:
+        # Off by default: predication changes the workloads' branch/check
+        # character, which the paper's analysis depends on; the ablation
+        # benchmark measures its effect explicitly.
+        from repro.passes.ifconvert import IfConversionPass
+
+        passes.append(IfConversionPass())
+    return passes + [SimplifyCFGPass(), LocalCSEPass(), DeadCodeEliminationPass()]
+
+
+def _detection_passes(
+    check_policy: CheckPolicy,
+    protect_slice_depth: int | None,
+    unsafe_post_ed_cse: bool,
+) -> list[FunctionPass]:
+    """Error detection (Algorithm 1), plus the unsafe late CSE if asked."""
+    passes: list[FunctionPass] = [
+        ErrorDetectionPass(
+            check_policy=check_policy, protect_slice_depth=protect_slice_depth
+        )
+    ]
+    if unsafe_post_ed_cse:
+        # What a global late CSE would do if not disabled (§IV-A): merge
+        # the replicas into copies of their originals, propagate the
+        # copies into the checks (which then compare a register against
+        # itself), and sweep the leftovers.
+        from repro.passes.unsafe_opt import GlobalReplicaMergePass
+
+        passes += [
+            GlobalReplicaMergePass(),
+            LocalCSEPass(touch_redundant=True),
+            CopyPropPass(touch_all=True),
+            DeadCodeEliminationPass(),
+        ]
+    return passes
+
+
+def _source_digest(program: Program) -> str:
+    """SHA-256 of everything the compile prefix reads from ``program``.
+
+    The printed program carries every opcode, operand, label, global and
+    role/library/cluster tag; the virtual-register counters decide the
+    names error detection gives the registers it creates.
+    """
+    h = hashlib.sha256(print_program(program).encode())
+    for fn in program.functions():
+        h.update(repr(fn.vreg_counts()).encode())
+    return h.hexdigest()
+
+
+@dataclass(eq=False)
+class CompilePrefix:
+    """The machine-independent head of a compile, shared by its grid points.
+
+    ``program`` is the IR after the ``-O1`` passes and, for protected
+    schemes, error detection; ``stats`` the per-pass metrics so far,
+    ending with ``pre-ed-count``/``error-detection``.  Both are read-only:
+    every compile clones ``program`` and copies ``stats``.
+    """
+
+    program: Program
+    stats: dict[str, dict[str, Any]]
+    ed_info: ErrorDetectionInfo | None
+
+    @property
+    def nbytes(self) -> int:
+        """Estimated size: about 320 bytes per IR instruction (0.94-1.10x
+        of what ``tracemalloc`` counts for a workload's prefix)."""
+        return 320 * self.program.main.instruction_count()
+
+
+def _stats_copy(stats: dict[str, dict[str, Any]]) -> dict[str, dict[str, Any]]:
+    return {name: dict(metrics) for name, metrics in stats.items()}
+
+
+def compile_prefix(
+    source: Program,
+    protected: bool,
+    *,
+    optimize: bool = True,
+    if_convert: bool = False,
+    verify: bool = True,
+    check_policy: CheckPolicy | None = None,
+    protect_slice_depth: int | None = None,
+    unsafe_post_ed_cse: bool = False,
+) -> CompilePrefix:
+    """The shared prefix of compiling ``source``, from the artifact store.
+
+    The ``-O1`` result is one store entry per source program and
+    optimization arguments; error detection runs on a clone of it, one
+    entry per (source, protection arguments).  Every pass output is
+    verified once, when the entry is built.  The lookup of the entry
+    returned is counted as ``compile.prefix.{hits,misses}``.
+    """
+    base_key = ("compile-prefix", _source_digest(source), optimize, if_convert, verify)
+
+    def optimized() -> CompilePrefix:
+        program = source.clone()
+        ctx = PassContext()
+        passes = _optimization_passes(if_convert) if optimize else []
+        PassManager(passes, verify).apply(program, ctx)
+        ctx.record("pre-ed-count", instructions=program.main.instruction_count())
+        return CompilePrefix(program, ctx.stats, None)
+
+    if not protected:
+        return store.get(base_key, optimized, counter="compile.prefix")
+    policy = check_policy or FULL_POLICY
+
+    def detected() -> CompilePrefix:
+        base = store.get(base_key, optimized)
+        program = base.program.clone()
+        ctx = PassContext(stats=_stats_copy(base.stats))
+        passes = _detection_passes(policy, protect_slice_depth, unsafe_post_ed_cse)
+        PassManager(passes, verify).apply(program, ctx, verify_input=False)
+        return CompilePrefix(program, ctx.stats, ctx.artifacts["error_detection"])
+
+    key = (*base_key, policy, protect_slice_depth, unsafe_post_ed_cse)
+    return store.get(key, detected, counter="compile.prefix")
+
+
 def compile_program(
     source: Program,
     scheme: Scheme,
@@ -170,70 +307,41 @@ def compile_program(
     * ``capture_pre_regalloc`` — keep a clone of the post-assignment,
       pre-regalloc IR on the result (``CompiledProgram.pre_regalloc``) for
       the protection linter (:mod:`repro.analysis.lint`).
+
+    The machine-independent prefix (the ``-O1`` passes, then error
+    detection for protected schemes) comes from :func:`compile_prefix`,
+    so the grid points of one source share it; only assignment, register
+    allocation and scheduling run per call, on a clone of the prefix.
     """
     if machine.n_clusters < scheme.info.min_clusters:
         raise PassError(
             f"{scheme} needs at least {scheme.info.min_clusters} clusters"
         )
 
-    program = source.clone()
-    ctx = PassContext(machine=machine)
-
-    passes: list[FunctionPass] = []
-    if optimize:
-        passes += [
-            ConstFoldPass(),
-            CopyPropPass(),
-            LocalCSEPass(),
-            LoopInvariantCodeMotion(),
-        ]
-        if if_convert:
-            # Off by default: predication changes the workloads' branch/check
-            # character, which the paper's analysis depends on; the ablation
-            # benchmark measures its effect explicitly.
-            from repro.passes.ifconvert import IfConversionPass
-
-            passes.append(IfConversionPass())
-        passes += [
-            SimplifyCFGPass(),
-            LocalCSEPass(),
-            DeadCodeEliminationPass(),
-        ]
-    n_before_ed_marker = _CountMarker("pre-ed-count")
-    passes.append(n_before_ed_marker)
-    if scheme.protected:
-        from repro.passes.checks import FULL_POLICY
-
-        passes.append(
-            ErrorDetectionPass(
-                check_policy=check_policy or FULL_POLICY,
-                protect_slice_depth=protect_slice_depth,
-            )
-        )
-        if unsafe_post_ed_cse:
-            # What a global late CSE would do if not disabled (§IV-A): merge
-            # the replicas into copies of their originals, propagate the
-            # copies into the checks (which then compare a register against
-            # itself), and sweep the leftovers.
-            from repro.passes.unsafe_opt import GlobalReplicaMergePass
-
-            passes.append(GlobalReplicaMergePass())
-            passes.append(LocalCSEPass(touch_redundant=True))
-            passes.append(CopyPropPass(touch_all=True))
-            passes.append(DeadCodeEliminationPass())
-    passes.append(
+    passes: list[FunctionPass] = [
         _assignment_pass(scheme, casted_candidates, casted_safety_net, block_profile)
-    )
+    ]
     if capture_pre_regalloc:
         passes.append(_SnapshotPass("pre-regalloc"))
     passes.append(LinearScanAllocator(reuse_policy=regalloc_reuse))
     passes.append(ListScheduler())
 
-    PassManager(passes, verify=verify).run(program, ctx)
+    with get_telemetry().span(
+        "pipeline", cat="compile", timer="compile.pipeline.seconds",
+        scheme=scheme.value, verify=verify,
+    ):
+        prefix = compile_prefix(
+            source, scheme.protected,
+            optimize=optimize, if_convert=if_convert, verify=verify,
+            check_policy=check_policy, protect_slice_depth=protect_slice_depth,
+            unsafe_post_ed_cse=unsafe_post_ed_cse,
+        )
+        program = prefix.program.clone()
+        ctx = PassContext(machine=machine, stats=_stats_copy(prefix.stats))
+        PassManager(passes, verify).apply(program, ctx, verify_input=False)
 
     schedules: ScheduleResult = ctx.artifacts["schedule"]
     regalloc: RegAllocResult = ctx.artifacts["regalloc"]
-    ed_info: ErrorDetectionInfo | None = ctx.artifacts.get("error_detection")
 
     n_by_role: dict[str, int] = {}
     per_cluster: dict[int, int] = {}
@@ -261,21 +369,10 @@ def compile_program(
         scheme=scheme,
         frame_words=regalloc.frame_words,
         stats=stats,
-        ed_info=ed_info,
+        ed_info=prefix.ed_info,
         pass_stats=ctx.stats,
         pre_regalloc=ctx.artifacts.get("snapshot:pre-regalloc"),
     )
-
-
-class _CountMarker(FunctionPass):
-    """Records the instruction count at its pipeline position."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def run(self, program: Program, ctx: PassContext) -> bool:
-        ctx.record(self.name, instructions=program.main.instruction_count())
-        return False
 
 
 class _SnapshotPass(FunctionPass):

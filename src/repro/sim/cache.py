@@ -97,11 +97,21 @@ class _Level:
 
 
 class CacheHierarchy:
-    """The full L1/L2/L3 + memory stack."""
+    """The full L1/L2/L3 + memory stack.
+
+    ``l1_mru`` holds, per L1 set, the block address of the set's most
+    recently used line (-1 while the set is empty).  Every :meth:`access`
+    leaves its own line there, so an access whose block matches its set's
+    entry hits the MRU way: LRU order does not change, and the access
+    amounts to one L1 hit (plus, for a store, a dirty bit).  The cycle
+    simulator's fused blocks take that shortcut inline and report the
+    hits through :meth:`count_l1_hits`.
+    """
 
     def __init__(self, config: CacheHierarchyConfig) -> None:
         self.config = config
         self.levels = [_Level(cfg) for cfg in config.levels]
+        self.l1_mru: list[int] = [-1] * self.levels[0].n_sets
         self.stats = CacheStats(
             hits={cfg.name: 0 for cfg in config.levels},
             misses={cfg.name: 0 for cfg in config.levels},
@@ -110,10 +120,16 @@ class CacheHierarchy:
     def reset(self) -> None:
         for level in self.levels:
             level.flush()
+        self.l1_mru[:] = [-1] * len(self.l1_mru)
         self.stats = CacheStats(
             hits={lv.cfg.name: 0 for lv in self.levels},
             misses={lv.cfg.name: 0 for lv in self.levels},
         )
+
+    def count_l1_hits(self, n: int) -> None:
+        """Count ``n`` L1 hits served outside :meth:`access` (MRU hits)."""
+        self.stats.accesses += n
+        self.stats.hits[self.levels[0].cfg.name] += n
 
     def access(self, word_addr: int, is_store: bool) -> int:
         """Access one word; returns total latency in cycles."""
@@ -140,8 +156,10 @@ class CacheHierarchy:
             if evicted_dirty:
                 self.stats.writebacks += 1
 
+        l1 = self.levels[0]
+        block_addr = byte_addr // l1.block_bytes
         if is_store:
             # Write-allocate, write-back: dirty the line in the closest level.
-            l1 = self.levels[0]
-            l1.set_dirty(byte_addr // l1.block_bytes)
+            l1.set_dirty(block_addr)
+        self.l1_mru[block_addr % l1.n_sets] = block_addr
         return latency

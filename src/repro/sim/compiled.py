@@ -26,7 +26,10 @@ Two fusion flavours exist:
     Cycle-level semantics for :class:`~repro.sim.executor.VLIWExecutor`:
     cache accounting (with the same-cycle miss-overlap model), memory-stall
     attribution and partial-progress bookkeeping for traps are generated
-    inline.  The fused callable returns ``(jump, n_executed, stall_delta)``.
+    inline.  An access that hits the most recently used way of its L1 set
+    is served inline, without a call into the cache model
+    (:func:`l1_mru_geometry`).  The fused callable returns ``(jump,
+    n_executed, stall_delta)``.
 
 Generated code objects are memoized in a process-wide **decode cache**
 keyed by the generated source (which embeds every constant, so the key is
@@ -50,6 +53,7 @@ from typing import Callable
 from repro.errors import MemoryFault, SimError
 from repro.ir.interp import _DETECT, _div_s, _rem_s, _signed_const
 from repro.ir.printer import print_program
+from repro.ir.program import BYTES_PER_WORD
 from repro.isa.opcodes import LatencyClass, Opcode
 from repro.obs import get_telemetry
 
@@ -376,8 +380,66 @@ def _stall_lines(addr_expr: str, is_store: bool, cycle: int, lat: int,
     return lines
 
 
+def l1_mru_geometry(machine) -> tuple[int, int, int] | None:
+    """``(word shift, set mask, set bits)`` of the inline L1 MRU check.
+
+    A word address shifted right by the word shift is its L1 block
+    address; the set is the block's low bits and the tag the rest.  The
+    check is emitted only where it is exact and free: the L1 block and set
+    counts are powers of two (so shifts and masks split the address) and
+    an L1 hit costs no more than the scheduled load and store latencies,
+    so a hit never stalls.  ``None`` otherwise: every access then goes
+    through :meth:`~repro.sim.cache.CacheHierarchy.access`.
+    """
+    l1 = machine.cache.levels[0]
+    lat = machine.latencies
+    if l1.latency > min(lat[LatencyClass.LOAD], lat[LatencyClass.STORE]):
+        return None
+    words = l1.block_bytes // BYTES_PER_WORD
+    n_sets = l1.n_sets
+    if (words * BYTES_PER_WORD != l1.block_bytes or words & (words - 1)
+            or n_sets & (n_sets - 1)):
+        return None
+    return words.bit_length() - 1, n_sets - 1, n_sets.bit_length() - 1
+
+
+def _access_lines(addr: str | int, is_store: bool, cycle: int, lat: int,
+                  overlap: bool, mru: tuple[int, int, int] | None) -> list[str]:
+    """One memory access: the inline L1 MRU check, else the cache charge.
+
+    ``addr`` is the name of the local holding the word address, or the
+    address itself for a frame slot, whose set and tag fold to literals.
+    An MRU hit leaves LRU order alone; a store dirties the line in place.
+    The hit is not counted here: the executor derives the number of MRU
+    hits from the memory instructions it ran and the accesses the
+    hierarchy saw.
+    """
+    charge = _stall_lines(str(addr), is_store, cycle, lat, overlap)
+    if mru is None:
+        return charge
+    shift, mask, bits = mru
+    if isinstance(addr, int):
+        k = addr >> shift
+        lines = []
+        mru_set, block, tag = k & mask, str(k), k >> bits
+    else:
+        lines = [f"k = {addr} >> {shift}" if shift else f"k = {addr}"]
+        mru_set, block, tag = f"k & {mask}", "k", f"k >> {bits}"
+    if not is_store:
+        return lines + [f"if U[{mru_set}] != {block}:"] + [
+            f"    {line}" for line in charge
+        ]
+    return lines + [
+        f"if U[{mru_set}] == {block}:",
+        f"    L[{mru_set}][{tag}] = True",
+        "else:",
+        *(f"    {line}" for line in charge),
+    ]
+
+
 def _timed_body(block, order, cycles, slot_of, frame_base: int, mem_words: int,
-                lat_load: int, lat_store: int, overlap: bool) -> list[str]:
+                lat_load: int, lat_store: int, overlap: bool,
+                mru: tuple[int, int, int] | None = None) -> list[str]:
     lines: list[str] = []
     n = len(order)
     for pos, i in enumerate(order):
@@ -399,26 +461,26 @@ def _timed_body(block, order, cycles, slot_of, frame_base: int, mem_words: int,
             d = slot_of[insn.dests[0]]
             lines += [
                 *_addr_lines(srcs[0], imm, mem_words, "load from"),
-                *_stall_lines("t", False, c, lat_load, overlap),
+                *_access_lines("t", False, c, lat_load, overlap, mru),
                 f"R[{d}] = M[t]",
             ]
         elif op is Opcode.STORE:
             lines += [
                 *_addr_lines(srcs[0], imm, mem_words, "store to"),
-                *_stall_lines("t", True, c, lat_store, overlap),
+                *_access_lines("t", True, c, lat_store, overlap, mru),
                 f"M[t] = R[{srcs[1]}]",
             ]
         elif op is Opcode.LOADFP:
             d = slot_of[insn.dests[0]]
             addr = frame_base + imm
             lines += [
-                *_stall_lines(str(addr), False, c, lat_load, overlap),
+                *_access_lines(addr, False, c, lat_load, overlap, mru),
                 f"R[{d}] = M[{addr}]",
             ]
         elif op is Opcode.STOREFP:
             addr = frame_base + imm
             lines += [
-                *_stall_lines(str(addr), True, c, lat_store, overlap),
+                *_access_lines(addr, True, c, lat_store, overlap, mru),
                 f"M[{addr}] = R[{srcs[0]}]",
             ]
         elif op is Opcode.CHKBR:
@@ -440,15 +502,20 @@ def _timed_body(block, order, cycles, slot_of, frame_base: int, mem_words: int,
     return lines
 
 
-def fuse_timed_blocks(executor) -> dict[str, tuple[Callable, int, int]]:
+def fuse_timed_blocks(executor) -> dict[str, tuple[Callable, tuple[int, ...], int]]:
     """Fuse every block of a :class:`VLIWExecutor` with inline timing.
 
-    Returns ``{label: (fused_fn, n_instructions, schedule_length)}``.
-    ``fused_fn() -> (jump, n_executed,
-    stall_delta)``; on a :class:`~repro.errors.SimTrap` the number of
-    instructions completed before the trapping one is left in
-    ``executor._progress[0]`` and the block's flushed stall cycles in
-    ``executor._progress[1]``.
+    Returns ``{label: (fused_fn, memory_ops_before, schedule_length)}``.
+    ``fused_fn() -> (jump, n_executed, stall_delta)``; on a
+    :class:`~repro.errors.SimTrap` the number of instructions completed
+    before the trapping one is left in ``executor._progress[0]`` and the
+    block's flushed stall cycles in ``executor._progress[1]``.
+    ``memory_ops_before[j]`` is the number of memory instructions among
+    the first ``j`` the block executes: each one that runs accesses the
+    cache exactly once (a trapping one traps before its access), so the
+    executor counts the accesses a visit made from ``n_executed`` or the
+    trap position alone.  Accesses the inline L1 MRU check serves
+    (:func:`l1_mru_geometry`) are those the hierarchy did not see.
     """
     interp = executor._interp
     slot_of = interp._slot_of
@@ -456,7 +523,9 @@ def fuse_timed_blocks(executor) -> dict[str, tuple[Callable, int, int]]:
     lat = machine.latencies
     lat_load = lat[LatencyClass.LOAD]
     lat_store = lat[LatencyClass.STORE]
-    fused: dict[str, tuple[Callable, int, int]] = {}
+    mru = l1_mru_geometry(machine)
+    cache = executor.cache
+    fused: dict[str, tuple[Callable, tuple[int, ...], int]] = {}
     for block in executor.compiled.program.main.blocks():
         sched = executor.compiled.schedules.blocks[block.label]
         order = sorted(
@@ -466,22 +535,26 @@ def fuse_timed_blocks(executor) -> dict[str, tuple[Callable, int, int]]:
         body = _timed_body(
             block, order, sched.cycle_of, slot_of,
             interp.frame_base, interp.mem_words,
-            lat_load, lat_store, executor.overlap_misses,
+            lat_load, lat_store, executor.overlap_misses, mru,
         )
         n = len(order)
         if not body:
             body = [f"return (None, {n}, s + ce)"]
-        source = "def _factory(R, M, O, D, div, rem, MF, CA, P):\n"
+        source = "def _factory(R, M, O, D, div, rem, MF, CA, P, U, L):\n"
         source += "    def _block():\n        s = 0\n        cc = -1\n        ce = 0\n"
         source += "".join(f"        {line}\n" for line in body)
         source += f"        return (None, {n}, s + ce)\n    return _block\n"
         factory = _compile_factory(source)
+        memory_ops = [0]
+        for i in order:
+            memory_ops.append(memory_ops[-1] + block.instructions[i].info.is_mem)
         fused[block.label] = (
             factory(
                 interp._R, interp._M, interp._O, _DETECT, _div_s, _rem_s,
-                MemoryFault, executor.cache.access, executor._progress,
+                MemoryFault, cache.access, executor._progress,
+                cache.l1_mru, cache.levels[0].sets,
             ),
-            n,
+            tuple(memory_ops),
             sched.length,
         )
     return fused

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import SimError, SimTrap
 from repro.ir.interp import FaultSpec, Interpreter, RunResult
-from repro.ir.program import Program
 from repro.isa.opcodes import LatencyClass, Opcode
 from repro.machine.config import MachineConfig
 from repro.obs import get_telemetry
@@ -105,10 +105,8 @@ class VLIWExecutor:
         )
         self.backend = self._interp.backend
         self._entry = compiled.program.main.entry.label
-        self._blocks: dict[str, _BlockCode] = {}
         #: Lazy static (cluster, role) attribution table for telemetry.
         self._issue_table: dict[str, dict[tuple[int, str], int]] | None = None
-        self._build(compiled.program)
 
         lat = self.machine.latencies
         self._sched_lat_load = lat[LatencyClass.LOAD]
@@ -125,10 +123,15 @@ class VLIWExecutor:
 
             self._fused = fuse_timed_blocks(self)
 
-    def _build(self, program: Program) -> None:
+    @cached_property
+    def _blocks(self) -> dict[str, _BlockCode]:
+        """Per-block execution order and memory metadata for
+        :meth:`_run_interp`, built on its first run: the compiled backend
+        never reads them."""
+        blocks: dict[str, _BlockCode] = {}
         slot_of = self._interp._slot_of
         frame_base = self._interp.frame_base
-        for block in program.main.blocks():
+        for block in self.compiled.program.main.blocks():
             sched = self.compiled.schedules.blocks[block.label]
             cb = self._interp._blocks[block.label]
             code = _BlockCode(block.label, sched.length)
@@ -162,7 +165,8 @@ class VLIWExecutor:
                     code.addr_slot.append(-1)
                     code.addr_off.append(0)
             code.n = len(code.fns)
-            self._blocks[code.label] = code
+            blocks[code.label] = code
+        return blocks
 
     # -- execution ------------------------------------------------------------
     def functional_run(
@@ -281,11 +285,14 @@ class VLIWExecutor:
         stalls = 0
         dyn = 0
         visits = 0
+        accesses = 0
         label = self._entry
         fused = self._fused
         progress = self._progress
 
         def finish(kind: ExitKind, code_: int | None) -> SimResult:
+            # Every access the hierarchy did not see hit an L1 MRU way.
+            self.cache.count_l1_hits(accesses - self.cache.stats.accesses)
             return SimResult(
                 kind=kind,
                 exit_code=code_,
@@ -299,7 +306,7 @@ class VLIWExecutor:
 
         try:
             while True:
-                fn, _n, length = fused[label]
+                fn, memory_ops, length = fused[label]
                 visits += 1
                 if visit_counts is not None:
                     visit_counts[label] = visit_counts.get(label, 0) + 1
@@ -308,6 +315,7 @@ class VLIWExecutor:
                     return finish(ExitKind.TIMEOUT, None)
                 jump, done, ds = fn()
                 dyn += done
+                accesses += memory_ops[done]
                 if ds:
                     stalls += ds
                     if block_stalls is not None:
@@ -326,6 +334,7 @@ class VLIWExecutor:
             # same-cycle overlap is dropped (same as the interpreted loop).
             dyn += progress[0]
             stalls += progress[1]
+            accesses += memory_ops[progress[0]]
             return finish(ExitKind.EXCEPTION, None)
 
     def _run_interp(

@@ -12,6 +12,7 @@ attribution).  Random-program differential coverage lives in
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,10 +23,14 @@ from repro.ir.interp import Interpreter, resolve_backend
 from repro.errors import SimError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
+from repro.ir.builder import IRBuilder
+from repro.ir.program import GlobalArray, Program
+from repro.isa.opcodes import LatencyClass
 from repro.isa.registers import GP, PR, RegClass
-from repro.machine.config import MachineConfig
+from repro.machine.config import CacheLevelConfig, MachineConfig, itanium2_cache
 from repro.pipeline import Scheme, compile_program
-from repro.sim.compiled import _functional_body, _timed_body
+from repro.sim.cache import CacheHierarchy
+from repro.sim.compiled import _functional_body, _timed_body, l1_mru_geometry
 from repro.sim.executor import VLIWExecutor
 from repro.workloads import get_workload, workload_names
 
@@ -111,6 +116,138 @@ class TestTimedEquivalence:
         assert counters("compiled") == counters("interp")
 
 
+#: Word addresses of five lines that share L1 set 1 of the Table I cache
+#: (64 sets of 8-word lines, 4 ways): one more than a set holds.
+_SET1 = {"A": 8, "B": 8 + 512, "C": 8 + 1024, "D": 8 + 1536, "E": 8 + 2048}
+
+
+def _set_conflict_loop(iterations: int = 20) -> Program:
+    """A loop that dirties line A by an MRU hit and then evicts it.
+
+    Each iteration loads A, stores to A (an MRU hit: the fast path alone
+    dirties the line), and then walks B A C D E B C D through the same
+    4-way set: the non-MRU hit on A reorders LRU, E evicts B and the
+    second B evicts the dirty A.  Every
+    address depends on the previous load, and stores order all memory
+    operations, so the schedule keeps this access order.
+    """
+    b = IRBuilder("main")
+    f = b.function
+    b.add_and_enter("entry")
+    i = f.new_gp()
+    acc = f.new_gp()
+    b.movi_to(i, 0)
+    b.movi_to(acc, 0)
+    b.jmp("loop")
+    b.add_and_enter("loop")
+    zero = b.movi(0)
+    a = b.add(zero, _SET1["A"])
+    v = b.load(a)
+    b.store(a, b.add(v, 1))
+    total = v
+    for line in "BACDEBCD":
+        w = b.load(b.add(zero, _SET1[line]))
+        zero = b.and_(w, 0)
+        total = b.add(total, w)
+    b.mov_to(acc, b.add(acc, total))
+    b.mov_to(i, b.add(i, 1))
+    b.brt(b.cmplt(i, iterations), "loop", "exit")
+    b.add_and_enter("exit")
+    b.out(acc)
+    b.halt(0)
+    return Program(f, [GlobalArray("buf", 2600)])
+
+
+class TestL1MruFastPath:
+    """The fused blocks serve L1 MRU hits inline; ``_run_interp`` calls
+    :meth:`CacheHierarchy.access` for every access and is the oracle."""
+
+    def test_dirty_mru_line_evicted_from_its_set_matches_interp(self, monkeypatch):
+        machine = MachineConfig(issue_width=1, inter_cluster_delay=1)
+        assert l1_mru_geometry(machine) == (3, 63, 6)
+        cp = compile_program(_set_conflict_loop(), Scheme.NOED, machine, optimize=False)
+        calls = 0
+        access = CacheHierarchy.access
+
+        def counted(self, word_addr, is_store):
+            nonlocal calls
+            calls += 1
+            return access(self, word_addr, is_store)
+
+        ref = VLIWExecutor(cp, backend="interp").run()
+        monkeypatch.setattr(CacheHierarchy, "access", counted)
+        fused = VLIWExecutor(cp, backend="compiled").run()
+        # Every SimResult field, the cache's hits, misses, accesses and
+        # writebacks included.
+        assert fused == ref
+        # 10 accesses per iteration.  The load of A misses (the previous
+        # iteration evicted A), so the store to A is the one MRU hit, and
+        # the only access that dirties A: each eviction of A writes back.
+        assert ref.cache.accesses == 200
+        assert calls == 180
+        assert ref.cache.writebacks == 20
+
+    def test_no_fast_path_where_an_l1_hit_stalls_or_sets_are_not_a_power_of_two(self):
+        slow_loads = MachineConfig(
+            latencies={**MachineConfig().latencies, LatencyClass.LOAD: 1},
+            cache=replace(
+                itanium2_cache(),
+                levels=(
+                    CacheLevelConfig("L1", 16 * 1024, 64, 4, 2),
+                    *itanium2_cache().levels[1:],
+                ),
+            ),
+        )
+        assert l1_mru_geometry(slow_loads) is None
+        three_way = replace(
+            itanium2_cache(),
+            levels=(
+                CacheLevelConfig("L1", 12 * 1024, 64, 3, 1),
+                *itanium2_cache().levels[1:],
+            ),
+        )
+        machine = MachineConfig(issue_width=1, cache=three_way)
+        assert l1_mru_geometry(machine) == (3, 63, 6)
+        odd_sets = replace(
+            itanium2_cache(),
+            levels=(
+                CacheLevelConfig("L1", 24 * 1024, 64, 4, 1),
+                *itanium2_cache().levels[1:],
+            ),
+        )
+        machine = MachineConfig(issue_width=1, cache=odd_sets)
+        assert l1_mru_geometry(machine) is None
+        cp = compile_program(_set_conflict_loop(), Scheme.NOED, machine, optimize=False)
+        assert VLIWExecutor(cp, backend="compiled").run() == VLIWExecutor(
+            cp, backend="interp"
+        ).run()
+
+
+class TestLazyConstruction:
+    def test_compiled_executor_builds_no_closures_or_block_tables(self):
+        """The compiled backend runs fused blocks only: the embedded
+        interpreter's per-instruction closures and the executor's own
+        block tables are built on the first run that reads them."""
+        cp = _compiled("mcf", Scheme.CASTED)
+        ex = VLIWExecutor(cp, backend="compiled")
+        result = ex.run()
+        assert "_blocks" not in vars(ex)
+        assert "_blocks" not in vars(ex._interp)
+        assert result == VLIWExecutor(cp, backend="interp").run()
+        ex.functional_run()
+        assert "_blocks" in vars(ex._interp)
+
+    def test_frame_slot_outside_memory_fails_at_construction(self):
+        b = IRBuilder("main")
+        b.add_and_enter("entry")
+        b.emit(Opcode.STOREFP, srcs=(b.movi(1),), imm=5)
+        b.halt(0)
+        program = Program(b.function)
+        Interpreter(program, mem_words=7)
+        with pytest.raises(SimError, match="frame slot 5 outside memory"):
+            Interpreter(program, mem_words=6)
+
+
 class TestDecodeCache:
     def test_repeat_construction_hits_cache(self):
         program = get_workload("mcf").program
@@ -157,7 +294,8 @@ def _one_of(op: Opcode) -> Instruction:
 
 
 def _emit_both(insn) -> list[list[str]]:
-    """Fuse a one-instruction block on the functional and timed emitters."""
+    """Fuse a one-instruction block on the functional and timed emitters
+    (the timed one with and without the inline L1 MRU check)."""
     block = SimpleNamespace(instructions=[insn])
     slot_of = {r: i for i, r in enumerate((*insn.dests, *insn.srcs))}
     return [
@@ -165,6 +303,10 @@ def _emit_both(insn) -> list[list[str]]:
         _timed_body(
             block, [0], [0], slot_of, frame_base=8, mem_words=64,
             lat_load=2, lat_store=1, overlap=True,
+        ),
+        _timed_body(
+            block, [0], [0], slot_of, frame_base=8, mem_words=64,
+            lat_load=1, lat_store=1, overlap=True, mru=(3, 63, 6),
         ),
     ]
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.config import CacheHierarchyConfig, CacheLevelConfig
+from repro.machine.config import CacheHierarchyConfig, CacheLevelConfig, MachineConfig
 from repro.sim.cache import CacheHierarchy
+from repro.sim.compiled import l1_mru_geometry
 
 
 class _ReferenceLevel:
@@ -133,3 +134,42 @@ class TestCacheAgainstReference:
             m = fast.stats.misses[name]
             assert h + m <= len(stream)
             assert h >= 0 and m >= 0
+
+
+class TestL1MruShortcut:
+    """The inline L1 MRU check of the fused cycle-level blocks, replayed
+    over the hierarchy's own MRU list against the reference model."""
+
+    @given(accesses)
+    @settings(max_examples=60, deadline=None)
+    def test_mru_list_names_each_sets_most_recent_line(self, stream):
+        fast = CacheHierarchy(tiny_config())
+        l1 = fast.levels[0]
+        for addr, is_store in stream:
+            fast.access(addr, is_store)
+            assert fast.l1_mru == [
+                list(s)[-1] * l1.n_sets + i if s else -1
+                for i, s in enumerate(l1.sets)
+            ]
+
+    @given(accesses)
+    @settings(max_examples=80, deadline=None)
+    def test_shortcut_matches_reference(self, stream):
+        shift, mask, bits = l1_mru_geometry(MachineConfig(cache=tiny_config()))
+        fast = CacheHierarchy(tiny_config())
+        plain = CacheHierarchy(tiny_config())
+        ref = _ReferenceHierarchy(tiny_config())
+        l1 = fast.levels[0]
+        for addr, is_store in stream:
+            k = addr >> shift
+            if fast.l1_mru[k & mask] == k:
+                fast.count_l1_hits(1)
+                if is_store:
+                    l1.sets[k & mask][k >> bits] = True
+                latency = l1.cfg.latency
+            else:
+                latency = fast.access(addr, is_store)
+            assert latency == ref.access(addr, is_store)
+            plain.access(addr, is_store)
+        assert fast.stats == plain.stats
+        assert fast.stats.writebacks == ref.writebacks

@@ -10,7 +10,11 @@ by against ``tracemalloc``.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import tracemalloc
+from array import array
 from bisect import bisect_right
 
 import numpy as np
@@ -19,7 +23,7 @@ import pytest
 from repro import store
 from repro.faults import injector as injector_mod
 from repro.faults.injector import FaultInjector
-from repro.ir.interp import ALT_OPS, FaultSpec, Interpreter
+from repro.ir.interp import ALT_OPS, FaultSpec, Interpreter, Snapshot
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RegClass
 from repro.machine.config import MachineConfig
@@ -154,16 +158,20 @@ def _traced(build):
     ],
 )
 def test_size_estimates_track_tracemalloc(workload, scheme):
-    """``GoldenRun.nbytes`` and ``FaultInjector.nbytes`` stay within
-    0.7-1.3x of what ``tracemalloc`` counts for the object."""
+    """``GoldenRun.nbytes`` stays within 0.9-1.1x, and
+    ``FaultInjector.nbytes`` within 0.7-1.3x, of what ``tracemalloc``
+    counts for the object."""
     cp = _compiled(workload, scheme)
     interp = Interpreter(
         cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words
     )
-    assert interp.chain  # fuse (and decode-cache) outside the measurement
+    # Build the closures and fuse (and decode-cache) the blocks outside
+    # the measurement: they belong to the interpreter.
+    interp.decode()
+    assert interp.chain
     run, traced = _traced(lambda: injector_mod._execute_golden(interp))
     assert run.visits.dtype == np.uint16
-    assert 0.7 <= run.nbytes / traced <= 1.3, (run.nbytes, traced)
+    assert 0.9 <= run.nbytes / traced <= 1.1, (run.nbytes, traced)
 
     store._held.clear()
     store._pinned.clear()
@@ -171,3 +179,19 @@ def test_size_estimates_track_tracemalloc(workload, scheme):
         lambda: FaultInjector(cp.program, cp.mem_words, cp.frame_words)
     )
     assert 0.7 <= inj.nbytes / traced <= 1.3, (inj.nbytes, traced)
+
+
+def test_snapshots_are_slotted_and_survive_copy_and_pickle():
+    """A golden run holds dozens of snapshots: they carry no ``__dict__``,
+    and stay frozen, copyable and picklable as slotted dataclasses."""
+    snap = Snapshot(
+        dyn=5, label="loop", regs=[1, 2], base=[0, 7, 0, 0],
+        deltas=((array("I", [2]), (9,)),), output=(3,),
+    )
+    assert not hasattr(snap, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        snap.dyn = 6  # type: ignore[misc]
+    for clone in (copy.copy(snap), copy.deepcopy(snap), pickle.loads(pickle.dumps(snap))):
+        assert clone == snap
+    step = snap.step(9, "exit", [4, 5], (array("I", [1]), (8,)), (3, 4))
+    assert step.base is snap.base and len(step.deltas) == 2
