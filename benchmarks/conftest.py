@@ -1,8 +1,10 @@
 """Shared benchmark fixtures.
 
 The benchmarks regenerate the paper's tables/figures; results are cached in
-``.repro_cache/`` (delete it to force re-simulation) and the rendered text
-is written under ``results/`` and echoed to the terminal (run with ``-s``).
+``.repro_cache/`` under keys that embed a digest of the ``repro`` source, so
+an edit to the code or a workload re-simulates by itself (deleting the
+directory only reclaims space).  The rendered text is written under
+``results/`` and echoed to the terminal (run with ``-s``).
 
 ``REPRO_TRIALS`` controls the Monte-Carlo campaign size (default 120; the
 paper uses 300 — set ``REPRO_TRIALS=300`` to match it exactly).

@@ -104,7 +104,7 @@ def _add_common(
 
 
 def _trial_count(text: str) -> int:
-    """A trial count: a non-negative integer (argparse exits 2 otherwise)."""
+    """A trial or record count: a non-negative integer (argparse exits 2 otherwise)."""
     try:
         n = int(text)
     except ValueError:
@@ -830,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="issue trace of the first N instructions")
     _add_common(p)
-    p.add_argument("--limit", type=int, default=48, help="records to show")
+    p.add_argument("--limit", type=_trial_count, default=48, help="records to show")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("mix", help="dynamic instruction-mix profile")

@@ -9,9 +9,12 @@ harnesses use.  Every (workload, scheme, issue-width, delay) point is
 
 records are memoized per evaluator and, unless disabled, persisted as JSON
 under ``.repro_cache/`` so re-running a different benchmark that shares
-points is cheap.  Compiled programs and campaign injectors come from the
-process's artifact store (:mod:`repro.store`), so every evaluator in a
-process shares them.  Everything is deterministic given the seed.
+points is cheap.  A record's key names its point and the digest of the
+``repro`` source that computed it (:func:`package_digest`), so an edit to
+the compiler, the simulator or a workload never reads an older record.
+Compiled programs and campaign injectors come from the process's artifact
+store (:mod:`repro.store`), so every evaluator in a process shares them.
+Everything is deterministic given the seed.
 
 Grids of points can be evaluated concurrently with :meth:`Evaluator.sweep`:
 workers compute records in their own processes (memoizing in memory only)
@@ -28,6 +31,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -35,6 +39,7 @@ import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import repro
 from repro import store
 from repro.faults.classify import Outcome
 from repro.ir.interp import ExitKind, resolve_backend
@@ -48,12 +53,34 @@ from repro.sim.executor import VLIWExecutor
 from repro.utils.rng import derive_seed
 from repro.workloads import get_workload
 
-#: Bump when a change invalidates previously cached results.  v6: campaigns
-#: draw from per-shard RNG streams (repro.parallel.SHARD_TRIALS), which
-#: changes coverage numbers relative to the old single-stream campaigns.
-CACHE_VERSION = 6
-
 logger = logging.getLogger(__name__)
+
+
+def source_digest(root: Path) -> str:
+    """16-hex SHA-256 prefix of every ``.py`` under ``root``.
+
+    Hashes each file's relative path and bytes in sorted path order;
+    ``__pycache__`` is skipped, so compiling the tree does not change it.
+    """
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        if "__pycache__" in rel.parts:
+            continue
+        data = path.read_bytes()
+        h.update(f"{rel.as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()[:16]
+
+
+@functools.cache
+def package_digest() -> str:
+    """:func:`source_digest` of the imported ``repro`` package, once per process.
+
+    The workloads' minic sources are modules of the package, so it covers
+    them too.
+    """
+    return source_digest(Path(repro.__file__).parent)
 
 
 @dataclass(frozen=True)
@@ -89,10 +116,8 @@ class CoverageRecord:
     trials: int
     fractions: dict[str, float]  # outcome value -> fraction
     total_faults: int
-    # Defaults keep records loadable from cache entries written before the
-    # fault-model / detection-latency fields existed.
-    fault_model: str = "reg-bit"
-    mean_detection_latency: float = 0.0
+    fault_model: str
+    mean_detection_latency: float
 
     def fraction(self, outcome: Outcome) -> float:
         return self.fractions.get(outcome.value, 0.0)
@@ -121,6 +146,7 @@ class Evaluator:
             os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
         )
         self._mem: dict[str, dict] = {}
+        self._digest = package_digest()
 
     # -- caching ---------------------------------------------------------------
     def _load(self, key: str) -> dict | None:
@@ -215,34 +241,27 @@ class Evaluator:
         )
 
     # -- cache keys ---------------------------------------------------------------
-    def _perf_key(
-        self, workload: str, scheme: Scheme, issue_width: int, delay: int
-    ) -> str:
-        return f"v{CACHE_VERSION}_perf_{workload}_{scheme.value}_iw{issue_width}_d{delay}"
-
-    def _cov_key(
+    def _key(
         self,
         workload: str,
         scheme: Scheme,
         issue_width: int,
         delay: int,
-        trials: int,
+        trials: int | None = None,
         fault_model: str = "reg-bit",
     ) -> str:
-        # The default model keeps the historical key shape so existing cache
-        # entries (and their recorded figures) stay valid.
-        suffix = "" if fault_model == "reg-bit" else f"_fm-{fault_model}"
-        return (
-            f"v{CACHE_VERSION}_cov_{workload}_{scheme.value}_iw{issue_width}_d{delay}"
-            f"_t{trials}_s{self.seed}{suffix}"
-        )
+        """The perf record's key, or the coverage record's if ``trials`` is given."""
+        point = f"{workload}_{scheme.value}_iw{issue_width}_d{delay}"
+        if trials is None:
+            return f"perf_{point}_{self._digest}"
+        return f"cov_{point}_t{trials}_s{self.seed}_{fault_model}_{self._digest}"
 
     # -- performance ---------------------------------------------------------------
     def perf(
         self, workload: str, scheme: Scheme, issue_width: int, delay: int
     ) -> PerfRecord:
         delay = _scheme_delay(scheme, delay)
-        key = self._perf_key(workload, scheme, issue_width, delay)
+        key = self._key(workload, scheme, issue_width, delay)
         data = self._load(key)
         if data is None:
             cp = self.compiled(workload, scheme, issue_width, delay)
@@ -281,7 +300,7 @@ class Evaluator:
         fault_model: str = "reg-bit",
     ) -> CoverageRecord:
         delay = _scheme_delay(scheme, delay)
-        key = self._cov_key(workload, scheme, issue_width, delay, trials, fault_model)
+        key = self._key(workload, scheme, issue_width, delay, trials, fault_model)
         data = self._load(key)
         if data is None:
             reference_dyn = None
@@ -350,17 +369,9 @@ class Evaluator:
             )
 
         def is_cached(point: tuple[str, Scheme, int, int]) -> bool:
-            workload, scheme, issue_width, delay = point
-            if self._load(self._perf_key(workload, scheme, issue_width, delay)) is None:
+            if self._load(self._key(*point)) is None:
                 return False
-            if trials is None:
-                return True
-            return (
-                self._load(
-                    self._cov_key(workload, scheme, issue_width, delay, trials)
-                )
-                is not None
-            )
+            return trials is None or self._load(self._key(*point, trials)) is not None
 
         missing = [p for p in dict.fromkeys(norm) if not is_cached(p)]
         tracker = ProgressTracker(len(missing), progress, every=1)
@@ -368,15 +379,11 @@ class Evaluator:
             # Rate-matched campaigns need the NOED reference perf of every
             # protected point.  Compute those here (cheap: one compile +
             # timed run, no campaign) so workers don't each redo them, then
-            # ship all known perf records along.
+            # ship every known record along.
             for workload, scheme, issue_width, delay in missing:
                 if scheme is not Scheme.NOED:
                     self.perf(workload, Scheme.NOED, issue_width, delay)
-        known = {
-            key: data
-            for key, data in self._mem.items()
-            if key.startswith(f"v{CACHE_VERSION}_perf_")
-        }
+        known = dict(self._mem)
         tasks = [
             (self.seed, workload, scheme.value, issue_width, delay, trials, known)
             for workload, scheme, issue_width, delay in missing

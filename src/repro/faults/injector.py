@@ -72,7 +72,6 @@ from repro import store
 from repro.errors import SimError
 from repro.faults.checkpoint import CampaignCheckpoint
 from repro.faults.classify import (
-    OUTCOME_ORDER,
     Outcome,
     classify,
     detection_latency,
@@ -245,11 +244,6 @@ class CampaignResult:
         if not self.trials or not self.golden_dyn:
             return 0.0
         return self.detection_dyn_sum / (self.trials * self.golden_dyn)
-
-    def as_row(self) -> dict[str, float]:
-        row = {o.value: self.fraction(o) for o in OUTCOME_ORDER}
-        row["coverage"] = self.coverage
-        return row
 
     def merged(self, other: "CampaignResult") -> "CampaignResult":
         """Combine outcome counts of two campaigns over the *same* binary.
@@ -690,7 +684,7 @@ class FaultInjector:
 
         This is the frozen ``reg-bit`` sampling path: its RNG draw sequence
         must never change, or default campaigns stop reproducing historical
-        results (treat any change like a cache-version bump).
+        results.
         """
         if self.n_dest_sites == 0:
             raise SimError("program has no output-producing instructions")

@@ -147,10 +147,6 @@ class DFG:
         """Nodes with no predecessors."""
         return [i for i in range(self.n) if not self.preds[i]]
 
-    def topological_order(self) -> list[int]:
-        """A topological order (program order is always valid: edges go forward)."""
-        return list(range(self.n))
-
     def is_dag(self) -> bool:
         """All edges must point forward in program order."""
         return all(e.src < e.dst for e in self.edges)

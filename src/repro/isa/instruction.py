@@ -117,10 +117,6 @@ class Instruction:
         return self.dests
 
     @property
-    def is_check(self) -> bool:
-        return self.role is Role.CHECK
-
-    @property
     def is_redundant(self) -> bool:
         return self.role in REDUNDANT_ROLES
 

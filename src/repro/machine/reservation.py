@@ -27,10 +27,6 @@ class ReservationTable:
         self._check(cycle, cluster)
         return self.used(cycle, cluster) < self.issue_width
 
-    def free_slots(self, cycle: int, cluster: int) -> int:
-        self._check(cycle, cluster)
-        return self.issue_width - self.used(cycle, cluster)
-
     def first_free_cycle(self, cluster: int, from_cycle: int) -> int:
         """Earliest cycle >= ``from_cycle`` with a free slot on ``cluster``."""
         cycle = max(0, from_cycle)

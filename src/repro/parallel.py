@@ -70,7 +70,7 @@ logger = logging.getLogger(__name__)
 
 #: Fixed trials-per-shard for fault campaigns.  Part of the determinism
 #: contract: changing it changes which RNG stream each trial draws from,
-#: so treat it like a cache-version bump.
+#: and so the outcome of every campaign.
 SHARD_TRIALS = 25
 
 

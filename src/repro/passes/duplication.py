@@ -27,9 +27,6 @@ class DuplicationTable:
         self.dup_of_orig[orig.uid] = dup
         self.orig_of_dup[dup.uid] = orig
 
-    def duplicate_of(self, orig: Instruction) -> Instruction | None:
-        return self.dup_of_orig.get(orig.uid)
-
     def has_duplicate(self, orig: Instruction) -> bool:
         return orig.uid in self.dup_of_orig
 

@@ -30,10 +30,6 @@ class ErrorDetectionInfo:
     n_checks: int  # compare+branch pairs
 
     @property
-    def n_protected(self) -> int:
-        return self.n_duplicates
-
-    @property
     def code_growth(self) -> float:
         """Static instruction-count ratio versus the unprotected code."""
         after = (

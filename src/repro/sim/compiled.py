@@ -47,12 +47,10 @@ fuses; an opcode the generator does not know raises :class:`SimError`.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable
 
 from repro.errors import MemoryFault, SimError
 from repro.ir.interp import _DETECT, _div_s, _rem_s, _signed_const
-from repro.ir.printer import print_program
 from repro.ir.program import BYTES_PER_WORD
 from repro.isa.opcodes import LatencyClass, Opcode
 from repro.obs import get_telemetry
@@ -63,11 +61,6 @@ _W = 1 << 64
 
 #: Process-wide decode cache: generated source -> compiled code object.
 _CODE_CACHE: dict[str, object] = {}
-
-
-def decode_cache_size() -> int:
-    """Number of distinct fused blocks compiled in this process."""
-    return len(_CODE_CACHE)
 
 
 def _compile_factory(source: str) -> Callable:
@@ -288,36 +281,8 @@ def _functional_body(block, slot_of, frame_base: int, mem_words: int) -> list[st
     return lines
 
 
-#: Per-program memo of generated functional-fusion sources, keyed weakly by
-#: the Program object with a (printed IR text, frame_base, mem_words)
-#: subkey.  Programs are mutable — transform passes rewrite ``main`` in
-#: place — so object identity alone cannot key generated code; the printed
-#: text is an exact content fingerprint (it embeds every opcode, operand,
-#: label and duplicate tag the generator reads), and the geometry pair
-#: covers the only interpreter state the source embeds besides the program
-#: (register slots derive deterministically from the program).  Saves the
-#: per-block source *generation* walk when several interpreters share one
-#: Program — e.g. a pool worker's profile-path injector, or a bench harness
-#: building several injectors over one compile.  The code
-#: objects themselves are still deduplicated by the source-keyed decode
-#: cache above.
-_FUSE_SOURCE_CACHE: "weakref.WeakKeyDictionary[object, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _functional_sources(interp) -> dict[str, str]:
-    """Generated (or memoized) per-block sources for ``interp``'s program."""
-    tel = get_telemetry()
-    per_program = _FUSE_SOURCE_CACHE.setdefault(interp.program, {})
-    geometry = (
-        print_program(interp.program), interp.frame_base, interp.mem_words
-    )
-    sources = per_program.get(geometry)
-    if sources is not None:
-        tel.count("sim.fuse_cache.hits")
-        return sources
-    tel.count("sim.fuse_cache.misses")
+    """Generated per-block sources for ``interp``'s program."""
     sources = {}
     slot_of = interp._slot_of
     for block in interp.program.main.blocks():
@@ -330,7 +295,6 @@ def _functional_sources(interp) -> dict[str, str]:
         source += "".join(f"        {line}\n" for line in body)
         source += "        return None\n    return _block\n"
         sources[block.label] = source
-    per_program[geometry] = sources
     return sources
 
 
@@ -339,10 +303,9 @@ def fuse_functional_blocks(interp) -> dict[str, Callable[[], object]]:
 
     The returned callables close over the interpreter's live register /
     memory / output arrays, so they observe ``reset_state`` and snapshot
-    restores for free.  Source generation is memoized per (program,
-    geometry) — ``sim.fuse_cache.{hits,misses}`` — and compiled code
-    objects per source (``sim.decode_cache.*``); only the closure binding
-    is re-done per interpreter.
+    restores for free.  Compiled code objects are memoized per source
+    (``sim.decode_cache.*``); source generation and the closure binding
+    are re-done per interpreter.
     """
     fused: dict[str, Callable[[], object]] = {}
     for label, source in _functional_sources(interp).items():

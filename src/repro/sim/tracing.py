@@ -51,6 +51,8 @@ def issue_trace(
             key=lambda i: (sched.cycle_of[i], sched.slot_of[i], i),
         )
         for i in order:
+            if max_records is not None and emitted >= max_records:
+                return
             insn = block.instructions[i]
             yield IssueRecord(
                 cycle=global_cycle + sched.cycle_of[i],
@@ -61,8 +63,6 @@ def issue_trace(
                 role=insn.role.value,
             )
             emitted += 1
-            if max_records is not None and emitted >= max_records:
-                return
         global_cycle += sched.length
 
 

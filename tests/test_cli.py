@@ -161,6 +161,12 @@ class TestTraceCommand:
         assert "cycle" in out
         assert len(out.splitlines()) == 11
 
+    def test_negative_limit_rejected(self, capsys, minic_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", minic_file, "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "--limit: must be >= 0" in capsys.readouterr().err
+
 
 class TestProveCommand:
     def test_negative_validate_rejected(self, capsys, minic_file):

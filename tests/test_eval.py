@@ -1,7 +1,11 @@
 """Evaluator caching + metrics + figure/table renderers."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import obs, store
 from repro.eval import experiment
 from repro.faults.classify import Outcome
@@ -66,6 +70,67 @@ class TestEvaluator:
     def test_coverage_protected_uses_rate_matching(self, ev):
         rec = ev.coverage("mcf", Scheme.SCED, 2, 2, trials=30)
         assert rec.total_faults > rec.trials  # > 1 flip per trial on average
+
+
+class TestResultKey:
+    """Records are keyed by the digest of the ``repro`` source."""
+
+    @staticmethod
+    def _perf_counts(monkeypatch, cache: Path) -> dict[str, int]:
+        """Telemetry counters of one disk-cached ``perf`` lookup."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        tel = obs.configure()
+        try:
+            Evaluator(seed=5, cache=True).perf("mcf", Scheme.NOED, 1, 1)
+        finally:
+            obs.reset()
+        return tel.metrics.counters
+
+    @staticmethod
+    def _copy_package(tmp_path) -> Path:
+        root = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent, root,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        return root
+
+    def test_unchanged_tree_reads_the_record_from_disk(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        first = self._perf_counts(monkeypatch, cache)
+        assert first.get("eval.cache.disk_hits", 0) == 0
+        names = [p.name for p in cache.iterdir()]
+        assert names == [f"perf_mcf_noed_iw1_d0_{experiment.package_digest()}.json"]
+        second = self._perf_counts(monkeypatch, cache)
+        assert second.get("eval.cache.disk_hits", 0) == 1
+        assert second.get("eval.cache.misses", 0) == 0
+
+    def test_edited_workload_misses_the_record(self, tmp_path, monkeypatch):
+        root = self._copy_package(tmp_path)
+        assert experiment.source_digest(root) == experiment.package_digest()
+        mcf = root / "workloads" / "mcf.py"
+        text = mcf.read_text()
+        edited = text.replace("var seed = 181;", "var seed = 182;", 1)
+        assert edited != text
+        mcf.write_text(edited)
+        digest = experiment.source_digest(root)
+        assert digest != experiment.package_digest()
+
+        cache = tmp_path / "cache"
+        self._perf_counts(monkeypatch, cache)
+        monkeypatch.setattr(experiment, "package_digest", lambda: digest)
+        counts = self._perf_counts(monkeypatch, cache)
+        assert counts.get("eval.cache.disk_hits", 0) == 0
+        assert counts.get("eval.cache.misses", 0) == 1
+
+    def test_pycache_does_not_change_the_digest(self, tmp_path):
+        root = self._copy_package(tmp_path)
+        before = experiment.source_digest(root)
+        for pycache in (root / "__pycache__", root / "workloads" / "__pycache__"):
+            pycache.mkdir()
+            (pycache / "stale.py").write_text("x = 1\n")
+            (pycache / "mcf.cpython-311.pyc").write_bytes(b"\0" * 16)
+        assert experiment.source_digest(root) == before
 
 
 class TestMetrics:

@@ -361,11 +361,11 @@ class TestEvaluatorCache:
     def test_corrupt_disk_cache_falls_through(self, tmp_path, monkeypatch, caplog):
         import logging
 
-        from repro.eval.experiment import CACHE_VERSION, Evaluator
+        from repro.eval.experiment import Evaluator, package_digest
 
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        key = f"v{CACHE_VERSION}_perf_cjpeg_noed_iw2_d0"
+        key = f"perf_cjpeg_noed_iw2_d0_{package_digest()}"
         (tmp_path / f"{key}.json").write_text("{ this is not json")
         tel = obs.configure()
         ev = Evaluator(seed=2013)
@@ -385,11 +385,11 @@ class TestEvaluatorCache:
         entry silently — the corrupt file no longer shadows the key."""
         import logging
 
-        from repro.eval.experiment import CACHE_VERSION, Evaluator
+        from repro.eval.experiment import Evaluator, package_digest
 
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        key = f"v{CACHE_VERSION}_perf_cjpeg_noed_iw2_d0"
+        key = f"perf_cjpeg_noed_iw2_d0_{package_digest()}"
         (tmp_path / f"{key}.json").write_text("{ this is not json")
         first = Evaluator(seed=2013).perf("cjpeg", Scheme.NOED, 2, 0)
         caplog.clear()  # drop the (expected) warning from the first run
@@ -399,11 +399,11 @@ class TestEvaluatorCache:
         assert not any("corrupt result cache" in r.message for r in caplog.records)
 
     def test_wrong_shape_cache_falls_through(self, tmp_path, monkeypatch):
-        from repro.eval.experiment import CACHE_VERSION, Evaluator
+        from repro.eval.experiment import Evaluator, package_digest
 
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        key = f"v{CACHE_VERSION}_perf_cjpeg_noed_iw2_d0"
+        key = f"perf_cjpeg_noed_iw2_d0_{package_digest()}"
         (tmp_path / f"{key}.json").write_text("[1, 2, 3]")
         ev = Evaluator(seed=2013)
         assert ev.perf("cjpeg", Scheme.NOED, 2, 0).cycles > 0

@@ -43,6 +43,9 @@ class TestIssueTrace:
     def test_max_records(self, compiled):
         assert len(list(issue_trace(compiled, max_records=5))) == 5
 
+    def test_zero_max_records_yields_nothing(self, compiled):
+        assert list(issue_trace(compiled, max_records=0)) == []
+
     def test_roles_present(self, compiled):
         roles = {r.role for r in issue_trace(compiled)}
         assert {"orig", "dup", "check"} <= roles
