@@ -6,6 +6,7 @@ from typing import Iterator
 
 from repro.errors import IRError
 from repro.ir.basic_block import BasicBlock
+from repro.isa.instruction import Instruction
 from repro.isa.registers import GP, PR, Reg, RegClass
 
 
@@ -102,7 +103,7 @@ class Function:
         return other
 
     # -- traversal helpers -------------------------------------------------------
-    def all_instructions(self):
+    def all_instructions(self) -> Iterator[tuple[BasicBlock, int, Instruction]]:
         """Yield ``(block, index, instruction)`` in layout order."""
         for block in self._blocks.values():
             for idx, insn in enumerate(block.instructions):

@@ -7,7 +7,6 @@ from repro.machine.config import (
     itanium2_cache,
     paper_machine,
 )
-from repro.machine.reservation import ReservationTable
 
 __all__ = [
     "MachineConfig",
@@ -15,5 +14,4 @@ __all__ = [
     "CacheHierarchyConfig",
     "itanium2_cache",
     "paper_machine",
-    "ReservationTable",
 ]

@@ -53,14 +53,29 @@ def collect_def_clusters(program: Program) -> dict[Reg, int]:
 
 
 def validate_function_assignment(function: Function, n_clusters: int) -> dict[Reg, int]:
-    """Check cluster ranges + the single-home invariant for one function."""
+    """Check cluster ranges + the single-home invariant for one function.
+
+    One walk does both; a cluster out of range anywhere is reported before
+    a register defined on two clusters.  Returns the function's home map.
+    """
+    homes: dict[Reg, int] = {}
+    conflict: AssignmentError | None = None
     for block, idx, insn in function.all_instructions():
-        if insn.cluster is None or not 0 <= insn.cluster < n_clusters:
+        cluster = insn.cluster
+        if cluster is None or not 0 <= cluster < n_clusters:
             raise AssignmentError(
                 f"instruction in {block.label}[{idx}] has invalid cluster "
                 f"{insn.cluster}: {insn}"
             )
-    return collect_function_def_clusters(function)
+        for d in insn.dests:
+            prev = homes.setdefault(d, cluster)
+            if prev != cluster and conflict is None:
+                conflict = AssignmentError(
+                    f"register {d} defined on clusters {prev} and {cluster}"
+                )
+    if conflict is not None:
+        raise conflict
+    return homes
 
 
 def validate_assignment(program: Program, n_clusters: int) -> dict[Reg, int]:

@@ -18,28 +18,43 @@ Finally, the mixed assignment is scored (static length weighted by an
 exponential loop-depth proxy for execution frequency) against the two pure
 shapes, and the best of the three ships — so CASTED never regresses below
 its own baselines' shapes by more than the weighting error.
+
+Every placement prices one :class:`~repro.passes.latency.BlockShape` per
+block, taken from the compile prefix's shape cache when the pipeline
+provides one.  Candidates often repeat (about half of the block schedules
+one run asks for equal an earlier one: the same clusters and the same
+remote-operand ready cycles), so one run schedules each distinct candidate
+once (:class:`_ScheduleMemo`).
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from typing import cast
 
 from repro.errors import PassError
 from repro.ir.basic_block import BasicBlock
 from repro.ir.cfg import CFG
 from repro.ir.function import Function
 from repro.ir.program import Program
+from repro.isa.instruction import Instruction
 from repro.isa.registers import Reg
 from repro.machine.config import MachineConfig
+from repro.obs import get_telemetry
 from repro.passes.assignment.bug import bug_assign_block
 from repro.passes.base import FunctionPass, PassContext
-from repro.passes.latency import BlockShape, block_shape
-from repro.passes.scheduler import schedule_block
+from repro.passes.latency import BlockShape, ShapeCache
+from repro.passes.scheduler import list_schedule, remote_ready
 
 #: Assumed relative execution frequency per loop-nesting level.
 _DEPTH_WEIGHT_BASE = 50
 _MAX_DEPTH = 4
 
 
-def _fixed_assign(block: BasicBlock, pinned: dict[Reg, int], cluster_of_insn) -> None:
+Policy = Callable[[Instruction], int]
+
+
+def _fixed_assign(block: BasicBlock, pinned: dict[Reg, int], cluster_of_insn: Policy) -> None:
     """Assign by policy function; pinned destinations override."""
     for insn in block.instructions:
         cluster = cluster_of_insn(insn)
@@ -53,12 +68,49 @@ def _fixed_assign(block: BasicBlock, pinned: dict[Reg, int], cluster_of_insn) ->
             pinned.setdefault(d, cluster)
 
 
+def _placement(block: BasicBlock) -> tuple[int, ...]:
+    """The clusters the instructions of ``block`` were just assigned."""
+    return cast(tuple[int, ...], tuple(insn.cluster for insn in block.instructions))
+
+
 def _block_weight(depth: int) -> int:
-    return _DEPTH_WEIGHT_BASE ** min(depth, _MAX_DEPTH)
+    return int(_DEPTH_WEIGHT_BASE ** min(depth, _MAX_DEPTH))
 
 
 #: Default per-block candidate portfolio.
 ALL_CANDIDATES = ("unified", "split", "bug")
+
+
+class _ScheduleMemo:
+    """Schedule lengths of the candidate placements of one pass run.
+
+    Keyed by (block label, cluster of every instruction, remote-operand
+    ready cycle of every instruction): everything a block's list schedule
+    reads besides its shape and the machine, which one run never changes.
+    """
+
+    def __init__(self, machine: MachineConfig) -> None:
+        self.machine = machine
+        self.lengths: dict[tuple[str, tuple[int, ...], tuple[int, ...]], int] = {}
+        self.hits = 0
+
+    def length(
+        self,
+        label: str,
+        shape: BlockShape,
+        clusters: tuple[int, ...],
+        home_of: Callable[[Reg], int | None],
+    ) -> int:
+        ready = remote_ready(
+            shape, clusters, home_of, self.machine.inter_cluster_delay
+        )
+        key = (label, clusters, tuple(ready))
+        found = self.lengths.get(key)
+        if found is not None:
+            self.hits += 1
+            return found
+        found = self.lengths[key] = list_schedule(shape, clusters, ready, self.machine)[2]
+        return found
 
 
 class CastedAssignmentPass(FunctionPass):
@@ -84,31 +136,27 @@ class CastedAssignmentPass(FunctionPass):
 
     # -- helpers ---------------------------------------------------------------
     def _assign_pure(
-        self, function: Function, machine: MachineConfig, order, policy
+        self, function: Function, order: list[str], policy: Policy
     ) -> tuple[dict[str, list[int]], dict[Reg, int]]:
         pinned: dict[Reg, int] = {}
         clusters: dict[str, list[int]] = {}
         for label in order:
             block = function.block(label)
             _fixed_assign(block, pinned, policy)
-            clusters[label] = [i.cluster for i in block.instructions]
+            clusters[label] = list(_placement(block))
         return clusters, pinned
 
     def _score(
         self,
-        function: Function,
-        machine: MachineConfig,
         clusters: dict[str, list[int]],
         homes: dict[Reg, int],
         weight_of: dict[str, int],
         shapes: dict[str, BlockShape],
+        memo: _ScheduleMemo,
     ) -> int:
         total = 0
         for label, cl in clusters.items():
-            block = function.block(label)
-            for insn, c in zip(block.instructions, cl):
-                insn.cluster = c
-            length = schedule_block(block, machine, homes, shapes[label]).length
+            length = memo.length(label, shapes[label], tuple(cl), homes.get)
             total += weight_of[label] * length
         return total
 
@@ -116,10 +164,11 @@ class CastedAssignmentPass(FunctionPass):
         self,
         function: Function,
         machine: MachineConfig,
-        order,
+        order: list[str],
         checker: int,
         home_hints: dict[Reg, int],
         shapes: dict[str, BlockShape],
+        memo: _ScheduleMemo,
     ) -> tuple[dict[str, list[int]], dict[Reg, int], dict[str, int]]:
         pinned: dict[Reg, int] = {}
         clusters: dict[str, list[int]] = {}
@@ -127,8 +176,8 @@ class CastedAssignmentPass(FunctionPass):
         for label in order:
             block = function.block(label)
             shape = shapes[label]
-            best_name = None
-            best_len = None
+            best_name = ""
+            best_len: int | None = None
             best_clusters: list[int] = []
             best_pins: dict[Reg, int] = {}
             for name in self.candidates:
@@ -148,12 +197,13 @@ class CastedAssignmentPass(FunctionPass):
                     )
                 else:
                     _fixed_assign(block, pins, lambda i: 0)
-                length = schedule_block(
-                    block, machine, {**home_hints, **pins}, shape
-                ).length
+                placed = _placement(block)
+                length = memo.length(
+                    label, shape, placed, lambda r: pins.get(r, home_hints.get(r))
+                )
                 if best_len is None or length < best_len:
                     best_name, best_len = name, length
-                    best_clusters = [i.cluster for i in block.instructions]
+                    best_clusters = list(placed)
                     best_pins = pins
             for insn, c in zip(block.instructions, best_clusters):
                 insn.cluster = c
@@ -186,40 +236,41 @@ class CastedAssignmentPass(FunctionPass):
             key=lambda lb: (-weight_of[lb], layout_pos[lb]),
         )
         checker = 1 if machine.n_clusters > 1 else 0
-        # Every placement below reuses one shape per block: the DFG and its
-        # heights do not depend on where instructions are placed.
-        shapes = {lb: block_shape(function.block(lb), machine) for lb in order}
+        # Every placement below reuses one shape per block: the priced
+        # edges and heights do not depend on where instructions are placed.
+        # The compile pipeline shares them across grid points through the
+        # prefix's cache; a bare pass run builds its own.
+        cache: ShapeCache = ctx.artifacts.get("block-shapes") or ShapeCache(function)
+        shapes = cache.shapes(machine)
+        memo = _ScheduleMemo(machine)
 
         # Iteration 1 discovers homes; iteration 2 re-decides with them.
-        _, homes1, _ = self._mixed_assign(
-            function, machine, order, checker, {}, shapes
-        )
+        homes1 = self._mixed_assign(
+            function, machine, order, checker, {}, shapes, memo
+        )[1]
         mixed, homes2, chosen = self._mixed_assign(
-            function, machine, order, checker, homes1, shapes
+            function, machine, order, checker, homes1, shapes, memo
         )
 
         candidates = [
             ("mixed", mixed, homes2),
         ]
         if self.safety_net:
-            uni_clusters, uni_homes = self._assign_pure(
-                function, machine, order, lambda i: 0
-            )
+            uni_clusters, uni_homes = self._assign_pure(function, order, lambda i: 0)
             candidates.append(("unified", uni_clusters, uni_homes))
             split_clusters, split_homes = self._assign_pure(
-                function, machine, order, lambda i: checker if i.is_redundant else 0
+                function, order, lambda i: checker if i.is_redundant else 0
             )
             candidates.append(("split", split_clusters, split_homes))
 
-        best = None
+        best: tuple[int, str, dict[str, list[int]]] | None = None
         for name, clusters, homes in candidates:
-            score = self._score(
-                function, machine, clusters, homes, weight_of, shapes
-            )
+            score = self._score(clusters, homes, weight_of, shapes, memo)
             if best is None or score < best[0]:
                 best = (score, name, clusters)
 
-        _, winner, clusters = best
+        assert best is not None
+        weighted_static, winner, clusters = best
         for label, cl in clusters.items():
             block = function.block(label)
             for insn, c in zip(block.instructions, cl):
@@ -242,18 +293,18 @@ class CastedAssignmentPass(FunctionPass):
         ctx.record(
             self.name,
             winner=winner,
-            weighted_static=best[0],
+            weighted_static=weighted_static,
             **{f"blocks_{k}": v for k, v in chosen.items()},
         )
-        from repro.obs import get_telemetry
-
         tel = get_telemetry()
         if tel.enabled:
+            tel.count("assign.casted.schedule_memo.hits", memo.hits)
+            tel.count("assign.casted.schedule_memo.misses", len(memo.lengths))
             tel.count(f"assign.casted.winner.{winner}")
             for cand, n_blocks in chosen.items():
                 tel.count(f"assign.casted.blocks.{cand}", n_blocks)
             tel.instant(
                 "casted-decision", cat="pass", winner=winner,
-                weighted_static=best[0], **{f"blocks_{k}": v for k, v in chosen.items()},
+                weighted_static=weighted_static, **{f"blocks_{k}": v for k, v in chosen.items()},
             )
         return True

@@ -28,7 +28,7 @@ class DcedAssignmentPass(FunctionPass):
     def run(self, program: Program, ctx: PassContext) -> bool:
         n_main = n_checker = 0
         for function in program.functions():
-            for _, _, insn in function.all_instructions():
+            for _block, _idx, insn in function.all_instructions():
                 if insn.is_redundant:
                     insn.cluster = self.checker_cluster
                     n_checker += 1

@@ -21,7 +21,7 @@ class ScedAssignmentPass(FunctionPass):
 
     def run(self, program: Program, ctx: PassContext) -> bool:
         for function in program.functions():
-            for _, _, insn in function.all_instructions():
+            for _block, _idx, insn in function.all_instructions():
                 insn.cluster = self.cluster
         ctx.record(self.name, cluster=self.cluster)
         return True

@@ -18,8 +18,11 @@ class PassManager:
     13.9 s of 48.8 s of compile time over 341 compiles before the changes
     in ``docs/performance.md``, "The compile pipeline", and 6.3 s of
     20.2 s after them.  Since each grid point verifies only its own
-    suffix passes ("Shared compile prefix"), it takes 2.4 s of 14.0 s over
-    332 compiles (6.7 s of 20.7 s just before, same VM and seed).
+    suffix passes ("Shared compile prefix"), it took 2.4 s of 14.0 s over
+    332 compiles (6.7 s of 20.7 s just before, same VM and seed).  Once
+    the table-driven block scheduler cut assignment and scheduling ("Compile
+    suffix"), it is the largest compile layer: 2.6-3.0 s of 10.5-11.9 s
+    over 330-332 compiles in traced reps at seeds 1-3.
 
     When telemetry is enabled (see :mod:`repro.obs`), every pass emits a
     ``pass:<name>`` span carrying its wall time, instruction/block deltas,

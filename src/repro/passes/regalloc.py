@@ -54,6 +54,28 @@ class _Interval:
     phys: int = -1
 
 
+@dataclass
+class _Pool:
+    """One (cluster, class) register file during a scan."""
+
+    free: deque[int]
+    #: Its physical registers, each built on first use.
+    regs: list[Reg | None]
+    pressure_key: tuple[int, str]
+    #: A lower bound on the ends of ``active``: while it is not below an
+    #: interval's start, nothing can expire.
+    soonest: int
+    active: list[_Interval] = field(default_factory=list)
+
+    def reg(self, iv: _Interval) -> Reg:
+        reg = self.regs[iv.phys]
+        if reg is None:
+            reg = self.regs[iv.phys] = Reg(
+                iv.reg.rclass, iv.phys, virtual=False, cluster=iv.home
+            )
+        return reg
+
+
 class LinearScanAllocator(FunctionPass):
     name = "regalloc"
 
@@ -123,30 +145,28 @@ class LinearScanAllocator(FunctionPass):
         cfg = CFG(function)
         live = compute_liveness(function, cfg)
 
+        # The walk touches each block's live-in registers at its first
+        # position, its instructions' operands at theirs, then its live-out
+        # registers at its last position, so positions never decrease: a
+        # register's first touch starts its interval and its last ends it.
         pos = 0
         lo: dict[Reg, int] = {}
         hi: dict[Reg, int] = {}
-
-        def touch(r: Reg, p: int) -> None:
-            if r not in lo:
-                lo[r] = hi[r] = p
-            else:
-                if p < lo[r]:
-                    lo[r] = p
-                if p > hi[r]:
-                    hi[r] = p
-
         for block in function.blocks():
-            bstart = pos
-            bend = pos + len(block.instructions) - 1
             for r in live.live_in[block.label]:
-                touch(r, bstart)
-            for r in live.live_out[block.label]:
-                touch(r, bend)
+                lo.setdefault(r, pos)
+                hi[r] = pos
             for insn in block.instructions:
-                for r in (*insn.reads(), *insn.writes()):
-                    touch(r, pos)
+                for r in insn.srcs:
+                    lo.setdefault(r, pos)
+                    hi[r] = pos
+                for r in insn.dests:
+                    lo.setdefault(r, pos)
+                    hi[r] = pos
                 pos += 1
+            for r in live.live_out[block.label]:
+                lo.setdefault(r, pos - 1)
+                hi[r] = pos - 1
 
         intervals: list[_Interval] = []
         for r in lo:
@@ -172,41 +192,42 @@ class LinearScanAllocator(FunctionPass):
         # false anti/output dependencies the post-allocation scheduler would
         # otherwise have to honour — LIFO reuse measurably serializes the
         # VLIW schedules.
-        free: dict[tuple[int, RegClass], deque[int]] = {}
-        active: dict[tuple[int, RegClass], list[_Interval]] = {}
+        pools: dict[tuple[int, RegClass], _Pool] = {}
         pressure: dict[tuple[int, str], int] = {}
         mapping: dict[Reg, Reg] = {}
         to_spill: list[Reg] = []
 
-        def pool_of(iv: _Interval) -> tuple[int, RegClass]:
-            return (iv.home, iv.reg.rclass)
-
         for iv in intervals:
-            key = pool_of(iv)
-            if key not in free:
-                free[key] = deque(range(pool_size[iv.reg.rclass]))
-                active[key] = []
-            act = active[key]
+            rclass = iv.reg.rclass
+            pool = pools.get((iv.home, rclass))
+            if pool is None:
+                size = pool_size[rclass]
+                pool = pools[iv.home, rclass] = _Pool(
+                    deque(range(size)), [None] * size, (iv.home, rclass.name), iv.end
+                )
+            act = pool.active
             # Expire intervals that ended before this one starts.
-            still = []
-            for other in act:
-                if other.end < iv.start:
-                    free[key].append(other.phys)
-                else:
-                    still.append(other)
-            act[:] = still
+            if pool.soonest < iv.start:
+                still = []
+                for other in act:
+                    if other.end < iv.start:
+                        pool.free.append(other.phys)
+                    else:
+                        still.append(other)
+                act[:] = still
+                pool.soonest = min((o.end for o in still), default=iv.end)
+            if iv.end < pool.soonest:
+                pool.soonest = iv.end
 
-            if free[key]:
+            if pool.free:
                 iv.phys = (
-                    free[key].popleft()
+                    pool.free.popleft()
                     if self.reuse_policy == "fifo"
-                    else free[key].pop()
+                    else pool.free.pop()
                 )
                 act.append(iv)
-                mapping[iv.reg] = Reg(
-                    iv.reg.rclass, iv.phys, virtual=False, cluster=iv.home
-                )
-                pkey = (iv.home, iv.reg.rclass.name)
+                mapping[iv.reg] = pool.reg(iv)
+                pkey = pool.pressure_key
                 pressure[pkey] = max(pressure.get(pkey, 0), len(act))
             else:
                 # Spill the interval that ends furthest in the future.
@@ -219,9 +240,7 @@ class LinearScanAllocator(FunctionPass):
                     to_spill.append(victim.reg)
                     iv.phys = victim.phys
                     act.append(iv)
-                    mapping[iv.reg] = Reg(
-                        iv.reg.rclass, iv.phys, virtual=False, cluster=iv.home
-                    )
+                    mapping[iv.reg] = pool.reg(iv)
 
         return (not to_spill, mapping, to_spill, pressure)
 

@@ -9,30 +9,37 @@ instructions into per-cluster issue slots, honouring
   inter-cluster delay when they cross clusters),
 * the remote-operand rule for cross-block operands: reading a register
   whose home file is the other cluster costs the delay from block entry,
-* per-cluster issue width via a reservation table.
+* per-cluster issue width.
 
 Priority is critical-path height, then program order — the same preference
 order BUG uses, so the schedule realizes the assignment's intent.
+
+The scheduler is event driven.  Each cluster keeps a heap of the
+instructions that may issue now, ordered by ``(-height, index)``; an
+instruction whose last predecessor issued but whose operands arrive later
+waits in a wake-up bucket for that cycle.  Each cycle takes the best head
+among the clusters that still have a free slot, until none does, and
+cycles in which nothing can issue are skipped.  That is the same order in
+which a cycle-by-cycle list scheduler fills the slots: passing over an
+instruction that cannot issue this cycle changes nothing.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from typing import cast
 
 from repro.errors import ScheduleError
 from repro.ir.basic_block import BasicBlock
 from repro.ir.program import Program
 from repro.isa.registers import Reg
 from repro.machine.config import MachineConfig
-from repro.machine.reservation import ReservationTable
 from repro.obs import get_telemetry
-from repro.passes.assignment.base import (
-    collect_function_def_clusters,
-    validate_assignment,
-)
+from repro.passes.assignment.base import validate_function_assignment
 from repro.passes.base import FunctionPass, PassContext
-from repro.passes.latency import BlockShape, block_shape, edge_issue_latency
+from repro.passes.latency import BlockShape, block_shape
 
 
 @dataclass(frozen=True)
@@ -70,15 +77,17 @@ class ListScheduler(FunctionPass):
         if ctx.machine is None:
             raise ScheduleError("scheduling needs a machine config")
         machine = ctx.machine
-        validate_assignment(program, machine.n_clusters)
+        functions = program.functions()
+        # Every function is scheduled, against the home map its validation
+        # returns (registers are function-local); the schedule validator
+        # rejects any block left without a schedule.
+        homes_of = [
+            validate_function_assignment(fn, machine.n_clusters) for fn in functions
+        ]
         result = ScheduleResult()
         tel = get_telemetry()
         track = tel.enabled
-        # Every function is scheduled (registers are function-local, so each
-        # function uses its own home map); the schedule validator rejects any
-        # block left without a schedule.
-        for function in program.functions():
-            homes = collect_function_def_clusters(function)
+        for function, homes in zip(functions, homes_of):
             for block in function.blocks():
                 sched = schedule_block(block, machine, homes)
                 result.blocks[block.label] = sched
@@ -100,6 +109,99 @@ class ListScheduler(FunctionPass):
         return True
 
 
+def remote_ready(
+    shape: BlockShape,
+    clusters: Sequence[int],
+    home_of: Callable[[Reg], int | None],
+    delay: int,
+) -> list[int]:
+    """Each instruction's earliest issue cycle from cross-block operands.
+
+    Reading a register whose home (``home_of(reg)``, ``None`` when
+    unknown) is another cluster costs ``delay`` from block entry.
+    """
+    ready = [0] * len(clusters)
+    for i, regs in enumerate(shape.remote_reads):
+        for r in regs:
+            home = home_of(r)
+            if home is not None and home != clusters[i]:
+                ready[i] = delay
+                break
+    return ready
+
+
+def list_schedule(
+    shape: BlockShape,
+    clusters: Sequence[int],
+    ready_at: list[int],
+    machine: MachineConfig,
+) -> tuple[list[int], list[int], int]:
+    """Issue cycle and slot of every instruction of a block, and its length.
+
+    ``clusters[i]`` is instruction ``i``'s cluster and ``ready_at[i]`` its
+    earliest issue cycle from cross-block operands (:func:`remote_ready`);
+    the list is updated in place as predecessors issue.  An empty block
+    takes one cycle.
+    """
+    n = shape.n
+    n_clusters = machine.n_clusters
+    width = machine.issue_width
+    delay = machine.inter_cluster_delay
+    if n and (min(clusters) < 0 or max(clusters) >= n_clusters):
+        raise ScheduleError(f"cluster out of range in {list(clusters)}")
+    succs = shape.succs
+    heights = shape.heights
+    waiting = list(shape.n_preds)  # predecessors not issued yet
+    cycle_of = [-1] * n
+    slot_of = [-1] * n
+    heaps: list[list[tuple[int, int]]] = [[] for _ in range(n_clusters)]
+    wake: dict[int, list[int]] = {}
+    for i in range(n):
+        if not waiting[i]:
+            if ready_at[i]:
+                wake.setdefault(ready_at[i], []).append(i)
+            else:
+                heappush(heaps[clusters[i]], (-heights[i], i))
+
+    cycle = 0
+    done = 0
+    while done < n:
+        if not any(heaps):
+            cycle = min(wake)
+        for i in wake.pop(cycle, ()):
+            heappush(heaps[clusters[i]], (-heights[i], i))
+        used = [0] * n_clusters
+        while True:
+            best: tuple[int, int] | None = None
+            best_c = 0
+            for c in range(n_clusters):
+                heap = heaps[c]
+                if heap and used[c] < width and (best is None or heap[0] < best):
+                    best = heap[0]
+                    best_c = c
+            if best is None:
+                break
+            heappop(heaps[best_c])
+            i = best[1]
+            cycle_of[i] = cycle
+            slot_of[i] = used[best_c]
+            used[best_c] += 1
+            done += 1
+            for j, lat, data_lat in succs[i]:
+                if data_lat >= 0 and clusters[j] != best_c and data_lat + delay > lat:
+                    lat = data_lat + delay
+                if cycle + lat > ready_at[j]:
+                    ready_at[j] = cycle + lat
+                waiting[j] -= 1
+                if not waiting[j]:
+                    if ready_at[j] <= cycle:
+                        heappush(heaps[clusters[j]], (-heights[j], j))
+                    else:
+                        wake.setdefault(ready_at[j], []).append(j)
+        cycle += 1
+    return cycle_of, slot_of, max(cycle, 1)
+
+
 def schedule_block(
     block: BasicBlock,
     machine: MachineConfig,
@@ -110,86 +212,18 @@ def schedule_block(
 
     ``homes`` maps registers to their home cluster for the cross-block
     remote-operand rule; registers absent from the map are assumed local
-    (the CASTED assignment pass also calls this with a *partial* map to
-    evaluate candidate placements).  ``shape`` is the block's
-    :func:`~repro.passes.latency.block_shape`, built here when not given.
+    (CASTED prices candidate placements against *partial* maps).
+    ``shape`` is the block's :func:`~repro.passes.latency.block_shape`,
+    built here when not given.
     """
     if shape is None:
         shape = block_shape(block, machine)
-    dfg = shape.dfg
-    heights = shape.heights
-    insns = block.instructions
-    n = dfg.n
-    delay = machine.inter_cluster_delay
-
-    # Earliest issue from cross-block remote operands.
-    base_ready = [0] * n
-    defined_in_block: set[Reg] = set()
-    for i, insn in enumerate(insns):
-        data_ops = shape.data_operands[i]
-        for r in insn.reads():
-            if r in data_ops or r in defined_in_block:
-                continue
-            home = homes.get(r)
-            if home is not None and insn.cluster is not None and home != insn.cluster:
-                base_ready[i] = max(base_ready[i], delay)
-        for d in insn.writes():
-            defined_in_block.add(d)
-
-    table = ReservationTable(machine.n_clusters, machine.issue_width)
-    cycle_of = [-1] * n
-    slot_of = [-1] * n
-    unscheduled_preds = [len(dfg.preds[i]) for i in range(n)]
-    ready_at = [0] * n  # earliest legal issue cycle, updated as preds land
-
-    ready: list[tuple[int, int]] = []  # (-height, index)
-    for i in range(n):
-        ready_at[i] = base_ready[i]
-        if unscheduled_preds[i] == 0:
-            heapq.heappush(ready, (-heights[i], i))
-
-    n_done = 0
-    cycle = 0
-    pending: list[tuple[int, int]] = []  # deferred, re-queued next cycle
-    guard = 0
-    while n_done < n:
-        guard += 1
-        if guard > 1_000_000:  # pragma: no cover - safety net
-            raise ScheduleError(f"scheduler live-locked in block {block.label}")
-        deferred: list[tuple[int, int]] = []
-        while ready:
-            prio, i = heapq.heappop(ready)
-            if ready_at[i] > cycle:
-                deferred.append((prio, i))
-                continue
-            cluster = insns[i].cluster
-            if not table.has_free_slot(cycle, cluster):
-                deferred.append((prio, i))
-                continue
-            slot = table.reserve(cycle, cluster)
-            cycle_of[i] = cycle
-            slot_of[i] = slot
-            n_done += 1
-            for e in dfg.succs[i]:
-                j = e.dst
-                lat = edge_issue_latency(
-                    e,
-                    insns[i],
-                    machine,
-                    src_cluster=insns[i].cluster,
-                    dst_cluster=insns[j].cluster,
-                )
-                if cycle + lat > ready_at[j]:
-                    ready_at[j] = cycle + lat
-                unscheduled_preds[j] -= 1
-                if unscheduled_preds[j] == 0:
-                    heapq.heappush(ready, (-heights[j], j))
-        for item in deferred:
-            heapq.heappush(ready, item)
-        if n_done < n:
-            cycle += 1
-
-    length = (max(cycle_of) + 1) if n else 1
+    clusters = [insn.cluster for insn in block.instructions]
+    if None in clusters:
+        raise ScheduleError(f"unassigned instruction in block {block.label}")
+    assigned = cast(list[int], clusters)
+    ready = remote_ready(shape, assigned, homes.get, machine.inter_cluster_delay)
+    cycle_of, slot_of, length = list_schedule(shape, assigned, ready, machine)
     return BlockSchedule(
         label=block.label,
         cycle_of=tuple(cycle_of),

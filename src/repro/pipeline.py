@@ -37,6 +37,7 @@ from repro.passes.licm import LoopInvariantCodeMotion
 from repro.passes.simplify_cfg import SimplifyCFGPass
 from repro.passes.checks import FULL_POLICY, CheckPolicy
 from repro.passes.error_detection import ErrorDetectionInfo, ErrorDetectionPass
+from repro.passes.latency import ShapeCache
 from repro.passes.regalloc import LinearScanAllocator, RegAllocResult
 from repro.passes.scheduler import ListScheduler, ScheduleResult
 from repro.schemes import SchemeInfo, get_scheme_info
@@ -207,18 +208,29 @@ class CompilePrefix:
     ``program`` is the IR after the ``-O1`` passes and, for protected
     schemes, error detection; ``stats`` the per-pass metrics so far,
     ending with ``pre-ed-count``/``error-detection``.  Both are read-only:
-    every compile clones ``program`` and copies ``stats``.
+    every compile clones ``program`` and copies ``stats``.  ``shapes``
+    holds the entry function's block shapes, built on first use: CASTED's
+    assignment, the first pass after the prefix, sees the clone's blocks
+    exactly as they are here.
     """
 
     program: Program
     stats: dict[str, dict[str, Any]]
     ed_info: ErrorDetectionInfo | None
+    shapes: ShapeCache = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.shapes = ShapeCache(self.program.main)
 
     @property
     def nbytes(self) -> int:
-        """Estimated size: about 320 bytes per IR instruction (0.94-1.10x
-        of what ``tracemalloc`` counts for a workload's prefix)."""
-        return 320 * self.program.main.instruction_count()
+        """Estimated size: about 270 bytes per IR instruction, 370 after
+        error detection (its shadow registers and tables), plus the shapes
+        built so far: 0.9-1.1x of what ``tracemalloc`` counts for each
+        kernel's prefix.  The store reads it again each time it hands the
+        prefix out, so shapes built since count from the next lookup."""
+        per_insn = 270 if self.ed_info is None else 370
+        return per_insn * self.program.main.instruction_count() + self.shapes.nbytes
 
 
 def _stats_copy(stats: dict[str, dict[str, Any]]) -> dict[str, dict[str, Any]]:
@@ -338,6 +350,7 @@ def compile_program(
         )
         program = prefix.program.clone()
         ctx = PassContext(machine=machine, stats=_stats_copy(prefix.stats))
+        ctx.artifacts["block-shapes"] = prefix.shapes
         PassManager(passes, verify).apply(program, ctx, verify_input=False)
 
     schedules: ScheduleResult = ctx.artifacts["schedule"]

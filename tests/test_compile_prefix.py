@@ -10,6 +10,8 @@ digest against the unshared pipeline is pinned in
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -19,7 +21,7 @@ from repro.ir.printer import canonical_program_text
 from repro.isa.opcodes import Opcode
 from repro.machine.config import MachineConfig
 from repro.pipeline import Scheme, compile_prefix, compile_program
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 
 MACHINE = MachineConfig(issue_width=2, inter_cluster_delay=2)
 SEQUENCE = (Scheme.CASTED, Scheme.SCED, Scheme.NOED, Scheme.CASTED)
@@ -125,3 +127,54 @@ def test_one_pipeline_span_per_compile_and_each_output_verified_once():
     verifies = [n for n in names if n.startswith("verify:")]
     passes = [n for n in names if n.startswith("pass:")]
     assert len(verifies) == len(passes) + 1
+
+
+def _traced(build):
+    """``build()`` and the bytes it leaves allocated."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        value = build()
+        gc.collect()
+        return value, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workload", workload_names())
+def test_size_estimates_track_tracemalloc(workload):
+    """``CompilePrefix.nbytes`` stays within 0.9-1.1x of what ``tracemalloc``
+    counts for the prefix, before and after it holds block shapes."""
+    source = get_workload(workload).program
+    _clear_store()
+    base, traced = _traced(lambda: compile_prefix(source, False))
+    assert 0.9 <= base.nbytes / traced <= 1.1, (base.nbytes, traced)
+    detected, traced = _traced(lambda: compile_prefix(source, True))
+    assert 0.9 <= detected.nbytes / traced <= 1.1, (detected.nbytes, traced)
+    _, shapes = _traced(lambda: detected.shapes.shapes(MACHINE))
+    traced += shapes
+    assert 0.9 <= detected.nbytes / traced <= 1.1, (detected.nbytes, traced)
+
+
+def test_casted_grid_points_share_the_prefix_shapes():
+    """The shapes are built once per prefix and latency table: after a
+    compile with telemetry off (which counts nothing), two more grid points
+    count two hits and no miss."""
+    source = get_workload("mcf").program
+    _clear_store()
+    compile_program(source, Scheme.CASTED, MACHINE)
+    tel = obs.configure()
+    try:
+        for iw, delay in ((1, 1), (4, 4)):
+            compile_program(
+                source, Scheme.CASTED, MACHINE.with_(issue_width=iw, inter_cluster_delay=delay)
+            )
+        counters = dict(tel.metrics.counters)
+    finally:
+        obs.reset()
+    assert counters["compile.shape_cache.hits"] == 2
+    assert "compile.shape_cache.misses" not in counters
+    assert counters["assign.casted.schedule_memo.hits"] > 0
+    assert counters["assign.casted.schedule_memo.misses"] > 0
+    prefix = compile_prefix(source, True)
+    assert prefix.shapes.shapes(MACHINE) is prefix.shapes.shapes(MACHINE.with_(issue_width=3))

@@ -20,6 +20,10 @@ from repro.machine.config import MachineConfig
 from repro.passes.assignment.bug import bug_assign_block
 from repro.passes.schedule_check import validate_block_schedule
 from repro.passes.scheduler import schedule_block
+from tests.test_compile_equivalence import (
+    reference_bug_assign_block,
+    reference_schedule_block,
+)
 
 _N_REGS = 6
 _MEM_WORDS = 8
@@ -80,6 +84,30 @@ class TestRandomBlocks:
         # schedule length can never beat the issue-bandwidth bound
         n = len(block.instructions)
         assert sched.length >= n / (machine.n_clusters * machine.issue_width)
+
+    @given(random_block_program(), machines(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_scheduler_and_bug_equal_reference(self, program, machine, rng):
+        block = program.main.entry
+        pinned: dict[Reg, int] = {}
+        ref_pinned: dict[Reg, int] = {}
+        ref = reference_bug_assign_block(block, machine, ref_pinned)
+        ref_clusters = [insn.cluster for insn in block.instructions]
+        assert bug_assign_block(block, machine, pinned) == ref
+        assert pinned == ref_pinned
+        assert [insn.cluster for insn in block.instructions] == ref_clusters
+        assert schedule_block(block, machine, pinned) == reference_schedule_block(
+            block, machine, pinned
+        )
+        # Random clusters and homes, as CASTED's candidates produce them.
+        for insn in block.instructions:
+            insn.cluster = rng.randrange(machine.n_clusters)
+        homes = {r: rng.randrange(machine.n_clusters)
+                 for r in sorted(ref_pinned, key=str) if rng.random() < 0.5}
+        assert schedule_block(block, machine, homes) == reference_schedule_block(
+            block, machine, homes
+        )
 
     @given(random_block_program(), machines())
     @settings(max_examples=30, deadline=None,

@@ -49,13 +49,6 @@ class TestDataEdges:
         with pytest.raises(ScheduleError):
             edge_issue_latency(_edge(DepKind.DATA), add(), machine)
 
-    def test_uses_instruction_cluster_when_set(self, machine):
-        producer = add()
-        producer.cluster = 1
-        assert edge_issue_latency(
-            _edge(DepKind.DATA), producer, machine, dst_cluster=1
-        ) == 1
-
 
 class TestOtherKinds:
     def test_anti_is_free(self, machine):

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.errors import MachineConfigError, ScheduleError
+from repro.errors import MachineConfigError
 from repro.isa.opcodes import LatencyClass, Opcode
 from repro.machine.config import (
     CacheHierarchyConfig,
@@ -9,7 +9,6 @@ from repro.machine.config import (
     itanium2_cache,
     paper_machine,
 )
-from repro.machine.reservation import ReservationTable
 
 
 class TestCacheConfig:
@@ -81,39 +80,3 @@ class TestMachineConfig:
     def test_describe_mentions_cache(self):
         text = paper_machine().describe()
         assert "L1" in text and "150" in text
-
-
-class TestReservationTable:
-    def test_reserve_and_fill(self):
-        t = ReservationTable(2, 2)
-        assert t.has_free_slot(0, 0)
-        assert t.reserve(0, 0) == 0
-        assert t.reserve(0, 0) == 1
-        assert not t.has_free_slot(0, 0)
-        assert t.has_free_slot(0, 1)
-
-    def test_overflow_raises(self):
-        t = ReservationTable(1, 1)
-        t.reserve(0, 0)
-        with pytest.raises(ScheduleError):
-            t.reserve(0, 0)
-
-    def test_first_free_cycle_skips_full(self):
-        t = ReservationTable(1, 1)
-        t.reserve(3, 0)
-        t.reserve(4, 0)
-        assert t.first_free_cycle(0, 3) == 5
-        assert t.first_free_cycle(0, 0) == 0
-
-    def test_bad_coordinates(self):
-        t = ReservationTable(2, 1)
-        with pytest.raises(ScheduleError):
-            t.reserve(-1, 0)
-        with pytest.raises(ScheduleError):
-            t.reserve(0, 5)
-
-    def test_max_cycle(self):
-        t = ReservationTable(1, 1)
-        assert t.max_cycle() == -1
-        t.reserve(7, 0)
-        assert t.max_cycle() == 7
