@@ -131,11 +131,8 @@ SNAPSHOT_KEYFRAME_EVERY = 8
 #: "Adaptive task sizing").
 MIN_TASK_SECONDS = 0.25
 
-#: Default extra attempts for a shard whose pool worker died.
+#: Extra attempts for a pool task whose worker died.
 SHARD_RETRIES = 2
-
-#: Default seconds of backoff between shard retry rounds (scaled by round).
-SHARD_RETRY_BACKOFF = 0.5
 
 
 @dataclass(frozen=True)
@@ -777,9 +774,6 @@ class FaultInjector:
         jobs: int | None = 1,
         checkpoint: str | Path | None = None,
         resume: bool = False,
-        retries: int = SHARD_RETRIES,
-        retry_backoff: float = SHARD_RETRY_BACKOFF,
-        shard_timeout: float | None = None,
     ) -> CampaignResult:
         """Run ``trials`` Monte-Carlo trials and aggregate the outcomes.
 
@@ -793,14 +787,11 @@ class FaultInjector:
         recorded shards, yielding counts bit-identical to an uninterrupted
         run (``docs/fault_injection.md`` documents the format).  With
         ``jobs > 1``, a shard whose worker dies is retried up to
-        ``retries`` times with backoff on a fresh worker; a shard that
-        exhausts its retries is *dropped* — the campaign merges the
+        :data:`SHARD_RETRIES` times with backoff on a fresh worker; a shard
+        that exhausts its retries is *dropped* — the campaign merges the
         surviving shards, logs the loss, and returns a ``partial`` result
         (the lost shards stay absent from the checkpoint, so a later
-        ``resume`` retries exactly those).  ``shard_timeout`` (seconds,
-        pool mode only) additionally arms the hung-worker watchdog: a pool
-        task running past it is killed and retried on the same budget (see
-        :func:`repro.parallel.parallel_map`).
+        ``resume`` retries exactly those).
 
         Every shard — serial, pooled or resumed from the checkpoint — is
         merged by the same ``absorb`` step.  ``progress`` (if given)
@@ -874,9 +865,7 @@ class FaultInjector:
                     )
             else:
                 self._run_shards_pool(
-                    remaining, seed, reference_dyn, jobs, absorb, lost_shards,
-                    retries=retries, retry_backoff=retry_backoff,
-                    shard_timeout=shard_timeout,
+                    remaining, seed, reference_dyn, jobs, absorb, lost_shards
                 )
             lost_trials = sum(shard_plan[index] for index in lost_shards)
             completed = sum(counts.values())
@@ -917,9 +906,6 @@ class FaultInjector:
         jobs: int,
         absorb: Callable[[ShardResult, bool], None],
         lost_shards: list[int],
-        retries: int,
-        retry_backoff: float,
-        shard_timeout: float | None = None,
     ) -> None:
         """Fan shards out over a process pool; merge as they complete.
 
@@ -978,9 +964,7 @@ class FaultInjector:
                 tasks,
                 jobs=jobs,
                 on_result=on_result,
-                retries=retries,
-                retry_backoff=retry_backoff,
-                timeout=shard_timeout,
+                retries=SHARD_RETRIES,
                 on_failure=on_failure,
             )
 
@@ -1014,14 +998,11 @@ def _campaign_task_worker(
     Returns the wall seconds spent alongside the shard results so the
     parent can calibrate adaptive task sizing.
     """
-    from repro.chaos import chaos_point
-
     spec, shards, seed, reference_dyn = task
     injector = store.get(spec.key, spec.build, counter="pool.worker_cache")
     out: list[ShardResult] = []
     t0 = time.perf_counter()
     for shard_index, shard_trials in shards:
-        chaos_point("worker.shard")
         out.append(
             injector.run_shard(shard_index, shard_trials, seed, reference_dyn)
         )
@@ -1041,7 +1022,6 @@ def run_campaign(
     checkpoint: str | Path | None = None,
     resume: bool = False,
     backend: str | None = None,
-    shard_timeout: float | None = None,
 ) -> CampaignResult:
     """Convenience wrapper: profile + campaign in one call."""
     injector = FaultInjector(
@@ -1052,5 +1032,4 @@ def run_campaign(
         trials, seed, reference_dyn=reference_dyn,
         progress=progress, jobs=jobs,
         checkpoint=checkpoint, resume=resume,
-        shard_timeout=shard_timeout,
     )

@@ -17,12 +17,10 @@ this module provides the pieces everything else builds on:
   in each of them is pure fixed overhead; a campaign's two dispatch waves,
   a sweep following a campaign, or every map under one CLI command all
   reuse one pool (``pool.reuses`` counts how often that pays).
-  Crash/hang semantics are preserved: a broken pool is discarded and
-  respawned for the retry round, and the per-task ``timeout`` watchdog
-  still SIGKILLs hung workers;
+  A broken pool is discarded and respawned for the retry round;
 * :func:`parallel_map` — an order-preserving ``map`` with an inline fast
-  path, per-result completion callbacks, retries with exponential backoff and
-  the hung-worker watchdog.  Inside a ``with WorkerPool(...)`` /
+  path, per-result completion callbacks and retries with exponential
+  backoff.  Inside a ``with WorkerPool(...)`` /
   :func:`ensure_pool` scope it transparently routes onto the ambient pool
   instead of spawning an ephemeral one;
 * :class:`PickledOnce` — wraps a payload shared by many tasks so the
@@ -56,8 +54,7 @@ import os
 import pickle
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from functools import partial
@@ -72,6 +69,10 @@ logger = logging.getLogger(__name__)
 #: contract: changing it changes which RNG stream each trial draws from,
 #: and so the outcome of every campaign.
 SHARD_TRIALS = 25
+
+#: Seconds slept before the first retry round of a map; each later round
+#: doubles it.
+RETRY_BACKOFF = 0.5
 
 
 def _cgroup_cpu_quota() -> int | None:
@@ -254,24 +255,6 @@ def _pool_call(fn: Callable[[Any], Any], capture: bool, task: Any) -> Any:
     return _captured_call(fn, task)
 
 
-def _kill_pool_workers(pool: ProcessPoolExecutor) -> int:
-    """SIGKILL every live worker of ``pool`` (hung workers ignore SIGTERM).
-
-    Reaches into the executor's ``_processes`` map — stable across every
-    CPython we support — because the stdlib offers no public way to kill a
-    worker that is stuck inside a task.  Returns the number of processes
-    signalled; the executor observes the deaths as a broken pool.
-    """
-    killed = 0
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        try:
-            proc.kill()
-            killed += 1
-        except (OSError, AttributeError):  # pragma: no cover - already gone
-            pass
-    return killed
-
-
 class PickledOnce:
     """A payload serialized once in the parent, decoded on demand in workers.
 
@@ -309,9 +292,9 @@ class WorkerPool:
     :meth:`shutdown` — later maps reuse them (``pool.reuses``), which is
     what lets worker-resident state (the workers' artifact stores,
     :mod:`repro.store`) amortize across a whole campaign + sweep sequence.
-    A broken or watchdog-killed pool is discarded and respawned for the
-    retry round (``pool.respawns``); the pool object itself survives any
-    number of worker crashes.
+    A broken pool is discarded and respawned for the retry round
+    (``pool.respawns``); the pool object itself survives any number of
+    worker crashes.
 
     Use as a context manager (``with WorkerPool(4):``) to install it as the
     thread's *ambient* pool: every :func:`parallel_map` in the block routes
@@ -325,7 +308,7 @@ class WorkerPool:
         self.spawns = 0
         #: Maps served by an already-live executor.
         self.reuses = 0
-        #: Respawns forced by a broken / watchdog-killed pool.
+        #: Respawns forced by a broken pool.
         self.respawns = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -388,30 +371,23 @@ class WorkerPool:
         self,
         fn: Callable[[Any], Any],
         tasks: Sequence[Any],
-        jobs: int | None = None,
         on_result: Callable[[int, Any], None] | None = None,
         retries: int = 0,
-        retry_backoff: float = 0.0,
-        timeout: float | None = None,
         on_failure: Callable[[int, BaseException], None] | None = None,
     ) -> list[Any]:
         """Order-preserving map over the persistent pool.
 
         Same contract as :func:`parallel_map` (which documents the failure
-        handling and the hung-worker watchdog in full), minus the inline
-        fast path: every task runs in a worker.  ``jobs`` only narrows the
-        dispatch window below the pool's worker count; it never widens it.
-
-        Backoff between retry rounds is *charged-only*: a round whose
-        retries are all uncharged bystanders (collateral of a watchdog
-        kill — the task itself did nothing wrong) resubmits immediately
-        instead of waiting out an exponential sleep it did not earn.
+        handling in full), minus the inline fast path: every task runs in a
+        worker.  Each round submits every pending task up front; a map that
+        re-raises first cancels its unfinished tasks, so they do not keep
+        the workers busy for the next map.
         """
         tasks = list(tasks)
         if not tasks:
             return []
-        window_jobs = min(self.jobs, resolve_jobs(jobs) if jobs else self.jobs)
         results: list[Any] = [None] * len(tasks)
+        attempts = [0] * len(tasks)
 
         tel = get_telemetry()
         capture = tel.enabled
@@ -420,160 +396,50 @@ class WorkerPool:
             self.reuses += 1
             tel.count("pool.reuses")
 
-        def settle(i: int, outcome: Any) -> None:
-            """Record one successful task result (unwrapping captured payloads)."""
-            if isinstance(outcome, _Captured):
-                absorb_worker_snapshot(outcome.snapshot, tel)
-                outcome = outcome.result
-            results[i] = outcome
-            if on_result is not None:
-                on_result(i, outcome)
-
-        def exhaust(i: int, attempt: int, exc: BaseException) -> bool:
-            """Requeue (False) or finalize the failure (True)."""
-            if attempt < retries:
-                return False
-            if on_failure is None:
-                raise exc
-            logger.warning(
-                "task %d failed after %d attempt(s): %s", i, attempt + 1, exc
-            )
-            on_failure(i, exc)
-            return True
-
-        pending: list[tuple[int, int]] = [(i, 0) for i in range(len(tasks))]
-        backoff_round = 0
-        sleep_before_next = False
+        pending = list(range(len(tasks)))
+        retry_round = 0
         while pending:
-            if sleep_before_next and retry_backoff > 0:
-                backoff_round += 1
-                time.sleep(retry_backoff * (2 ** (backoff_round - 1)))
-            this_round, pending = pending, []
-            charged = False
-            broken = False
-            hung: set = set()
+            if retry_round:
+                time.sleep(RETRY_BACKOFF * 2 ** (retry_round - 1))
+            retry_round += 1
             pool = self._ensure(capture)
+            future_of = {pool.submit(call, tasks[i]): i for i in pending}
+            pending = []
+            broken = False
             try:
-                queue = deque(this_round)
-                # With no deadline, submit everything upfront (the
-                # historical behaviour).  With one, dispatch in a window of
-                # ``jobs`` so a task's clock starts roughly when a worker
-                # can run it.
-                window = (
-                    len(this_round)
-                    if timeout is None
-                    else min(window_jobs, len(this_round))
-                )
-                future_of: dict = {}
-                deadline_of: dict = {}
-
-                def submit_next():
-                    i, attempt = queue.popleft()
-                    future = pool.submit(call, tasks[i])
-                    future_of[future] = (i, attempt)
-                    if timeout is not None:
-                        deadline_of[future] = time.monotonic() + timeout
-                    return future
-
-                not_done = {submit_next() for _ in range(window)}
-                while not_done:
-                    if timeout is not None:
-                        budget = max(
-                            0.0,
-                            min(deadline_of[f] for f in not_done)
-                            - time.monotonic(),
+                for future in as_completed(future_of):
+                    i = future_of[future]
+                    try:
+                        outcome = future.result()
+                    except Exception as exc:
+                        # A dead worker breaks the whole executor: every
+                        # task in flight fails here and is charged alike.
+                        broken = broken or isinstance(exc, BrokenProcessPool)
+                        if attempts[i] < retries:
+                            attempts[i] += 1
+                            pending.append(i)
+                            continue
+                        if on_failure is None:
+                            raise
+                        logger.warning(
+                            "task %d failed after %d attempt(s): %s",
+                            i, attempts[i] + 1, exc,
                         )
-                        done, not_done = wait(
-                            not_done, timeout=budget, return_when=FIRST_COMPLETED
-                        )
-                    else:
-                        done, not_done = wait(
-                            not_done, return_when=FIRST_COMPLETED
-                        )
-                    for future in done:
-                        i, attempt = future_of[future]
-                        try:
-                            result = future.result()
-                        except BrokenProcessPool as exc:
-                            broken = True
-                            if not exhaust(i, attempt, exc):
-                                pending.append((i, attempt + 1))
-                                charged = True
-                        except Exception as exc:
-                            if not exhaust(i, attempt, exc):
-                                pending.append((i, attempt + 1))
-                                charged = True
-                        else:
-                            settle(i, result)
-                    if timeout is not None and not broken:
-                        now = time.monotonic()
-                        hung = {f for f in not_done if now >= deadline_of[f]}
-                        if hung:
-                            # Presumed-hung workers: kill the pool and sort
-                            # the wreckage below — overdue tasks are charged
-                            # a timeout attempt, bystanders retry for free.
-                            broken = True
-                            for future in hung:
-                                i, _ = future_of[future]
-                                logger.warning(
-                                    "task %d exceeded its %.1fs deadline; "
-                                    "killing its worker pool", i, timeout,
-                                )
-                            _kill_pool_workers(pool)
-                    if broken:
-                        # The executor is unusable; every unfinished future
-                        # has (or will get) BrokenProcessPool.  Drain them
-                        # all and fall through to a respawned pool for the
-                        # requeued tasks.
-                        wait(not_done)
-                        for future in not_done:
-                            i, attempt = future_of[future]
-                            if future in hung:
-                                try:
-                                    result = future.result()
-                                except BaseException:  # noqa: BLE001
-                                    texc = TimeoutError(
-                                        f"task {i} exceeded its {timeout:.1f}s "
-                                        "deadline and its worker was killed"
-                                    )
-                                    if not exhaust(i, attempt, texc):
-                                        pending.append((i, attempt + 1))
-                                        charged = True
-                                else:
-                                    # Finished in the race window before the
-                                    # kill landed: keep the honest result.
-                                    settle(i, result)
-                                continue
-                            try:
-                                result = future.result()
-                            except BaseException as exc:  # noqa: BLE001
-                                if hung:
-                                    # Collateral of our own watchdog kill:
-                                    # the task did nothing wrong, retry
-                                    # uncharged.
-                                    pending.append((i, attempt))
-                                elif not exhaust(i, attempt, exc):
-                                    pending.append((i, attempt + 1))
-                                    charged = True
-                            else:
-                                settle(i, result)
-                        not_done = set()
-                        # Never-dispatched tasks carry over untouched.
-                        pending.extend(queue)
-                        queue.clear()
-                    elif queue:
-                        while queue and len(not_done) < window:
-                            not_done.add(submit_next())
+                        on_failure(i, exc)
+                        continue
+                    if isinstance(outcome, _Captured):
+                        absorb_worker_snapshot(outcome.snapshot, tel)
+                        outcome = outcome.result
+                    results[i] = outcome
+                    if on_result is not None:
+                        on_result(i, outcome)
             except BaseException:
+                for future in future_of:
+                    future.cancel()
+                raise
+            finally:
                 if broken:
                     self._discard()
-                raise
-            if broken:
-                self._discard()
-            # Bystander-only rounds skip the backoff entirely: the sleep
-            # exists to space out *failing* work, and nothing in the next
-            # round failed.
-            sleep_before_next = charged
         return results
 
 
@@ -625,8 +491,6 @@ def parallel_map(
     jobs: int | None = 1,
     on_result: Callable[[int, Any], None] | None = None,
     retries: int = 0,
-    retry_backoff: float = 0.0,
-    timeout: float | None = None,
     on_failure: Callable[[int, BaseException], None] | None = None,
 ) -> list[Any]:
     """Map ``fn`` over ``tasks``, preserving task order in the result list.
@@ -645,28 +509,20 @@ def parallel_map(
     **Failure handling.**  A task attempt fails when ``fn`` raises or when
     its worker process dies (``BrokenProcessPool`` — an OOM kill, a signal,
     a segfaulting extension).  Each task is retried up to ``retries`` extra
-    times, waiting ``retry_backoff * 2**(round-1)`` seconds between charged
-    rounds; a dead pool is respawned and the unfinished tasks resubmitted
-    to fresh workers.  A worker death cannot be attributed to one task
-    exactly, so a pool crash charges an attempt to *every* task that was
-    in flight: transient crashes retry everything cleanly, while a
-    deterministically crashing task exhausts its budget after at most
-    ``retries + 1`` pool rebuilds.  After exhaustion the task's slot stays ``None`` and
-    ``on_failure(index, exc)`` is invoked; with no ``on_failure`` the
-    exception propagates (the pre-existing fail-fast contract, the
-    default).
+    times, waiting ``RETRY_BACKOFF * 2**(round-1)`` seconds before each
+    retry round; a dead pool is respawned and the unfinished tasks
+    resubmitted to fresh workers.  A worker death cannot be attributed to
+    one task exactly, so a pool crash charges an attempt to *every* task
+    that was in flight: transient crashes retry everything cleanly, while
+    a deterministically crashing task exhausts its budget after at most
+    ``retries + 1`` pool rebuilds.  After exhaustion the task's slot stays
+    ``None`` and ``on_failure(index, exc)`` is invoked; with no
+    ``on_failure`` the exception propagates (fail fast, the default) and
+    the map's unfinished tasks are cancelled.
 
-    **Hung workers.**  ``timeout`` arms a per-task deadline (seconds): a
-    task still running past it is presumed *hung* — not dead, so
-    ``BrokenProcessPool`` never fires — and its whole pool is SIGKILLed.
-    The overdue task is charged a :class:`TimeoutError` attempt and retried
-    like a crash; in-flight tasks that were merely sharing the pool are
-    resubmitted without losing an attempt *and* without waiting out a
-    backoff they did not earn.  With a timeout armed, tasks are dispatched
-    in a sliding window of ``jobs`` so the clock starts when a worker can
-    actually pick the task up, not when the map began.  Inline execution
-    (``jobs <= 1``) cannot preempt a hung call; the timeout only protects
-    pool mode.
+    There is no wall-clock deadline: every task the repository maps ends
+    by construction, because the instruction watchdog bounds every trial
+    and ``DEFAULT_MAX_STEPS`` every golden run.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
@@ -692,15 +548,13 @@ def parallel_map(
 
     if ambient is not None:
         return ambient.map(
-            fn, tasks, jobs=jobs, on_result=on_result, retries=retries,
-            retry_backoff=retry_backoff, timeout=timeout,
+            fn, tasks, on_result=on_result, retries=retries,
             on_failure=on_failure,
         )
     ephemeral = WorkerPool(min(jobs, len(tasks)))
     try:
         return ephemeral.map(
             fn, tasks, on_result=on_result, retries=retries,
-            retry_backoff=retry_backoff, timeout=timeout,
             on_failure=on_failure,
         )
     finally:

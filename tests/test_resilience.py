@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,10 @@ import repro.faults.injector as injector_mod
 from repro.faults.checkpoint import CampaignCheckpoint, CheckpointError
 from repro.faults.classify import Outcome
 from repro.faults.injector import CampaignResult, FaultInjector, ShardResult
-from repro.parallel import parallel_map
+from repro.machine.config import MachineConfig
+from repro.parallel import RETRY_BACKOFF, parallel_map
+from repro.pipeline import Scheme, compile_program
+from repro.workloads import get_workload
 from tests.conftest import build_loop_program
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,12 +49,24 @@ def _exit_on_three(x):
     return x * 2
 
 
-def _lose_all(fn, tasks, jobs=1, on_result=None, retries=0,
-              retry_backoff=0.0, timeout=None, on_failure=None, **kwargs):
+def _lose_all(fn, tasks, jobs=1, on_result=None, retries=0, on_failure=None):
     """A ``parallel_map`` stand-in whose every task exhausts its retries."""
     for i in range(len(tasks)):
         on_failure(i, RuntimeError("worker died"))
     return [None] * len(tasks)
+
+
+_CAMPAIGN_TASK_WORKER = injector_mod._campaign_task_worker
+
+
+def _exit_once_then_run_task(flag, task):
+    """Kill the first worker to get here, then run campaign tasks as usual."""
+    try:
+        fd = os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return _CAMPAIGN_TASK_WORKER(task)
+    os.close(fd)
+    os._exit(1)
 
 
 def _exit_once(task):
@@ -332,8 +348,7 @@ class TestInjectKillResume:
 
     def _cmd(self, *extra):
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        for var in ("REPRO_CHAOS", "REPRO_CHAOS_FLAG", "REPRO_JOBS"):
-            env.pop(var, None)
+        env.pop("REPRO_JOBS", None)
         return [sys.executable, "-m", "repro", *self.ARGS, *extra], env
 
     def _run(self, *extra):
@@ -397,8 +412,7 @@ class TestCampaignDegradation:
     def _lossy_parallel_map(self, lost_task_index):
         """A parallel_map that computes inline but 'loses' one task."""
 
-        def fake(fn, tasks, jobs=1, on_result=None, retries=0,
-                 retry_backoff=0.0, timeout=None, on_failure=None, **kwargs):
+        def fake(fn, tasks, jobs=1, on_result=None, retries=0, on_failure=None):
             results = []
             for i, task in enumerate(tasks):
                 if i == lost_task_index:
@@ -475,64 +489,6 @@ class TestCampaignDegradation:
         assert all(e["args"]["error"] == "worker died" for e in lost)
 
 
-def _sleep_forever(x):
-    import time as _time
-
-    if x == 3:
-        _time.sleep(3600)  # a hung worker: alive but never finishing
-    return x * 2
-
-
-def _sleep_once(task):
-    """Hang the first time the flag file is absent, then behave."""
-    import time as _time
-
-    x, flag = task
-    if x == 3 and not os.path.exists(flag):
-        open(flag, "w").close()
-        _time.sleep(3600)
-    return x * 2
-
-
-class TestHungWorkerTimeout:
-    """The ``timeout=`` watchdog: hung (not just dead) workers are killed."""
-
-    def test_hung_task_killed_and_charged(self):
-        failures = []
-        out = parallel_map(
-            _sleep_forever, [1, 2, 3, 4], jobs=2, retries=0, timeout=1.0,
-            on_failure=lambda i, exc: failures.append((i, type(exc).__name__)),
-        )
-        assert out[2] is None
-        assert failures == [(2, "TimeoutError")]
-        # bystanders sharing the killed pool are retried uncharged
-        assert [out[i] for i in (0, 1, 3)] == [2, 4, 8]
-
-    def test_hung_task_recovers_on_retry(self, tmp_path):
-        flag = str(tmp_path / "hung-once")
-        tasks = [(x, flag) for x in (1, 2, 3, 4)]
-        failures = []
-        out = parallel_map(
-            _sleep_once, tasks, jobs=2, retries=1, timeout=1.0,
-            on_failure=lambda i, exc: failures.append(i),
-        )
-        assert out == [2, 4, 6, 8]
-        assert failures == []
-
-    def test_no_timeout_means_no_watchdog(self):
-        # fast tasks with timeout=None keep the historical behaviour
-        assert parallel_map(_double, [1, 2, 3], jobs=2) == [2, 4, 6]
-
-    def test_campaign_shard_timeout_plumbed(self, loop_injector):
-        """shard_timeout on an all-healthy campaign changes nothing."""
-        base = loop_injector.run_campaign(trials=50, seed=3)
-        timed = loop_injector.run_campaign(
-            trials=50, seed=3, jobs=2, shard_timeout=120.0
-        )
-        assert timed.counts == base.counts
-        assert not timed.partial
-
-
 class TestRetryBackoff:
     def test_backoff_sleeps_are_exact_exponential(self, monkeypatch):
         import repro.parallel as parallel_mod
@@ -541,30 +497,47 @@ class TestRetryBackoff:
         monkeypatch.setattr(parallel_mod.time, "sleep", naps.append)
         out = parallel_map(
             _raise_on_three, [1, 2, 3, 4], jobs=2, retries=2,
-            retry_backoff=1.0, on_failure=lambda i, exc: None,
+            on_failure=lambda i, exc: None,
         )
         assert out == [2, 4, None, 8]
-        assert naps == [1.0, 2.0]  # one nap per retry round, doubling
+        # one nap per retry round, doubling
+        assert naps == [RETRY_BACKOFF, 2 * RETRY_BACKOFF]
 
 
 class TestChaosPoints:
-    """Seeded infrastructure chaos (REPRO_CHAOS) in pool workers."""
-
-    def test_unarmed_chaos_is_inert(self, monkeypatch):
-        from repro.chaos import chaos_point
-
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        chaos_point("worker.shard")  # must not raise or exit
+    """A pool worker killed mid-campaign costs retries, never results."""
 
     def test_worker_shard_kill_once_retries_bit_identical(
         self, loop_injector, tmp_path, monkeypatch
     ):
-        """A worker SIGKILLed before a shard retries to exact counts."""
+        """A worker that dies before a shard retries to exact counts."""
         full = loop_injector.run_campaign(trials=50, seed=9)
-        flag = tmp_path / "chaos-fired"
-        monkeypatch.setenv("REPRO_CHAOS", "worker.shard:1:once")
-        monkeypatch.setenv("REPRO_CHAOS_FLAG", str(flag))
-        res = loop_injector.run_campaign(trials=50, seed=9, jobs=2, retries=2)
-        assert flag.exists(), "the chaos point must actually have fired"
+        flag = tmp_path / "worker-killed"
+        monkeypatch.setattr(
+            injector_mod, "_campaign_task_worker",
+            partial(_exit_once_then_run_task, str(flag)),
+        )
+        res = loop_injector.run_campaign(trials=50, seed=9, jobs=2)
+        assert flag.exists(), "a worker must actually have been killed"
         assert res.counts == full.counts
         assert not res.partial
+
+
+class TestStepWatchdogInPool:
+    """Pool tasks end through the instruction watchdog, not a wall clock."""
+
+    def test_timeouts_match_serial_in_pool_mode(self):
+        cp = compile_program(
+            get_workload("mcf").program,
+            Scheme.CASTED,
+            MachineConfig(issue_width=2, inter_cluster_delay=2),
+        )
+        injector = FaultInjector(
+            cp.program, mem_words=cp.mem_words, frame_words=cp.frame_words,
+            fault_model="cf", backend="compiled",
+        )
+        serial = injector.run_campaign(trials=75, seed=1, jobs=1)
+        pooled = injector.run_campaign(trials=75, seed=1, jobs=2)
+        assert serial.counts.get(Outcome.TIMEOUT, 0) > 0
+        assert pooled.counts == serial.counts
+        assert not pooled.partial

@@ -19,14 +19,15 @@ makes that safe:
 * **crash survival** — a worker dying mid-map breaks the executor, not
   the pool object: the map retries on a respawned executor and later maps
   keep working (``pool.respawns``);
-* **charged-only backoff** — a retry round containing only uncharged
-  bystanders (collateral of a watchdog kill) resubmits without sleeping.
+* **fail fast, then stop** — a map that re-raises a task's error cancels
+  its unfinished tasks instead of leaving them to run ahead of the next
+  map.
 """
 
 from __future__ import annotations
 
 import os
-import select
+import time
 
 import pytest
 
@@ -84,12 +85,19 @@ def _crash_once(task):
     os._exit(42)
 
 
-def _hang_or_value(task):
-    if task == "hang":
-        # Not time.sleep: the backoff test patches it in the parent, and
-        # forked workers inherit the patched module.
-        select.select([], [], [], 60)
-    return task
+def _mark_then_work(task):
+    """Leave a marker file when the task starts; task 0 fails instead.
+
+    Task 0 fails after every worker has started a task, and well before
+    any other task finishes.
+    """
+    marker_dir, i = task
+    if i == 0:
+        time.sleep(0.2)
+        raise ValueError("first task fails")
+    open(os.path.join(marker_dir, str(i)), "w").close()
+    time.sleep(0.6)
+    return i
 
 
 def _double(x):
@@ -203,23 +211,16 @@ class TestPoolCrashSurvival:
             assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
             assert pool.spawns == 2  # respawned executor was reused
 
-    def test_bystander_only_round_skips_backoff(self, monkeypatch):
-        sleeps: list[float] = []
-        monkeypatch.setattr(
-            parallel_mod.time, "sleep", lambda s: sleeps.append(s)
-        )
-        failures: list[int] = []
-        with WorkerPool(2) as pool:
-            results = pool.map(
-                _hang_or_value,
-                ["hang", "a", "b"],
-                retries=0,
-                retry_backoff=30.0,
-                timeout=1.0,
-                on_failure=lambda i, exc: failures.append(i),
-            )
-        assert failures == [0]
-        assert results[1:] == ["a", "b"]
-        # The hung task exhausted (retries=0); the surviving round held only
-        # uncharged bystanders, so no backoff sleep was earned.
-        assert sleeps == []
+    def test_fail_fast_map_cancels_unfinished_tasks(self, tmp_path):
+        jobs = 2
+        tasks = [(str(tmp_path), i) for i in range(12)]
+        with WorkerPool(jobs) as pool:
+            with pytest.raises(ValueError, match="first task fails"):
+                pool.map(_mark_then_work, tasks)
+            # Queued behind whatever the failed map left running.
+            assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
+        ran = len(os.listdir(tmp_path))
+        # Besides the failure, only the other task in flight (jobs - 1),
+        # the one the failed task's worker picked up next and the
+        # executor's call queue (jobs + 1) escape the cancellation.
+        assert ran <= 2 * jobs + 1
