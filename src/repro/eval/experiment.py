@@ -354,9 +354,10 @@ class Evaluator:
         The points missing from the cache are computed by
         :func:`_sweep_point_worker` — inline with ``jobs <= 1``, in worker
         processes otherwise (each worker memoizes in memory only) — and
-        every record it produced, including the NOED reference points
-        coverage needs for rate matching, is merged back here, the sole
-        cache writer.  Point seeds derive from the point's coordinates, so
+        every record it produced is merged back here, the sole cache
+        writer.  A task carries only the records it reads: its point's
+        perf record and, for coverage, the NOED reference perf that rate
+        matching needs.  Point seeds derive from the point's coordinates, so
         records and cache files are identical for every ``jobs``.
 
         ``progress`` receives one heartbeat per computed point.
@@ -378,14 +379,24 @@ class Evaluator:
         if trials is not None:
             # Rate-matched campaigns need the NOED reference perf of every
             # protected point.  Compute those here (cheap: one compile +
-            # timed run, no campaign) so workers don't each redo them, then
-            # ship every known record along.
+            # timed run, no campaign) so workers don't each redo them.
             for workload, scheme, issue_width, delay in missing:
                 if scheme is not Scheme.NOED:
                     self.perf(workload, Scheme.NOED, issue_width, delay)
-        known = dict(self._mem)
+
+        def known(point: tuple[str, Scheme, int, int]) -> dict[str, dict]:
+            """The records a point's task reads: its own perf record and,
+            for a campaign, its NOED reference perf."""
+            workload, scheme, issue_width, delay = point
+            keys = [self._key(*point)]
+            if trials is not None:
+                noed_delay = _scheme_delay(Scheme.NOED, delay)
+                keys.append(self._key(workload, Scheme.NOED, issue_width, noed_delay))
+            return {key: self._mem[key] for key in keys if key in self._mem}
+
         tasks = [
-            (self.seed, workload, scheme.value, issue_width, delay, trials, known)
+            (self.seed, workload, scheme.value, issue_width, delay, trials,
+             known((workload, scheme, issue_width, delay)))
             for workload, scheme, issue_width, delay in missing
         ]
 
@@ -416,9 +427,9 @@ def _sweep_point_worker(task) -> dict[str, dict]:
     """Compute one grid point in a worker process.
 
     The worker evaluator never touches the disk cache — it preloads the
-    records the parent already has (``known``) and returns only the *new*
-    in-memory records (cache key -> JSON-ready dict) for the parent to
-    persist, which keeps a single writer per cache directory.
+    point's records the parent already has (``known``) and returns only
+    the *new* in-memory records (cache key -> JSON-ready dict) for the
+    parent to persist, which keeps a single writer per cache directory.
     """
     seed, workload, scheme_value, issue_width, delay, trials, known = task
     with get_telemetry().span(

@@ -434,7 +434,8 @@ class Interpreter:
         """Per-instruction closures and fault-site tables, built by
         :meth:`decode` or the first :meth:`run`: a
         :class:`~repro.sim.executor.VLIWExecutor` on the compiled backend
-        never runs its interpreter's closures."""
+        runs its interpreter's closures only to time a last visit that a
+        check or a trap ends."""
         blocks: dict[str, _CompiledBlock] = {}
         slot_of = self._slot_of
         for index, block in enumerate(self.program.main.blocks()):
@@ -462,8 +463,8 @@ class Interpreter:
         """``label -> (fused superblock, block length)``, built on first use.
 
         ``None`` on the ``interp`` backend.  Lazy because many interpreters
-        never run functionally (a :class:`~repro.sim.executor.VLIWExecutor`
-        only needs its embedded one for :meth:`functional_run`).  The fused
+        never run through it (a :class:`~repro.sim.executor.VLIWExecutor`
+        records its functional trace with blocks fused for that).  The fused
         callables close over the live register/memory/output lists, so they
         observe resets and restores.  Keys are interned so the chained
         loop's lookups of the label constants the fused code returns hit on

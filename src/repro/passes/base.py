@@ -32,6 +32,10 @@ class FunctionPass(abc.ABC):
 
     #: Stable identifier used in stats and logs.
     name: str = "pass"
+    #: Does the pass rewrite the IR?  A pass that only reads it (the
+    #: scheduler, which records its result in ``ctx.artifacts``) is not
+    #: followed by a verify.
+    changes_ir: bool = True
 
     @abc.abstractmethod
     def run(self, program: Program, ctx: PassContext) -> bool:

@@ -10,7 +10,8 @@ from repro.passes.base import FunctionPass, PassContext
 
 
 class PassManager:
-    """Runs passes in order; verifies the IR after each one when asked.
+    """Runs passes in order; verifies the IR after each one that changes it
+    (:attr:`FunctionPass.changes_ir`), when asked.
 
     Verification after every pass catches pass bugs at their source, so it
     defaults to on.  It is not free: in a traced paper reproduction
@@ -85,7 +86,7 @@ class PassManager:
                         f"compile.pass.{p.name}.instruction_delta",
                         n_after - n_before,
                     )
-            if self.verify:
+            if self.verify and p.changes_ir:
                 with tel.span(f"verify:{p.name}", cat="compile",
                               timer="compile.verify.seconds"):
                     try:

@@ -39,7 +39,7 @@ from repro.machine.config import MachineConfig
 from repro.obs import get_telemetry
 from repro.passes.assignment.base import validate_function_assignment
 from repro.passes.base import FunctionPass, PassContext
-from repro.passes.latency import BlockShape, block_shape
+from repro.passes.latency import BlockShape, ShapeCache, block_shape
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,16 @@ class ScheduleResult:
 
 
 class ListScheduler(FunctionPass):
+    """Schedules every block; changes no IR.
+
+    ``ctx.artifacts["block-shapes"]``, a
+    :class:`~repro.passes.latency.ShapeCache` of the function being
+    scheduled, supplies the block shapes; without one, each block's shape
+    is built here.
+    """
+
     name = "schedule"
+    changes_ir = False
 
     def run(self, program: Program, ctx: PassContext) -> bool:
         if ctx.machine is None:
@@ -84,12 +93,18 @@ class ListScheduler(FunctionPass):
         homes_of = [
             validate_function_assignment(fn, machine.n_clusters) for fn in functions
         ]
+        cache: ShapeCache | None = ctx.artifacts.get("block-shapes")
         result = ScheduleResult()
         tel = get_telemetry()
         track = tel.enabled
         for function, homes in zip(functions, homes_of):
+            shapes = (
+                cache.shapes(machine)
+                if cache is not None and cache.function is function
+                else {}
+            )
             for block in function.blocks():
-                sched = schedule_block(block, machine, homes)
+                sched = schedule_block(block, machine, homes, shapes.get(block.label))
                 result.blocks[block.label] = sched
                 if track:
                     # Slot-reservation pressure: fraction of the block's issue

@@ -8,16 +8,20 @@ dedicated coverage ablation.
 
 Nothing before cluster assignment reads the machine, so that prefix
 (:func:`compile_prefix`) is compiled once per source program and shared
-through the artifact store (:mod:`repro.store`); each
-:func:`compile_program` call runs assignment, register allocation and
-scheduling on a clone of it.  ``compile_program`` never mutates its input,
-so one workload can be compiled under every scheme/machine combination.
+through the artifact store (:mod:`repro.store`).  A scheme whose
+assignment reads neither the issue width nor the delay (NOED, SCED, DCED)
+also shares its assigned and allocated program (:func:`compile_stage`), so
+a :func:`compile_program` call for it only schedules; a CASTED call runs
+assignment, register allocation and scheduling on a clone of the prefix.
+``compile_program`` never mutates its input, so one workload can be
+compiled under every scheme/machine combination.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -101,6 +105,9 @@ class CompiledProgram:
     #: assigned).  Only captured when ``compile_program(...,
     #: capture_pre_regalloc=True)``; ``None`` otherwise.
     pre_regalloc: Program | None = None
+    #: Is ``program`` (and ``pre_regalloc``) the read-only one of a
+    #: :class:`CompileStage`, shared with the scheme's other grid points?
+    shares_program: bool = False
 
     @property
     def mem_words(self) -> int:
@@ -109,8 +116,10 @@ class CompiledProgram:
 
     @property
     def nbytes(self) -> int:
-        """Estimated size: about 512 bytes per instruction (IR plus schedule)."""
-        return 512 * self.stats.n_instructions
+        """Estimated size: about 512 bytes per instruction for IR plus
+        schedule, or 60 for the schedule alone when the program is a shared
+        stage's, which that stage's entry counts."""
+        return (60 if self.shares_program else 512) * self.stats.n_instructions
 
 
 def collect_block_profile(program: Program, max_steps: int = 50_000_000) -> dict[str, int]:
@@ -188,17 +197,26 @@ def _detection_passes(
     return passes
 
 
+#: Digests of the source programs compiled so far, by program object: a
+#: program handed to :func:`compile_program` is read-only from then on.
+_source_digests: weakref.WeakKeyDictionary[Program, str] = weakref.WeakKeyDictionary()
+
+
 def _source_digest(program: Program) -> str:
     """SHA-256 of everything the compile prefix reads from ``program``.
 
     The printed program carries every opcode, operand, label, global and
     role/library/cluster tag; the virtual-register counters decide the
-    names error detection gives the registers it creates.
+    names error detection gives the registers it creates.  Computed once
+    per program object.
     """
-    h = hashlib.sha256(print_program(program).encode())
-    for fn in program.functions():
-        h.update(repr(fn.vreg_counts()).encode())
-    return h.hexdigest()
+    digest = _source_digests.get(program)
+    if digest is None:
+        h = hashlib.sha256(print_program(program).encode())
+        for fn in program.functions():
+            h.update(repr(fn.vreg_counts()).encode())
+        digest = _source_digests[program] = h.hexdigest()
+    return digest
 
 
 @dataclass(eq=False)
@@ -282,6 +300,115 @@ def compile_prefix(
     return store.get(key, detected, counter="compile.prefix")
 
 
+@dataclass(eq=False)
+class CompileStage:
+    """A scheme's program after assignment and register allocation, shared
+    by every grid point of a source when the scheme's assignment reads
+    neither the issue width nor the delay
+    (:attr:`~repro.schemes.SchemeInfo.assignment_reads_grid`).
+
+    ``program`` is read-only: each point's :class:`CompiledProgram` holds
+    it as is, and only the list scheduler runs per point, against the
+    block shapes in ``shapes``.  ``stats`` are the per-pass metrics through
+    register allocation; every compile copies them.
+    """
+
+    program: Program
+    stats: dict[str, dict[str, Any]]
+    ed_info: ErrorDetectionInfo | None
+    regalloc: RegAllocResult
+    pre_regalloc: Program | None
+    shapes: ShapeCache = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.shapes = ShapeCache(self.program.main)
+
+    @property
+    def nbytes(self) -> int:
+        """Estimated size: 15 KB plus about 310 bytes per IR instruction,
+        530 when the pre-regalloc clone is kept, plus the shapes built so
+        far (0.9-1.1x of what ``tracemalloc`` counts for each kernel's
+        stage).  The store reads it again each time it hands the stage
+        out, so shapes built since count from the next lookup."""
+        per_insn = 310 if self.pre_regalloc is None else 530
+        return (
+            15_000 + per_insn * self.program.main.instruction_count()
+            + self.shapes.nbytes
+        )
+
+
+def compile_stage(
+    source: Program,
+    scheme: Scheme,
+    machine: MachineConfig,
+    *,
+    optimize: bool = True,
+    if_convert: bool = False,
+    verify: bool = True,
+    check_policy: CheckPolicy | None = None,
+    protect_slice_depth: int | None = None,
+    unsafe_post_ed_cse: bool = False,
+    regalloc_reuse: str = "fifo",
+    capture_pre_regalloc: bool = False,
+) -> CompileStage:
+    """``scheme``'s assigned and allocated program, from the artifact store.
+
+    Only for schemes whose assignment reads neither grid axis: the entry is
+    keyed by the source digest, the scheme, ``machine`` with its issue
+    width and delay normalized away, and the arguments the prefix, the
+    assignment and the register allocator read, and it is built against
+    that normalized machine.  Each pass output is verified once, when the
+    entry is built.  Lookups count as ``compile.stage.{hits,misses}``.
+    """
+    if scheme.info.assignment_reads_grid:
+        raise PassError(f"{scheme} placement reads the grid; it has no shared stage")
+    stage_machine = machine.with_(issue_width=1, inter_cluster_delay=0)
+    key = (
+        "compile-stage", _source_digest(source), scheme, stage_machine,
+        optimize, if_convert, verify, check_policy, protect_slice_depth,
+        unsafe_post_ed_cse, regalloc_reuse, capture_pre_regalloc,
+    )
+
+    def build() -> CompileStage:
+        prefix = compile_prefix(
+            source, scheme.protected,
+            optimize=optimize, if_convert=if_convert, verify=verify,
+            check_policy=check_policy, protect_slice_depth=protect_slice_depth,
+            unsafe_post_ed_cse=unsafe_post_ed_cse,
+        )
+        program = prefix.program.clone()
+        ctx = PassContext(machine=stage_machine, stats=_stats_copy(prefix.stats))
+        passes = _suffix_passes(
+            scheme, None, True, None, regalloc_reuse, capture_pre_regalloc
+        )
+        PassManager(passes, verify).apply(program, ctx, verify_input=False)
+        return CompileStage(
+            program, ctx.stats, prefix.ed_info, ctx.artifacts["regalloc"],
+            ctx.artifacts.get("snapshot:pre-regalloc"),
+        )
+
+    return store.get(key, build, counter="compile.stage")
+
+
+def _suffix_passes(
+    scheme: Scheme,
+    casted_candidates: tuple[str, ...] | None,
+    casted_safety_net: bool,
+    block_profile: dict[str, int] | None,
+    regalloc_reuse: str,
+    capture_pre_regalloc: bool,
+) -> list[FunctionPass]:
+    """Assignment (plus the pre-regalloc snapshot if asked) and register
+    allocation: the passes between the prefix and the scheduler."""
+    passes: list[FunctionPass] = [
+        _assignment_pass(scheme, casted_candidates, casted_safety_net, block_profile)
+    ]
+    if capture_pre_regalloc:
+        passes.append(_SnapshotPass("pre-regalloc"))
+    passes.append(LinearScanAllocator(reuse_policy=regalloc_reuse))
+    return passes
+
+
 def compile_program(
     source: Program,
     scheme: Scheme,
@@ -322,39 +449,60 @@ def compile_program(
 
     The machine-independent prefix (the ``-O1`` passes, then error
     detection for protected schemes) comes from :func:`compile_prefix`,
-    so the grid points of one source share it; only assignment, register
-    allocation and scheduling run per call, on a clone of the prefix.
+    so the grid points of one source share it.  A scheme whose assignment
+    reads neither grid axis also shares its assigned and allocated program
+    (:func:`compile_stage`), and only the scheduler runs per call; the
+    others (CASTED) run assignment, register allocation and scheduling per
+    call, on a clone of the prefix.  The scheduler changes no IR, so its
+    output is not verified.
     """
     if machine.n_clusters < scheme.info.min_clusters:
         raise PassError(
             f"{scheme} needs at least {scheme.info.min_clusters} clusters"
         )
 
-    passes: list[FunctionPass] = [
-        _assignment_pass(scheme, casted_candidates, casted_safety_net, block_profile)
-    ]
-    if capture_pre_regalloc:
-        passes.append(_SnapshotPass("pre-regalloc"))
-    passes.append(LinearScanAllocator(reuse_policy=regalloc_reuse))
-    passes.append(ListScheduler())
-
     with get_telemetry().span(
         "pipeline", cat="compile", timer="compile.pipeline.seconds",
         scheme=scheme.value, verify=verify,
     ):
-        prefix = compile_prefix(
-            source, scheme.protected,
-            optimize=optimize, if_convert=if_convert, verify=verify,
-            check_policy=check_policy, protect_slice_depth=protect_slice_depth,
-            unsafe_post_ed_cse=unsafe_post_ed_cse,
-        )
-        program = prefix.program.clone()
-        ctx = PassContext(machine=machine, stats=_stats_copy(prefix.stats))
-        ctx.artifacts["block-shapes"] = prefix.shapes
-        PassManager(passes, verify).apply(program, ctx, verify_input=False)
+        if not scheme.info.assignment_reads_grid:
+            stage = compile_stage(
+                source, scheme, machine,
+                optimize=optimize, if_convert=if_convert, verify=verify,
+                check_policy=check_policy, protect_slice_depth=protect_slice_depth,
+                unsafe_post_ed_cse=unsafe_post_ed_cse, regalloc_reuse=regalloc_reuse,
+                capture_pre_regalloc=capture_pre_regalloc,
+            )
+            program = stage.program
+            ctx = PassContext(machine=machine, stats=_stats_copy(stage.stats))
+            ctx.artifacts["block-shapes"] = stage.shapes
+            PassManager([ListScheduler()], verify).apply(
+                program, ctx, verify_input=False
+            )
+            regalloc = stage.regalloc
+            ed_info = stage.ed_info
+            pre_regalloc = stage.pre_regalloc
+        else:
+            prefix = compile_prefix(
+                source, scheme.protected,
+                optimize=optimize, if_convert=if_convert, verify=verify,
+                check_policy=check_policy, protect_slice_depth=protect_slice_depth,
+                unsafe_post_ed_cse=unsafe_post_ed_cse,
+            )
+            program = prefix.program.clone()
+            ctx = PassContext(machine=machine, stats=_stats_copy(prefix.stats))
+            ctx.artifacts["block-shapes"] = prefix.shapes
+            passes = _suffix_passes(
+                scheme, casted_candidates, casted_safety_net, block_profile,
+                regalloc_reuse, capture_pre_regalloc,
+            )
+            passes.append(ListScheduler())
+            PassManager(passes, verify).apply(program, ctx, verify_input=False)
+            regalloc = ctx.artifacts["regalloc"]
+            ed_info = prefix.ed_info
+            pre_regalloc = ctx.artifacts.get("snapshot:pre-regalloc")
 
     schedules: ScheduleResult = ctx.artifacts["schedule"]
-    regalloc: RegAllocResult = ctx.artifacts["regalloc"]
 
     n_by_role: dict[str, int] = {}
     per_cluster: dict[int, int] = {}
@@ -382,9 +530,10 @@ def compile_program(
         scheme=scheme,
         frame_words=regalloc.frame_words,
         stats=stats,
-        ed_info=prefix.ed_info,
+        ed_info=ed_info,
         pass_stats=ctx.stats,
-        pre_regalloc=ctx.artifacts.get("snapshot:pre-regalloc"),
+        pre_regalloc=pre_regalloc,
+        shares_program=not scheme.info.assignment_reads_grid,
     )
 
 

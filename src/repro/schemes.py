@@ -58,6 +58,12 @@ class SchemeInfo:
     #: (Single-cluster schemes never pay it — the evaluator normalises the
     #: delay axis away for them so cache keys collapse.)
     uses_delay: bool = False
+    #: Does the assignment pass read the issue width or the inter-cluster
+    #: delay (the two axes of the paper's grid)?  When it does not, the
+    #: program after assignment and register allocation is the same at
+    #: every grid point, so the pipeline builds it once per source and
+    #: only schedules it per point (:func:`repro.pipeline.compile_stage`).
+    assignment_reads_grid: bool = True
     #: Builds the cluster-assignment pass.  Receives the ``compile_program``
     #: knobs relevant to assignment; simple schemes ignore them.
     make_assignment: Callable[..., "FunctionPass"] | None = None
@@ -137,6 +143,7 @@ register_scheme(
         home_cluster=0,
         min_clusters=1,
         uses_delay=False,
+        assignment_reads_grid=False,
         make_assignment=_sced_assignment,
     )
 )
@@ -151,6 +158,7 @@ register_scheme(
         home_cluster=0,
         min_clusters=1,
         uses_delay=False,
+        assignment_reads_grid=False,
         make_assignment=_sced_assignment,
     )
 )
@@ -164,6 +172,7 @@ register_scheme(
         cluster_policy="role-split",
         min_clusters=2,
         uses_delay=True,
+        assignment_reads_grid=False,
         make_assignment=_dced_assignment,
     )
 )

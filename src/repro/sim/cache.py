@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.ir.program import BYTES_PER_WORD
 from repro.machine.config import CacheHierarchyConfig, CacheLevelConfig
 
@@ -97,39 +100,109 @@ class _Level:
 
 
 class CacheHierarchy:
-    """The full L1/L2/L3 + memory stack.
-
-    ``l1_mru`` holds, per L1 set, the block address of the set's most
-    recently used line (-1 while the set is empty).  Every :meth:`access`
-    leaves its own line there, so an access whose block matches its set's
-    entry hits the MRU way: LRU order does not change, and the access
-    amounts to one L1 hit (plus, for a store, a dirty bit).  The cycle
-    simulator's fused blocks take that shortcut inline and report the
-    hits through :meth:`count_l1_hits`.
-    """
+    """The full L1/L2/L3 + memory stack."""
 
     def __init__(self, config: CacheHierarchyConfig) -> None:
         self.config = config
         self.levels = [_Level(cfg) for cfg in config.levels]
-        self.l1_mru: list[int] = [-1] * self.levels[0].n_sets
         self.stats = CacheStats(
             hits={cfg.name: 0 for cfg in config.levels},
             misses={cfg.name: 0 for cfg in config.levels},
         )
 
     def reset(self) -> None:
-        for level in self.levels:
-            level.flush()
-        self.l1_mru[:] = [-1] * len(self.l1_mru)
+        if self.stats.accesses:  # otherwise every level is still empty
+            for level in self.levels:
+                level.flush()
         self.stats = CacheStats(
             hits={lv.cfg.name: 0 for lv in self.levels},
             misses={lv.cfg.name: 0 for lv in self.levels},
         )
 
-    def count_l1_hits(self, n: int) -> None:
-        """Count ``n`` L1 hits served outside :meth:`access` (MRU hits)."""
-        self.stats.accesses += n
-        self.stats.hits[self.levels[0].cfg.name] += n
+    def _by_l1_set(
+        self, word_addrs: npt.NDArray[np.int64]
+    ) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.bool_]]:
+        """The stream's order grouped by L1 set (stream order within a
+        set), and which accesses in that order are L1 MRU hits."""
+        l1 = self.levels[0]
+        blocks = word_addrs * BYTES_PER_WORD // l1.block_bytes
+        sets = blocks % l1.n_sets
+        order = np.argsort(sets, kind="stable")
+        block = blocks[order]
+        # Equal blocks share a set, so an equal neighbour is in the same set.
+        hit = np.zeros(len(order), dtype=bool)
+        hit[1:] = block[1:] == block[:-1]
+        return order, hit
+
+    def l1_mru_hits(self, word_addrs: npt.NDArray[np.int64]) -> npt.NDArray[np.bool_]:
+        """Which accesses of the stream ``word_addrs`` hit the MRU line of
+        their L1 set: those whose previous access to the same set, within
+        the stream, touched the same L1 block.
+
+        Every access leaves its line most recently used in its L1 set (a
+        hit moves it there, a fill puts it there), so such an access is an
+        L1 hit that changes no LRU order.  The first access to a set in the
+        stream is never counted, whatever the cache holds.
+        """
+        order, hit = self._by_l1_set(word_addrs)
+        mru = np.empty_like(hit)
+        mru[order] = hit
+        return mru
+
+    def replay(
+        self, word_addrs: npt.NDArray[np.int64], stores: npt.NDArray[np.bool_]
+    ) -> npt.NDArray[np.int64]:
+        """Access each word of ``word_addrs`` in order (``stores`` marks the
+        stores) and return every access's latency.
+
+        The state and statistics end exactly as from one :meth:`access`
+        per word, but no L1 hit makes that call.  The L1 MRU hits
+        (:meth:`l1_mru_hits`) are found for the whole stream at once: they
+        cost the L1 latency, change nothing and are counted in bulk.  A
+        store among them must still dirty its line, so in each run of MRU
+        hits (the hits that follow one non-MRU access of their set) the
+        first store joins the other accesses, unless the access that led
+        the run was a store.  Those go through the cache in order; an L1
+        hit among them moves its line to the MRU way and a store dirties
+        it, as :meth:`access` would, and anything else calls it.
+        """
+        n = len(word_addrs)
+        order, hit = self._by_l1_set(word_addrs)
+        stored = stores[order]
+        dirtying = np.flatnonzero(hit & stored)
+        if len(dirtying):
+            run = np.cumsum(~hit)[dirtying]
+            first = np.ones(len(run), dtype=bool)
+            first[1:] = run[1:] != run[:-1]
+            dirtying, run = dirtying[first], run[first]
+            # A run whose leading access stored has its line dirty already.
+            heads = np.flatnonzero(~hit)
+            hit[dirtying[~stored[heads[run - 1]]]] = False
+        in_order = order[~hit]
+        in_order.sort()
+        l1 = self.levels[0]
+        sets, n_sets = l1.sets, l1.n_sets
+        addrs = word_addrs[in_order]
+        blocks = (addrs * BYTES_PER_WORD // l1.block_bytes).tolist()
+        access = self.access
+        missed: list[int] = []
+        missed_latency: list[int] = []
+        for k, (addr, block, is_store) in enumerate(
+            zip(addrs.tolist(), blocks, stores[in_order].tolist())
+        ):
+            ways = sets[block % n_sets]
+            tag = block // n_sets
+            if tag in ways:
+                ways[tag] = ways.pop(tag) or is_store
+            else:
+                missed.append(k)
+                missed_latency.append(access(addr, is_store))
+        latency = np.full(n, l1.cfg.latency, dtype=np.int64)
+        latency[in_order[missed]] = missed_latency
+        served = n - len(missed)
+        self.stats.accesses += served
+        self.stats.hits[l1.cfg.name] += served
+        return latency
 
     def access(self, word_addr: int, is_store: bool) -> int:
         """Access one word; returns total latency in cycles."""
@@ -156,10 +229,8 @@ class CacheHierarchy:
             if evicted_dirty:
                 self.stats.writebacks += 1
 
-        l1 = self.levels[0]
-        block_addr = byte_addr // l1.block_bytes
         if is_store:
             # Write-allocate, write-back: dirty the line in the closest level.
-            l1.set_dirty(block_addr)
-        self.l1_mru[block_addr % l1.n_sets] = block_addr
+            l1 = self.levels[0]
+            l1.set_dirty(byte_addr // l1.block_bytes)
         return latency

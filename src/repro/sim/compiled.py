@@ -8,28 +8,19 @@ Python function ("superblock") in which
 
 * every operand is resolved to a flat register-file index baked into the
   source as a literal (``R[7]``),
-* every immediate, memory bound and latency constant is folded in, and
+* every immediate and memory bound is folded in, and
 * opcode dispatch disappears entirely — the block body is straight-line
   Python the bytecode compiler optimizes as a unit.
 
-Two fusion flavours exist:
-
-:func:`fuse_functional_blocks`
-    Functional semantics only, for the reference interpreter's fault-free
-    fast path.  The fused callable returns the interpreter's jump protocol:
-    a target label, the ``("halt", code)`` tuple, the detect sentinel, or
-    ``None`` (fell through — an IR bug).  Faulted block visits still run on
-    the per-instruction closures, so fault application is byte-identical to
-    the interpreted backend.
-
-:func:`fuse_timed_blocks`
-    Cycle-level semantics for :class:`~repro.sim.executor.VLIWExecutor`:
-    cache accounting (with the same-cycle miss-overlap model), memory-stall
-    attribution and partial-progress bookkeeping for traps are generated
-    inline.  An access that hits the most recently used way of its L1 set
-    is served inline, without a call into the cache model
-    (:func:`l1_mru_geometry`).  The fused callable returns ``(jump,
-    n_executed, stall_delta)``.
+:func:`fuse_functional_blocks` emits functional semantics only: the fused
+callable returns the interpreter's jump protocol (a target label, the
+``("halt", code)`` tuple, the detect sentinel, or ``None``, which means the
+block fell through, an IR bug).  The reference interpreter's fault-free
+fast path runs them; faulted block visits still run on the per-instruction
+closures, so fault application is byte-identical to the interpreted
+backend.  Emitted with an address sink, the same blocks record the
+functional trace the cycle-level executor replays its timing from
+(:class:`~repro.sim.executor.FunctionalTrace`).
 
 Generated code objects are memoized in a process-wide **decode cache**
 keyed by the generated source (which embeds every constant, so the key is
@@ -38,7 +29,7 @@ profiler and its shard workers, or repeated ``Evaluator`` points — compile
 each distinct block once per process.  Hits/misses are exported as the
 ``sim.decode_cache.hits`` / ``sim.decode_cache.misses`` counters.
 
-Every fusion is semantics-preserving by construction and differentially
+Fusion is semantics-preserving by construction and differentially
 tested against the interpreted backend (``tests/test_compiled_backend.py``,
 plus the fuzz harness in ``tests/test_fuzz_differential.py``).  Every
 :class:`~repro.isa.opcodes.Opcode` has a generator path, so every block
@@ -51,8 +42,7 @@ from typing import Callable
 
 from repro.errors import MemoryFault, SimError
 from repro.ir.interp import _DETECT, _div_s, _rem_s, _signed_const
-from repro.ir.program import BYTES_PER_WORD
-from repro.isa.opcodes import LatencyClass, Opcode
+from repro.isa.opcodes import Opcode
 from repro.obs import get_telemetry
 
 _MASK = (1 << 64) - 1
@@ -141,8 +131,8 @@ _RAW_OPS = frozenset(_RAW_RR)
 def _alu_lines(insn, slot_of) -> list[str] | None:
     """Statements for a non-memory, non-control instruction.
 
-    Returns ``None`` for the memory and control-flow opcodes, which the two
-    emitters handle themselves.  Raises :class:`SimError` for an opcode
+    Returns ``None`` for the memory and control-flow opcodes, which
+    :func:`_functional_body` handles itself.  Raises :class:`SimError` for an opcode
     nobody can fuse.
     """
     op = insn.opcode
@@ -244,7 +234,12 @@ def _addr_lines(base: int, imm: int, mem_words: int, what: str) -> list[str]:
 # -- functional fusion (reference interpreter fast path) ----------------------
 
 
-def _functional_body(block, slot_of, frame_base: int, mem_words: int) -> list[str]:
+def _functional_body(block, slot_of, frame_base: int, mem_words: int,
+                     record: bool = False) -> list[str]:
+    """Statements of one block; with ``record``, every LOAD and STORE
+    passes its checked address to the sink ``A`` before it accesses
+    memory."""
+    sink = ["A(t)"] if record else []
     lines: list[str] = []
     for insn in block.instructions:
         alu = _alu_lines(insn, slot_of)
@@ -257,9 +252,11 @@ def _functional_body(block, slot_of, frame_base: int, mem_words: int) -> list[st
         if op is Opcode.LOAD:
             d = slot_of[insn.dests[0]]
             lines += _addr_lines(srcs[0], imm, mem_words, "load from")
+            lines += sink
             lines.append(f"R[{d}] = M[t]")
         elif op is Opcode.STORE:
             lines += _addr_lines(srcs[0], imm, mem_words, "store to")
+            lines += sink
             lines.append(f"M[t] = R[{srcs[1]}]")
         elif op is Opcode.LOADFP:
             d = slot_of[insn.dests[0]]
@@ -281,243 +278,42 @@ def _functional_body(block, slot_of, frame_base: int, mem_words: int) -> list[st
     return lines
 
 
-def _functional_sources(interp) -> dict[str, str]:
+def _functional_sources(interp, record: bool) -> dict[str, str]:
     """Generated per-block sources for ``interp``'s program."""
     sources = {}
     slot_of = interp._slot_of
     for block in interp.program.main.blocks():
         body = _functional_body(
-            block, slot_of, interp.frame_base, interp.mem_words
+            block, slot_of, interp.frame_base, interp.mem_words, record
         )
         if not body:
             body = ["return None"]
-        source = "def _factory(R, M, O, D, div, rem, MF):\n    def _block():\n"
+        source = "def _factory(R, M, O, D, div, rem, MF, A):\n    def _block():\n"
         source += "".join(f"        {line}\n" for line in body)
         source += "        return None\n    return _block\n"
         sources[block.label] = source
     return sources
 
 
-def fuse_functional_blocks(interp) -> dict[str, Callable[[], object]]:
+def fuse_functional_blocks(
+    interp, address_sink: Callable[[int], object] | None = None
+) -> dict[str, Callable[[], object]]:
     """Fuse every block of ``interp`` for its fault-free fast path.
 
     The returned callables close over the interpreter's live register /
     memory / output arrays, so they observe ``reset_state`` and snapshot
-    restores for free.  Compiled code objects are memoized per source
-    (``sim.decode_cache.*``); source generation and the closure binding
-    are re-done per interpreter.
+    restores for free.  With ``address_sink``, every LOAD and STORE passes
+    its word address to it, in program order, once the address is known to
+    be valid (the functional trace of :mod:`repro.sim.executor`).
+    Compiled code objects are memoized per source (``sim.decode_cache.*``);
+    source generation and the closure binding are re-done per interpreter.
     """
     fused: dict[str, Callable[[], object]] = {}
-    for label, source in _functional_sources(interp).items():
+    record = address_sink is not None
+    for label, source in _functional_sources(interp, record).items():
         factory = _compile_factory(source)
         fused[label] = factory(
-            interp._R, interp._M, interp._O, _DETECT, _div_s, _rem_s, MemoryFault
-        )
-    return fused
-
-
-# -- timed fusion (cycle-level executor) --------------------------------------
-
-#: Opcodes whose generated statements can raise a :class:`SimTrap`; they
-#: record their execution-order index in ``P[0]`` first so the executor can
-#: attribute partial block progress on an architectural trap.
-_TRAPPING = frozenset({Opcode.LOAD, Opcode.STORE, Opcode.DIV, Opcode.REM})
-
-
-def _stall_lines(addr_expr: str, is_store: bool, cycle: int, lat: int,
-                 overlap: bool) -> list[str]:
-    """Cache-charge statements for one memory access at schedule ``cycle``."""
-    lines = [f"e = CA({addr_expr}, {is_store}) - {lat}"]
-    if overlap:
-        lines += [
-            "if e > 0:",
-            f"    if cc != {cycle}:",
-            "        s += ce",
-            f"        cc = {cycle}",
-            "        ce = e",
-            "    elif e > ce:",
-            "        ce = e",
-        ]
-    else:
-        lines += ["if e > 0:", "    s += e"]
-    return lines
-
-
-def l1_mru_geometry(machine) -> tuple[int, int, int] | None:
-    """``(word shift, set mask, set bits)`` of the inline L1 MRU check.
-
-    A word address shifted right by the word shift is its L1 block
-    address; the set is the block's low bits and the tag the rest.  The
-    check is emitted only where it is exact and free: the L1 block and set
-    counts are powers of two (so shifts and masks split the address) and
-    an L1 hit costs no more than the scheduled load and store latencies,
-    so a hit never stalls.  ``None`` otherwise: every access then goes
-    through :meth:`~repro.sim.cache.CacheHierarchy.access`.
-    """
-    l1 = machine.cache.levels[0]
-    lat = machine.latencies
-    if l1.latency > min(lat[LatencyClass.LOAD], lat[LatencyClass.STORE]):
-        return None
-    words = l1.block_bytes // BYTES_PER_WORD
-    n_sets = l1.n_sets
-    if (words * BYTES_PER_WORD != l1.block_bytes or words & (words - 1)
-            or n_sets & (n_sets - 1)):
-        return None
-    return words.bit_length() - 1, n_sets - 1, n_sets.bit_length() - 1
-
-
-def _access_lines(addr: str | int, is_store: bool, cycle: int, lat: int,
-                  overlap: bool, mru: tuple[int, int, int] | None) -> list[str]:
-    """One memory access: the inline L1 MRU check, else the cache charge.
-
-    ``addr`` is the name of the local holding the word address, or the
-    address itself for a frame slot, whose set and tag fold to literals.
-    An MRU hit leaves LRU order alone; a store dirties the line in place.
-    The hit is not counted here: the executor derives the number of MRU
-    hits from the memory instructions it ran and the accesses the
-    hierarchy saw.
-    """
-    charge = _stall_lines(str(addr), is_store, cycle, lat, overlap)
-    if mru is None:
-        return charge
-    shift, mask, bits = mru
-    if isinstance(addr, int):
-        k = addr >> shift
-        lines = []
-        mru_set, block, tag = k & mask, str(k), k >> bits
-    else:
-        lines = [f"k = {addr} >> {shift}" if shift else f"k = {addr}"]
-        mru_set, block, tag = f"k & {mask}", "k", f"k >> {bits}"
-    if not is_store:
-        return lines + [f"if U[{mru_set}] != {block}:"] + [
-            f"    {line}" for line in charge
-        ]
-    return lines + [
-        f"if U[{mru_set}] == {block}:",
-        f"    L[{mru_set}][{tag}] = True",
-        "else:",
-        *(f"    {line}" for line in charge),
-    ]
-
-
-def _timed_body(block, order, cycles, slot_of, frame_base: int, mem_words: int,
-                lat_load: int, lat_store: int, overlap: bool,
-                mru: tuple[int, int, int] | None = None) -> list[str]:
-    lines: list[str] = []
-    n = len(order)
-    for pos, i in enumerate(order):
-        insn = block.instructions[i]
-        op = insn.opcode
-        if op in _TRAPPING:
-            # Flushed stalls count even when this instruction traps; the
-            # pending same-cycle overlap (ce) is dropped, exactly like the
-            # interpreted loop's trap path.
-            lines.append(f"P[0] = {pos}; P[1] = s")
-        alu = _alu_lines(insn, slot_of)
-        if alu is not None:
-            lines += alu
-            continue
-        srcs = [slot_of[r] for r in insn.srcs]
-        imm = insn.imm
-        c = cycles[i]
-        if op is Opcode.LOAD:
-            d = slot_of[insn.dests[0]]
-            lines += [
-                *_addr_lines(srcs[0], imm, mem_words, "load from"),
-                *_access_lines("t", False, c, lat_load, overlap, mru),
-                f"R[{d}] = M[t]",
-            ]
-        elif op is Opcode.STORE:
-            lines += [
-                *_addr_lines(srcs[0], imm, mem_words, "store to"),
-                *_access_lines("t", True, c, lat_store, overlap, mru),
-                f"M[t] = R[{srcs[1]}]",
-            ]
-        elif op is Opcode.LOADFP:
-            d = slot_of[insn.dests[0]]
-            addr = frame_base + imm
-            lines += [
-                *_access_lines(addr, False, c, lat_load, overlap, mru),
-                f"R[{d}] = M[{addr}]",
-            ]
-        elif op is Opcode.STOREFP:
-            addr = frame_base + imm
-            lines += [
-                *_access_lines(addr, True, c, lat_store, overlap, mru),
-                f"M[{addr}] = R[{srcs[0]}]",
-            ]
-        elif op is Opcode.CHKBR:
-            lines += [f"if R[{srcs[0]}]:", f"    return (D, {pos + 1}, s + ce)"]
-        elif op is Opcode.JMP:
-            lines.append(f"return ({insn.targets[0]!r}, {n}, s + ce)")
-        elif op is Opcode.BRT:
-            taken, fall = insn.targets
-            lines.append(
-                f"return (({taken!r} if R[{srcs[0]}] else {fall!r}), {n}, s + ce)"
-            )
-        elif op is Opcode.BRF:
-            taken, fall = insn.targets
-            lines.append(
-                f"return (({fall!r} if R[{srcs[0]}] else {taken!r}), {n}, s + ce)"
-            )
-        else:  # HALT: _alu_lines rejects everything outside these nine
-            lines.append(f"return (('halt', {imm!r}), {n}, s + ce)")
-    return lines
-
-
-def fuse_timed_blocks(executor) -> dict[str, tuple[Callable, tuple[int, ...], int]]:
-    """Fuse every block of a :class:`VLIWExecutor` with inline timing.
-
-    Returns ``{label: (fused_fn, memory_ops_before, schedule_length)}``.
-    ``fused_fn() -> (jump, n_executed, stall_delta)``; on a
-    :class:`~repro.errors.SimTrap` the number of instructions completed
-    before the trapping one is left in ``executor._progress[0]`` and the
-    block's flushed stall cycles in ``executor._progress[1]``.
-    ``memory_ops_before[j]`` is the number of memory instructions among
-    the first ``j`` the block executes: each one that runs accesses the
-    cache exactly once (a trapping one traps before its access), so the
-    executor counts the accesses a visit made from ``n_executed`` or the
-    trap position alone.  Accesses the inline L1 MRU check serves
-    (:func:`l1_mru_geometry`) are those the hierarchy did not see.
-    """
-    interp = executor._interp
-    slot_of = interp._slot_of
-    machine = executor.machine
-    lat = machine.latencies
-    lat_load = lat[LatencyClass.LOAD]
-    lat_store = lat[LatencyClass.STORE]
-    mru = l1_mru_geometry(machine)
-    cache = executor.cache
-    fused: dict[str, tuple[Callable, tuple[int, ...], int]] = {}
-    for block in executor.compiled.program.main.blocks():
-        sched = executor.compiled.schedules.blocks[block.label]
-        order = sorted(
-            range(len(block.instructions)),
-            key=lambda i: (sched.cycle_of[i], i),
-        )
-        body = _timed_body(
-            block, order, sched.cycle_of, slot_of,
-            interp.frame_base, interp.mem_words,
-            lat_load, lat_store, executor.overlap_misses, mru,
-        )
-        n = len(order)
-        if not body:
-            body = [f"return (None, {n}, s + ce)"]
-        source = "def _factory(R, M, O, D, div, rem, MF, CA, P, U, L):\n"
-        source += "    def _block():\n        s = 0\n        cc = -1\n        ce = 0\n"
-        source += "".join(f"        {line}\n" for line in body)
-        source += f"        return (None, {n}, s + ce)\n    return _block\n"
-        factory = _compile_factory(source)
-        memory_ops = [0]
-        for i in order:
-            memory_ops.append(memory_ops[-1] + block.instructions[i].info.is_mem)
-        fused[block.label] = (
-            factory(
-                interp._R, interp._M, interp._O, _DETECT, _div_s, _rem_s,
-                MemoryFault, cache.access, executor._progress,
-                cache.l1_mru, cache.levels[0].sets,
-            ),
-            tuple(memory_ops),
-            sched.length,
+            interp._R, interp._M, interp._O, _DETECT, _div_s, _rem_s,
+            MemoryFault, address_sink,
         )
     return fused

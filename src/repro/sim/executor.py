@@ -14,25 +14,46 @@ whole lockstep machine, and misses issued in the *same* VLIW cycle overlap
 parallelism CASTED exploits by spreading independent memory operations
 across clusters (paper §III-D).
 
-The functional side reuses the reference interpreter's compiled closures, so
-functional behaviour is identical by construction to the model the fault
-campaigns use; a differential test asserts it anyway.
+Two backends compute that sum.  The ``interp`` backend is the
+per-instruction oracle: it executes every visit's instructions in schedule
+order on the reference interpreter's closures and charges each memory
+access to the cache model as it happens.  The ``compiled`` backend splits
+what a run computes from how it is timed.  The program's functional
+behaviour — which blocks it visits, which address each LOAD and STORE
+touches, and how it ends — does not depend on the schedule, so it is
+recorded once per program (:class:`FunctionalTrace`, one artifact-store
+entry per program content) by the interpreter's fused blocks, and every
+schedule of that program replays it: cycles are the visited blocks'
+schedule lengths plus stalls, with the accesses laid out in each visit's
+schedule order and charged to the cache model in one pass
+(:meth:`~repro.sim.cache.CacheHierarchy.replay`).  Only a run that ends
+inside a block by a check or a trap times that last visit on the oracle's
+loop, from the state the trace recorded at its entry.
 """
 
 from __future__ import annotations
 
+import hashlib
+import weakref
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any
 
+import numpy as np
+import numpy.typing as npt
+
+from repro import store
 from repro.errors import SimError, SimTrap
-from repro.ir.interp import FaultSpec, Interpreter, RunResult
+from repro.ir.interp import _DETECT, ExitKind, FaultSpec, Interpreter, RunResult
+from repro.ir.printer import canonical_program_text
+from repro.ir.program import Program
 from repro.isa.opcodes import LatencyClass, Opcode
 from repro.machine.config import MachineConfig
 from repro.obs import get_telemetry
 from repro.pipeline import CompiledProgram
 from repro.sim.cache import CacheHierarchy, CacheStats
-from repro.ir.interp import ExitKind
 
 _MASK = (1 << 64) - 1
 
@@ -59,6 +80,116 @@ class SimResult:
         return (self.kind, self.exit_code, self.output)
 
 
+@dataclass(eq=False)
+class FunctionalTrace:
+    """One fault-free functional run of a program, as a timing replay reads it.
+
+    Every schedule of the program shares it: the run's visits, addresses
+    and ending do not depend on when each instruction issues.  It is
+    read-only.
+    """
+
+    #: The block of every visit, as an index into the program's block
+    #: labels; the visit that ended the run is the last.
+    visits: npt.NDArray[np.unsignedinteger[Any]]
+    #: The word address of every LOAD and STORE executed, in program order.
+    addresses: npt.NDArray[np.uint32]
+    #: How the functional run ended.
+    result: RunResult
+    #: Registers, memory and output at the entry of the last visit, for a
+    #: run a check or a trap ended inside that block; ``None`` otherwise.
+    entry_state: tuple[list[int], list[int], tuple[int, ...]] | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Estimated size: the two arrays, 8 B per output word and per
+        register and memory word of the entry state, 32 B per int object
+        above CPython's small-int cache among them, and 600 B of object
+        headers (0.9-1.1x of what ``tracemalloc`` counts)."""
+        words: list[int] = list(self.result.output)
+        if self.entry_state is not None:
+            regs, mem, output = self.entry_state
+            words += regs + mem + list(output)
+        large = sum(1 for v in words if v > 256)
+        return (
+            self.visits.nbytes + self.addresses.nbytes
+            + 8 * len(words) + 32 * large + 600
+        )
+
+
+def record_trace(interp: Interpreter) -> FunctionalTrace:
+    """Run ``interp``'s program from reset and record its
+    :class:`FunctionalTrace`.
+
+    The run uses the interpreter's fused blocks, emitted with an address
+    sink, under its ``max_steps`` watchdog; its ending matches
+    :meth:`Interpreter.run`'s.  A run that a check or a trap ends inside a
+    block is executed a second time, up to that block's entry, for the
+    entry state.
+    """
+    from repro.sim.compiled import fuse_functional_blocks
+
+    addresses = array("I")
+    fused = fuse_functional_blocks(interp, addresses.append)
+    table = {
+        label: (fused[label], len(interp.program.main.block(label)), index)
+        for index, label in enumerate(interp.labels)
+    }
+    visits = interp.visit_buffer()
+    visit = visits.append
+    O = interp._O
+    budget = interp.max_steps
+    interp.reset_state()
+    dyn = 0
+    n = 0
+    label: object = interp.program.main.entry.label
+    result: RunResult | None = None
+    try:
+        while True:
+            try:
+                fn, n, index = table[label]
+            except KeyError:
+                break
+            visit(index)
+            if dyn + n > budget:
+                result = RunResult(ExitKind.TIMEOUT, None, tuple(O), dyn, "watchdog")
+                break
+            label = fn()
+            dyn += n
+    except SimTrap as trap:
+        result = RunResult(ExitKind.EXCEPTION, None, tuple(O), dyn, trap.kind)
+    if result is None:
+        if label is _DETECT:
+            result = RunResult(ExitKind.DETECTED, None, tuple(O), dyn)
+        elif type(label) is tuple:
+            result = RunResult(ExitKind.OK, label[1], tuple(O), dyn)
+        else:  # pragma: no cover - the verifier rejects fall-through blocks
+            raise SimError("traced block fell through")
+    entry_state = None
+    if result.kind in (ExitKind.DETECTED, ExitKind.EXCEPTION):
+        start = dyn - n if result.kind is ExitKind.DETECTED else dyn
+        # The watchdog stops this run at the entry of the last visit.
+        interp.run(max_steps=start + n - 1)
+        entry_state = (interp._R[:], interp._M[:], tuple(O))
+    return FunctionalTrace(
+        np.array(visits), np.frombuffer(addresses, dtype=np.uint32).copy(),
+        result, entry_state,
+    )
+
+
+#: Canonical-text digests of the programs simulated so far, by program
+#: object: a compiled program is read-only.
+_digests: weakref.WeakKeyDictionary[Program, str] = weakref.WeakKeyDictionary()
+
+
+def _program_digest(program: Program) -> str:
+    digest = _digests.get(program)
+    if digest is None:
+        text = canonical_program_text(program)
+        digest = _digests[program] = hashlib.sha256(text.encode()).hexdigest()
+    return digest
+
+
 class _BlockCode:
     """Pre-extracted execution order + memory metadata for one block."""
 
@@ -73,6 +204,33 @@ class _BlockCode:
         self.addr_off: list[int] = []
         self.length = length
         self.n = 0
+
+
+@dataclass(frozen=True)
+class _ReplayTables:
+    """Per-block numbers and per-access templates a timing replay gathers.
+
+    Indexed by block (in the program's block-label order): schedule
+    ``length``, instruction count ``size``, ``outputs`` (OUT instructions),
+    ``traced`` (LOAD/STORE instructions, i.e. trace addresses per visit),
+    and the block's accesses as ``first`` and ``count`` into the template
+    arrays.  Each template entry is one memory access of a visit, in
+    schedule order: its rank among the block's traced accesses (``rank``,
+    -1 for a frame slot, whose address ``static`` holds), whether it is a
+    store, its issue cycle and the latency the schedule assumed for it.
+    """
+
+    length: npt.NDArray[np.int64]
+    size: npt.NDArray[np.int64]
+    outputs: npt.NDArray[np.int64]
+    traced: npt.NDArray[np.int64]
+    first: npt.NDArray[np.int64]
+    count: npt.NDArray[np.int64]
+    rank: npt.NDArray[np.int64]
+    static: npt.NDArray[np.int64]
+    store: npt.NDArray[np.bool_]
+    cycle: npt.NDArray[np.int64]
+    latency: npt.NDArray[np.int64]
 
 
 class VLIWExecutor:
@@ -94,9 +252,8 @@ class VLIWExecutor:
         self.overlap_misses = overlap_misses
         self.cache = CacheHierarchy(self.machine.cache)
 
-        # Reuse the interpreter's closure compiler and state arrays.  The
-        # interpreter carries the backend choice too, so functional runs
-        # (and the fault campaigns built on them) fuse the same way.
+        # The interpreter carries the backend choice too, so functional
+        # runs (and the fault campaigns built on them) fuse the same way.
         self._interp = Interpreter(
             compiled.program,
             mem_words=compiled.mem_words,
@@ -112,22 +269,17 @@ class VLIWExecutor:
         self._sched_lat_load = lat[LatencyClass.LOAD]
         self._sched_lat_store = lat[LatencyClass.STORE]
 
-        #: Partial-progress cells for the fused timed blocks: a trapping
-        #: instruction records how many block instructions completed before
-        #: it and the stalls flushed so far, so the except-path can
-        #: attribute ``dyn`` and ``stall_cycles`` exactly.
-        self._progress: list[int] = [0, 0]
-        self._fused = None
-        if self.backend == "compiled":
-            from repro.sim.compiled import fuse_timed_blocks
-
-            self._fused = fuse_timed_blocks(self)
+    def _schedule_order(self, block) -> list[int]:
+        sched = self.compiled.schedules.blocks[block.label]
+        return sorted(
+            range(len(block.instructions)),
+            key=lambda i: (sched.cycle_of[i], i),
+        )
 
     @cached_property
     def _blocks(self) -> dict[str, _BlockCode]:
         """Per-block execution order and memory metadata for
-        :meth:`_run_interp`, built on its first run: the compiled backend
-        never reads them."""
+        :meth:`_run_interp`, built on its first run."""
         blocks: dict[str, _BlockCode] = {}
         slot_of = self._interp._slot_of
         frame_base = self._interp.frame_base
@@ -135,11 +287,7 @@ class VLIWExecutor:
             sched = self.compiled.schedules.blocks[block.label]
             cb = self._interp._blocks[block.label]
             code = _BlockCode(block.label, sched.length)
-            order = sorted(
-                range(len(block.instructions)),
-                key=lambda i: (sched.cycle_of[i], i),
-            )
-            for i in order:
+            for i in self._schedule_order(block):
                 insn = block.instructions[i]
                 code.fns.append(cb.fns[i])
                 code.cycles.append(sched.cycle_of[i])
@@ -168,6 +316,49 @@ class VLIWExecutor:
             blocks[code.label] = code
         return blocks
 
+    @cached_property
+    def _tables(self) -> _ReplayTables:
+        """The :class:`_ReplayTables` of this schedule, built on the first
+        compiled-backend run."""
+        frame_base = self._interp.frame_base
+        lat_load, lat_store = self._sched_lat_load, self._sched_lat_store
+        per_block: list[tuple[int, ...]] = []
+        per_access: list[tuple[int, ...]] = []
+        for block in self.compiled.program.main.blocks():
+            sched = self.compiled.schedules.blocks[block.label]
+            insns = block.instructions
+            ranks: dict[int, int] = {}
+            outputs = 0
+            for i, insn in enumerate(insns):
+                op = insn.opcode
+                if op is Opcode.LOAD or op is Opcode.STORE:
+                    ranks[i] = len(ranks)
+                elif op is Opcode.OUT:
+                    outputs += 1
+            first = len(per_access)
+            for i in self._schedule_order(block):
+                insn = insns[i]
+                if not insn.info.is_mem:
+                    continue
+                frame = i not in ranks
+                store = insn.info.is_store
+                per_access.append((
+                    -1 if frame else ranks[i], frame_base + insn.imm if frame else 0,
+                    store, sched.cycle_of[i], lat_store if store else lat_load,
+                ))
+            per_block.append((
+                sched.length, len(insns), outputs, len(ranks), first,
+                len(per_access) - first,
+            ))
+        # One contiguous int64 row per column.
+        blocks = np.array(per_block, dtype=np.int64).reshape(-1, 6).T.copy()
+        rank, static, store, cycle, latency = (
+            np.array(per_access, dtype=np.int64).reshape(-1, 5).T.copy()
+        )
+        return _ReplayTables(
+            *blocks, rank, static, store.astype(bool), cycle, latency
+        )
+
     # -- execution ------------------------------------------------------------
     def functional_run(
         self,
@@ -178,7 +369,7 @@ class VLIWExecutor:
         """Functional (untimed) reference run of the compiled program.
 
         Executes on the embedded reference interpreter — the same closures
-        the cycle-accurate :meth:`run` drives — and returns its
+        the ``interp`` backend's :meth:`run` drives — and returns its
         :class:`~repro.ir.interp.RunResult`.  This is the supported way to
         obtain the block-visit sequence (``visit_sink`` receives each
         visited block's index in ``program.main.blocks()`` order) that
@@ -264,99 +455,167 @@ class VLIWExecutor:
         visit_counts: dict[str, int] | None,
         block_stalls: dict[str, int] | None,
     ) -> SimResult:
-        if self._fused is not None:
-            return self._run_compiled(max_cycles, visit_counts, block_stalls)
+        if self.backend == "compiled":
+            return self._replay(max_cycles, visit_counts, block_stalls)
         return self._run_interp(max_cycles, visit_counts, block_stalls)
 
-    def _run_compiled(
+    def _trace(self) -> FunctionalTrace:
+        """The program's :class:`FunctionalTrace`, from the artifact store
+        (counted as ``sim.trace.{hits,misses}``)."""
+        interp = self._interp
+        key = (
+            "sim-trace", _program_digest(self.compiled.program),
+            interp.mem_words, self.compiled.frame_words, interp.max_steps,
+        )
+        return store.get(key, lambda: record_trace(interp), counter="sim.trace")
+
+    def _replay(
         self,
         max_cycles: int | None,
         visit_counts: dict[str, int] | None,
         block_stalls: dict[str, int] | None,
     ) -> SimResult:
-        """Hot loop over fused superblocks; accounting mirrors
-        :meth:`_run_interp` exactly (differentially tested)."""
-        interp = self._interp
-        interp.reset_state()
-        self.cache.reset()
+        """Time the program's functional trace against this schedule.
+
+        Equal to :meth:`_run_interp` in every :class:`SimResult` field
+        (differentially tested).  The visits the trace completes are timed
+        in bulk: their accesses are gathered from the per-block templates
+        in schedule order and charged through
+        :meth:`CacheHierarchy.replay`, and a visit stalls by the largest
+        extra latency of each of its cycles (or by every extra latency,
+        without miss overlap).  A visit that ends the run inside its block
+        runs on :meth:`_run_interp`'s loop from the trace's entry state.
+        A trace the functional watchdog cut short does not say how the
+        run goes on, so that run is timed by :meth:`_run_interp` whole.
+        """
+        trace = self._trace()
+        end = trace.result.kind
+        if end is ExitKind.TIMEOUT:
+            return self._run_interp(max_cycles, visit_counts, block_stalls)
+        t = self._tables
         budget = self.max_cycles if max_cycles is None else max_cycles
+        whole = len(trace.visits) - (end is not ExitKind.OK)
+        visits = trace.visits[:whole].astype(np.intp)
 
-        cycles = 0
-        stalls = 0
-        dyn = 0
-        visits = 0
-        accesses = 0
-        label = self._entry
-        fused = self._fused
-        progress = self._progress
+        # Each visit's accesses in schedule order, from the templates.
+        count = t.count[visits]
+        n_access = int(count.sum())
+        access_visit = np.repeat(np.arange(whole), count)
+        ends = np.cumsum(count)
+        template = np.repeat(t.first[visits] - (ends - count), count) + np.arange(n_access)
+        rank = t.rank[template]
+        addrs = t.static[template]
+        traced = rank >= 0
+        traced_at = np.cumsum(t.traced[visits]) - t.traced[visits]
+        addrs[traced] = trace.addresses[(traced_at[access_visit] + rank)[traced]]
+        stores = t.store[template]
+        self.cache.reset()
+        extra = self.cache.replay(addrs, stores) - t.latency[template]
 
-        def finish(kind: ExitKind, code_: int | None) -> SimResult:
-            # Every access the hierarchy did not see hit an L1 MRU way.
-            self.cache.count_l1_hits(accesses - self.cache.stats.accesses)
+        # Stalls per visit: the largest extra latency of each cycle, or
+        # their sum without miss overlap.
+        slow = np.flatnonzero(extra > 0)
+        slow_visit, slow_extra = access_visit[slow], extra[slow]
+        if self.overlap_misses and len(slow):
+            cycle = t.cycle[template[slow]]
+            new = np.ones(len(slow), dtype=bool)
+            new[1:] = (slow_visit[1:] != slow_visit[:-1]) | (cycle[1:] != cycle[:-1])
+            starts = np.flatnonzero(new)
+            slow_extra = np.maximum.reduceat(slow_extra, starts)
+            slow_visit = slow_visit[starts]
+        stalls = np.bincount(slow_visit, weights=slow_extra, minlength=whole).astype(np.int64)
+
+        # A visit times out when its length takes the run past the budget.
+        stalls_cum = np.cumsum(stalls)
+        length_cum = np.cumsum(t.length[visits])
+        at_entry = length_cum + stalls_cum - stalls
+        done = int(np.searchsorted(at_entry, budget, side="right"))
+        if done < whole:
+            cut = int(ends[done - 1]) if done else 0
+            self.cache.reset()
+            self.cache.replay(addrs[:cut], stores[:cut])
+            n_out = int(t.outputs[visits[:done]].sum())
+            self._count_visits(visits[: done + 1], stalls[:done], visit_counts, block_stalls)
+            stall_cycles = int(stalls_cum[done - 1]) if done else 0
             return SimResult(
-                kind=kind,
-                exit_code=code_,
-                output=tuple(interp._O),
-                cycles=cycles + stalls,
-                dyn_instructions=dyn,
-                stall_cycles=stalls,
-                block_visits=visits,
+                kind=ExitKind.TIMEOUT,
+                exit_code=None,
+                output=trace.result.output[:n_out],
+                cycles=int(at_entry[done]),
+                dyn_instructions=int(t.size[visits[:done]].sum()),
+                stall_cycles=stall_cycles,
+                block_visits=done + 1,
                 cache=self.cache.stats,
             )
+        self._count_visits(visits, stalls, visit_counts, block_stalls)
+        cycles = int(length_cum[-1]) if whole else 0
+        stall_cycles = int(stalls_cum[-1]) if whole else 0
+        dyn = int(t.size[visits].sum())
+        if end is ExitKind.OK:
+            return SimResult(
+                kind=end,
+                exit_code=trace.result.exit_code,
+                output=trace.result.output,
+                cycles=cycles + stall_cycles,
+                dyn_instructions=dyn,
+                stall_cycles=stall_cycles,
+                block_visits=whole,
+                cache=self.cache.stats,
+            )
+        assert trace.entry_state is not None
+        regs, mem, output = trace.entry_state
+        interp = self._interp
+        interp._R[:] = regs
+        interp._M[:] = mem
+        interp._O[:] = output
+        label = interp.labels[int(trace.visits[-1])]
+        return self._run_interp(
+            max_cycles, visit_counts, block_stalls,
+            resume=(label, cycles, stall_cycles, dyn, whole),
+        )
 
-        try:
-            while True:
-                fn, memory_ops, length = fused[label]
-                visits += 1
-                if visit_counts is not None:
-                    visit_counts[label] = visit_counts.get(label, 0) + 1
-                cycles += length
-                if cycles + stalls > budget:
-                    return finish(ExitKind.TIMEOUT, None)
-                jump, done, ds = fn()
-                dyn += done
-                accesses += memory_ops[done]
-                if ds:
-                    stalls += ds
-                    if block_stalls is not None:
-                        block_stalls[label] = block_stalls.get(label, 0) + ds
-                if jump is None:
-                    raise SimError(f"block {label} fell through")  # pragma: no cover
-                if jump == "__detect__":
-                    return finish(ExitKind.DETECTED, None)
-                if type(jump) is tuple:
-                    return finish(ExitKind.OK, jump[1])
-                label = jump
-        except SimTrap:
-            # The trapping instruction left its completed-predecessor count
-            # and the block's flushed stalls in the progress cells; the
-            # trapping instruction itself does not commit and pending
-            # same-cycle overlap is dropped (same as the interpreted loop).
-            dyn += progress[0]
-            stalls += progress[1]
-            accesses += memory_ops[progress[0]]
-            return finish(ExitKind.EXCEPTION, None)
+    def _count_visits(
+        self,
+        visits: npt.NDArray[np.intp],
+        stalls: npt.NDArray[np.int64],
+        visit_counts: dict[str, int] | None,
+        block_stalls: dict[str, int] | None,
+    ) -> None:
+        """Add replayed visits and their stalls to the telemetry tallies."""
+        if visit_counts is None or block_stalls is None:
+            return
+        labels = self._interp.labels
+        n_blocks = len(labels)
+        per_block = np.bincount(visits, minlength=n_blocks)
+        for index in np.flatnonzero(per_block).tolist():
+            visit_counts[labels[index]] = int(per_block[index])
+        by_block = np.bincount(visits[: len(stalls)], weights=stalls, minlength=n_blocks)
+        for index in np.flatnonzero(by_block).tolist():
+            block_stalls[labels[index]] = int(by_block[index])
 
     def _run_interp(
         self,
         max_cycles: int | None,
         visit_counts: dict[str, int] | None,
         block_stalls: dict[str, int] | None,
+        resume: tuple[str, int, int, int, int] | None = None,
     ) -> SimResult:
+        """The per-instruction loop: from reset, or, with ``resume`` =
+        (label, cycles, stalls, instructions, visits), from the interpreter
+        and cache state as they stand at the entry of a visit to ``label``."""
         interp = self._interp
-        interp.reset_state()
-        self.cache.reset()
+        if resume is None:
+            interp.reset_state()
+            self.cache.reset()
+            label = self._entry
+            cycles = stalls = dyn = visits = 0
+        else:
+            label, cycles, stalls, dyn, visits = resume
         R = interp._R
         cache_access = self.cache.access
         budget = self.max_cycles if max_cycles is None else max_cycles
         lat_load = self._sched_lat_load
         lat_store = self._sched_lat_store
-
-        cycles = 0
-        stalls = 0
-        dyn = 0
-        visits = 0
-        label = self._entry
         blocks = self._blocks
 
         def finish(kind: ExitKind, code_: int | None) -> SimResult:

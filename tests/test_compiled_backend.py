@@ -30,7 +30,7 @@ from repro.isa.registers import GP, PR, RegClass
 from repro.machine.config import CacheLevelConfig, MachineConfig, itanium2_cache
 from repro.pipeline import Scheme, compile_program
 from repro.sim.cache import CacheHierarchy
-from repro.sim.compiled import _functional_body, _timed_body, l1_mru_geometry
+from repro.sim.compiled import _functional_body
 from repro.sim.executor import VLIWExecutor
 from repro.workloads import get_workload, workload_names
 
@@ -121,15 +121,15 @@ class TestTimedEquivalence:
 _SET1 = {"A": 8, "B": 8 + 512, "C": 8 + 1024, "D": 8 + 1536, "E": 8 + 2048}
 
 
-def _set_conflict_loop(iterations: int = 20) -> Program:
+def _set_conflict_loop(iterations: int = 20, reread: bool = False) -> Program:
     """A loop that dirties line A by an MRU hit and then evicts it.
 
-    Each iteration loads A, stores to A (an MRU hit: the fast path alone
-    dirties the line), and then walks B A C D E B C D through the same
-    4-way set: the non-MRU hit on A reorders LRU, E evicts B and the
-    second B evicts the dirty A.  Every
-    address depends on the previous load, and stores order all memory
-    operations, so the schedule keeps this access order.
+    Each iteration loads A, stores to A (an MRU hit: the previous access
+    to its set touched A), optionally loads A again (another MRU hit), and
+    then walks B A C D E B C D through the same 4-way set: the non-MRU hit
+    on A reorders LRU, E evicts B and the second B evicts the dirty A.
+    Every address depends on the previous load, and stores order all
+    memory operations, so the schedule keeps this access order.
     """
     b = IRBuilder("main")
     f = b.function
@@ -145,6 +145,10 @@ def _set_conflict_loop(iterations: int = 20) -> Program:
     v = b.load(a)
     b.store(a, b.add(v, 1))
     total = v
+    if reread:
+        again = b.load(a)
+        zero = b.and_(again, 0)
+        total = b.add(total, again)
     for line in "BACDEBCD":
         w = b.load(b.add(zero, _SET1[line]))
         zero = b.and_(w, 0)
@@ -158,76 +162,71 @@ def _set_conflict_loop(iterations: int = 20) -> Program:
     return Program(f, [GlobalArray("buf", 2600)])
 
 
+def _counting_access(monkeypatch) -> list[int]:
+    """Count :meth:`CacheHierarchy.access` calls from here on."""
+    calls = [0]
+    access = CacheHierarchy.access
+
+    def counted(self, word_addr, is_store):
+        calls[0] += 1
+        return access(self, word_addr, is_store)
+
+    monkeypatch.setattr(CacheHierarchy, "access", counted)
+    return calls
+
+
 class TestL1MruFastPath:
-    """The fused blocks serve L1 MRU hits inline; ``_run_interp`` calls
+    """The trace replay serves L1 hits without a call into the cache model,
+    the MRU ones in bulk; ``_run_interp`` calls
     :meth:`CacheHierarchy.access` for every access and is the oracle."""
 
     def test_dirty_mru_line_evicted_from_its_set_matches_interp(self, monkeypatch):
         machine = MachineConfig(issue_width=1, inter_cluster_delay=1)
-        assert l1_mru_geometry(machine) == (3, 63, 6)
-        cp = compile_program(_set_conflict_loop(), Scheme.NOED, machine, optimize=False)
-        calls = 0
-        access = CacheHierarchy.access
-
-        def counted(self, word_addr, is_store):
-            nonlocal calls
-            calls += 1
-            return access(self, word_addr, is_store)
-
+        cp = compile_program(
+            _set_conflict_loop(reread=True), Scheme.NOED, machine, optimize=False
+        )
         ref = VLIWExecutor(cp, backend="interp").run()
-        monkeypatch.setattr(CacheHierarchy, "access", counted)
+        calls = _counting_access(monkeypatch)
         fused = VLIWExecutor(cp, backend="compiled").run()
         # Every SimResult field, the cache's hits, misses, accesses and
         # writebacks included.
         assert fused == ref
-        # 10 accesses per iteration.  The load of A misses (the previous
-        # iteration evicted A), so the store to A is the one MRU hit, and
-        # the only access that dirties A: each eviction of A writes back.
-        assert ref.cache.accesses == 200
-        assert calls == 180
+        # 11 accesses per iteration.  The load of A misses (the previous
+        # iteration evicted A), so the store to A and the load after it
+        # are MRU hits.  The store is the first store of its run of hits,
+        # so it is replayed in order and dirties A: each eviction of A
+        # writes back.  Only the L1 misses call the cache model.
+        assert ref.cache.accesses == 220
+        assert ref.cache.hits["L1"] > 20
+        assert calls[0] == ref.cache.misses["L1"]
         assert ref.cache.writebacks == 20
 
-    def test_no_fast_path_where_an_l1_hit_stalls_or_sets_are_not_a_power_of_two(self):
-        slow_loads = MachineConfig(
-            latencies={**MachineConfig().latencies, LatencyClass.LOAD: 1},
-            cache=replace(
-                itanium2_cache(),
-                levels=(
-                    CacheLevelConfig("L1", 16 * 1024, 64, 4, 2),
-                    *itanium2_cache().levels[1:],
-                ),
-            ),
-        )
-        assert l1_mru_geometry(slow_loads) is None
-        three_way = replace(
-            itanium2_cache(),
-            levels=(
-                CacheLevelConfig("L1", 12 * 1024, 64, 3, 1),
-                *itanium2_cache().levels[1:],
-            ),
-        )
-        machine = MachineConfig(issue_width=1, cache=three_way)
-        assert l1_mru_geometry(machine) == (3, 63, 6)
-        odd_sets = replace(
-            itanium2_cache(),
-            levels=(
-                CacheLevelConfig("L1", 24 * 1024, 64, 4, 1),
-                *itanium2_cache().levels[1:],
-            ),
-        )
-        machine = MachineConfig(issue_width=1, cache=odd_sets)
-        assert l1_mru_geometry(machine) is None
-        cp = compile_program(_set_conflict_loop(), Scheme.NOED, machine, optimize=False)
-        assert VLIWExecutor(cp, backend="compiled").run() == VLIWExecutor(
-            cp, backend="interp"
-        ).run()
+    def test_slow_or_odd_l1_matches_interp(self):
+        """Any L1 geometry and latency: an L1 slower than the scheduled
+        load latency (every access stalls, MRU hits included), three ways,
+        and 96 sets."""
+        for l1 in (
+            CacheLevelConfig("L1", 16 * 1024, 64, 4, 2),
+            CacheLevelConfig("L1", 12 * 1024, 64, 3, 1),
+            CacheLevelConfig("L1", 24 * 1024, 64, 4, 1),
+        ):
+            cache = replace(itanium2_cache(), levels=(l1, *itanium2_cache().levels[1:]))
+            machine = MachineConfig(issue_width=1, cache=cache)
+            cp = compile_program(
+                _set_conflict_loop(reread=True), Scheme.NOED, machine, optimize=False
+            )
+            fused = VLIWExecutor(cp, backend="compiled").run()
+            assert fused == VLIWExecutor(cp, backend="interp").run()
+            if l1.latency > machine.latencies[LatencyClass.LOAD]:
+                assert fused.stall_cycles >= fused.cache.accesses
 
 
 class TestLazyConstruction:
     def test_compiled_executor_builds_no_closures_or_block_tables(self):
-        """The compiled backend runs fused blocks only: the embedded
-        interpreter's per-instruction closures and the executor's own
-        block tables are built on the first run that reads them."""
+        """The compiled backend replays a trace its fused blocks record:
+        the embedded interpreter's per-instruction closures and the
+        executor's own block tables are built on the first run that reads
+        them."""
         cp = _compiled("mcf", Scheme.CASTED)
         ex = VLIWExecutor(cp, backend="compiled")
         result = ex.run()
@@ -289,26 +288,19 @@ def _one_of(op: Opcode) -> Instruction:
 
 
 def _emit_both(insn) -> list[list[str]]:
-    """Fuse a one-instruction block on the functional and timed emitters
-    (the timed one with and without the inline L1 MRU check)."""
+    """Fuse a one-instruction block with and without the trace's address
+    sink."""
     block = SimpleNamespace(instructions=[insn])
     slot_of = {r: i for i, r in enumerate((*insn.dests, *insn.srcs))}
     return [
-        _functional_body(block, slot_of, frame_base=8, mem_words=64),
-        _timed_body(
-            block, [0], [0], slot_of, frame_base=8, mem_words=64,
-            lat_load=2, lat_store=1, overlap=True,
-        ),
-        _timed_body(
-            block, [0], [0], slot_of, frame_base=8, mem_words=64,
-            lat_load=1, lat_store=1, overlap=True, mru=(3, 63, 6),
-        ),
+        _functional_body(block, slot_of, frame_base=8, mem_words=64, record=record)
+        for record in (False, True)
     ]
 
 
 class TestEveryOpcodeFuses:
-    """Every opcode has a generator path on both emitters, so no block
-    ever needs a per-instruction fallback."""
+    """Every opcode has a generator path, with and without the address
+    sink, so no block ever needs a per-instruction fallback."""
 
     @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
     def test_one_instruction_of_each_opcode_fuses(self, op):
@@ -321,10 +313,6 @@ class TestEveryOpcodeFuses:
     def test_unknown_opcode_raises_simerror(self):
         bogus = SimpleNamespace(opcode="bogus", dests=(), srcs=(), imm=None)
         block = SimpleNamespace(instructions=[bogus])
-        with pytest.raises(SimError, match="cannot fuse"):
-            _functional_body(block, {}, frame_base=8, mem_words=64)
-        with pytest.raises(SimError, match="cannot fuse"):
-            _timed_body(
-                block, [0], [0], {}, frame_base=8, mem_words=64,
-                lat_load=2, lat_store=1, overlap=True,
-            )
+        for record in (False, True):
+            with pytest.raises(SimError, match="cannot fuse"):
+                _functional_body(block, {}, frame_base=8, mem_words=64, record=record)

@@ -7,12 +7,12 @@ streams must produce identical latencies and statistics.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.config import CacheHierarchyConfig, CacheLevelConfig, MachineConfig
+from repro.machine.config import CacheHierarchyConfig, CacheLevelConfig
 from repro.sim.cache import CacheHierarchy
-from repro.sim.compiled import l1_mru_geometry
 
 
 class _ReferenceLevel:
@@ -136,40 +136,57 @@ class TestCacheAgainstReference:
             assert h >= 0 and m >= 0
 
 
+def odd_config() -> CacheHierarchyConfig:
+    """Three L1 sets of three ways: no power of two to shift by."""
+    return CacheHierarchyConfig(
+        levels=(
+            CacheLevelConfig("L1", 576, 64, 3, 1),
+            CacheLevelConfig("L2", 2048, 128, 2, 5),
+        ),
+        memory_latency=40,
+    )
+
+
 class TestL1MruShortcut:
-    """The inline L1 MRU check of the fused cycle-level blocks, replayed
-    over the hierarchy's own MRU list against the reference model."""
+    """The trace replay's L1 MRU classification and its bulk replay of an
+    address stream, against the reference model."""
 
-    @given(accesses)
-    @settings(max_examples=60, deadline=None)
-    def test_mru_list_names_each_sets_most_recent_line(self, stream):
-        fast = CacheHierarchy(tiny_config())
-        l1 = fast.levels[0]
-        for addr, is_store in stream:
-            fast.access(addr, is_store)
-            assert fast.l1_mru == [
-                list(s)[-1] * l1.n_sets + i if s else -1
-                for i, s in enumerate(l1.sets)
-            ]
-
-    @given(accesses)
+    @given(accesses, st.sampled_from([tiny_config, odd_config]))
     @settings(max_examples=80, deadline=None)
-    def test_shortcut_matches_reference(self, stream):
-        shift, mask, bits = l1_mru_geometry(MachineConfig(cache=tiny_config()))
-        fast = CacheHierarchy(tiny_config())
-        plain = CacheHierarchy(tiny_config())
-        ref = _ReferenceHierarchy(tiny_config())
-        l1 = fast.levels[0]
+    def test_mru_list_names_each_sets_most_recent_line(self, stream, config):
+        """An access is classified an MRU hit exactly when the reference
+        cache holds its line in the most recently used way of its set."""
+        fast = CacheHierarchy(config())
+        ref = _ReferenceHierarchy(config())
+        l1 = ref.levels[0]
+        addrs = np.array([a for a, _ in stream], dtype=np.int64)
+        expected = []
         for addr, is_store in stream:
-            k = addr >> shift
-            if fast.l1_mru[k & mask] == k:
-                fast.count_l1_hits(1)
-                if is_store:
-                    l1.sets[k & mask][k >> bits] = True
-                latency = l1.cfg.latency
-            else:
-                latency = fast.access(addr, is_store)
-            assert latency == ref.access(addr, is_store)
+            block = addr * 8 // l1.cfg.block_bytes
+            ways = l1.sets[block % l1.n_sets]
+            expected.append(bool(ways) and ways[-1][0] == block // l1.n_sets)
+            ref.access(addr, is_store)
+        assert fast.l1_mru_hits(addrs).tolist() == expected
+
+    @given(accesses, st.sampled_from([tiny_config, odd_config]))
+    @settings(max_examples=80, deadline=None)
+    def test_shortcut_matches_reference(self, stream, config):
+        fast = CacheHierarchy(config())
+        plain = CacheHierarchy(config())
+        ref = _ReferenceHierarchy(config())
+        half = len(stream) // 2
+        latencies: list[int] = []
+        # Two replays in a row: the second starts from a warm cache.
+        for part in (stream[:half], stream[half:]):
+            addrs = np.array([a for a, _ in part], dtype=np.int64)
+            stores = np.array([s for _, s in part], dtype=bool)
+            latencies += fast.replay(addrs, stores).tolist()
+        assert latencies == [ref.access(a, s) for a, s in stream]
+        for addr, is_store in stream:
             plain.access(addr, is_store)
         assert fast.stats == plain.stats
         assert fast.stats.writebacks == ref.writebacks
+        for mine, theirs in zip(fast.levels, plain.levels):
+            assert [list(s.items()) for s in mine.sets] == [
+                list(s.items()) for s in theirs.sets
+            ]

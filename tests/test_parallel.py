@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.eval.experiment import Evaluator
 from repro.faults.injector import CampaignResult, FaultInjector
 from repro.machine.config import MachineConfig
@@ -296,6 +297,35 @@ class TestSweepDeterminism:
         a = ev.sweep([("mcf", "noed", 2, 1)], jobs=1)[0]["perf"]
         b = ev.perf("mcf", Scheme.NOED, 2, 1)
         assert a == b
+
+    def test_tasks_carry_only_the_records_they_read(self, monkeypatch):
+        """A campaign task ships its point's perf record and its NOED
+        reference perf (whose delay is normalized to 0), so the worker
+        recomputes neither."""
+        from repro.eval import experiment
+
+        shipped = []
+        parallel_map = experiment.parallel_map
+
+        def spy(fn, tasks, **kwargs):
+            shipped.extend(sorted(task[-1]) for task in tasks)
+            return parallel_map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(experiment, "parallel_map", spy)
+        ev = Evaluator(seed=7, cache=False)
+        ev.sweep([("mcf", Scheme.DCED, 1, 3)], jobs=1)
+        digest = ev._digest
+        tel = obs.configure()
+        try:
+            ev.sweep([("mcf", Scheme.DCED, 1, 3)], trials=SHARD_TRIALS, jobs=1)
+            runs = tel.metrics.counters["sim.runs"]
+        finally:
+            obs.reset()
+        assert shipped == [
+            [],
+            [f"perf_mcf_dced_iw1_d3_{digest}", f"perf_mcf_noed_iw1_d0_{digest}"],
+        ]
+        assert runs == 1  # the NOED reference, computed here once
 
     def test_sweep_progress_counts_computed_points(self):
         ev = Evaluator(seed=7, cache=False)
