@@ -25,7 +25,6 @@ from repro.frontend import compile_source
 from repro.ir.interp import ExitKind, FaultSpec, Interpreter, RunResult
 from repro.ir.program import GlobalArray, Program
 from repro.machine.config import MachineConfig, paper_machine
-from repro.passes.checks import CheckPolicy
 from repro.pipeline import (
     CompiledProgram,
     Scheme,
@@ -52,7 +51,6 @@ __all__ = [
     "Scheme",
     "compile_program",
     "collect_block_profile",
-    "CheckPolicy",
     "CompiledProgram",
     "VLIWExecutor",
     "SimResult",

@@ -265,26 +265,17 @@ class LintReport:
 
 
 def lint_snapshot(
-    program: Program,
-    scheme: Scheme | str,
-    n_clusters: int,
-    partial_protection: bool = False,
+    program: Program, scheme: Scheme | str, n_clusters: int
 ) -> list[Finding]:
     """Run every per-function protection rule over an IR snapshot."""
     scheme_name = scheme.value if isinstance(scheme, Scheme) else scheme
     findings: list[Finding] = []
     for function in program.functions():
-        findings.extend(
-            lint_function(
-                function, scheme_name, n_clusters, partial_protection
-            )
-        )
+        findings.extend(lint_function(function, scheme_name, n_clusters))
     return findings
 
 
-def lint_compiled(
-    compiled: CompiledProgram, partial_protection: bool = False
-) -> list[Finding]:
+def lint_compiled(compiled: CompiledProgram) -> list[Finding]:
     """Protection rules on the snapshot + schedule legality on the result."""
     if compiled.pre_regalloc is None:
         raise ValueError(
@@ -294,7 +285,6 @@ def lint_compiled(
         compiled.pre_regalloc,
         compiled.scheme,
         compiled.machine.n_clusters,
-        partial_protection,
     )
     from repro.passes.schedule_check import validate_compiled
 
@@ -319,13 +309,9 @@ def lint_program(
     scheme: Scheme,
     machine: MachineConfig,
     block_profile: dict[str, int] | None = None,
-    partial_protection: bool = False,
     **compile_kwargs: Any,
 ) -> LintReport:
     """Compile ``source`` under ``scheme`` and lint the result."""
-    partial_protection = partial_protection or (
-        compile_kwargs.get("protect_slice_depth") is not None
-    )
     compiled = compile_program(
         source,
         scheme,
@@ -334,7 +320,7 @@ def lint_program(
         block_profile=block_profile,
         **compile_kwargs,
     )
-    findings = lint_compiled(compiled, partial_protection)
+    findings = lint_compiled(compiled)
     windows = compute_windows(compiled.pre_regalloc, block_profile)
     report = LintReport(
         program=source.main.name,

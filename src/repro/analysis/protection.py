@@ -50,11 +50,7 @@ from repro.ir.function import Function
 from repro.isa.instruction import Instruction, Role
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import Reg
-
-#: Opcodes whose operands leave the sphere of replication (paper §III-B).
-CONSUMER_OPCODES = frozenset(
-    {Opcode.STORE, Opcode.OUT, Opcode.BRT, Opcode.BRF}
-)
+from repro.passes.checks import CHECKED_OPCODES
 
 #: Opcodes a check compare may use (GP and PR flavours).
 CHECK_CMP_OPCODES = frozenset({Opcode.CMPNE, Opcode.PNE})
@@ -340,13 +336,10 @@ def _eligible(insn: Instruction) -> bool:
     return insn.protectable
 
 
-def check_replication_coverage(
-    model: SphereModel, partial_protection: bool = False
-) -> list[Finding]:
+def check_replication_coverage(model: SphereModel) -> list[Finding]:
     """Algorithm 1 step (i): every eligible instruction has a replica."""
     findings: list[Finding] = []
     fn = model.function
-    severity = Severity.WARNING if partial_protection else Severity.ERROR
     for block, idx, insn in fn.all_instructions():
         if not _eligible(insn):
             continue
@@ -355,7 +348,7 @@ def check_replication_coverage(
             findings.append(
                 Finding(
                     "replication-coverage",
-                    severity,
+                    Severity.ERROR,
                     f"eligible instruction has no replica: {insn}",
                     fn.name,
                     block.label,
@@ -583,7 +576,7 @@ def check_coverage(
             if (
                 insn.role is not Role.ORIG
                 or insn.from_library
-                or insn.opcode not in CONSUMER_OPCODES
+                or insn.opcode not in CHECKED_OPCODES
             ):
                 continue
             for reg in dict.fromkeys(insn.reads()):
@@ -644,7 +637,7 @@ def check_duplicate_checks(model: SphereModel) -> list[Finding]:
                         )
                     pending[reg] = idx
                 continue
-            if insn.opcode in CONSUMER_OPCODES:
+            if insn.opcode in CHECKED_OPCODES:
                 for r in insn.reads():
                     pending.pop(r, None)
             for w in insn.writes():
@@ -754,12 +747,7 @@ def check_noed_purity(function: Function) -> list[Finding]:
     return findings
 
 
-def lint_function(
-    function: Function,
-    scheme: str,
-    n_clusters: int,
-    partial_protection: bool = False,
-) -> list[Finding]:
+def lint_function(function: Function, scheme: str, n_clusters: int) -> list[Finding]:
     """Run every protection rule over one function; return all findings."""
     from repro.schemes import get_scheme_info
 
@@ -773,7 +761,7 @@ def lint_function(
         return findings
     cfg = CFG(function)
     model = build_sphere_model(function)
-    findings += check_replication_coverage(model, partial_protection)
+    findings += check_replication_coverage(model)
     findings += check_shadow_isolation(model)
     findings += check_wiring(model, cfg)
     findings += check_coverage(model, cfg)

@@ -20,11 +20,10 @@ Commands
 ``run FILE|workload:NAME``
     Compile and execute on the cycle-level simulator.
 ``inject FILE|workload:NAME``
-    Monte-Carlo fault-injection campaign with outcome breakdown, plus the
-    restart-on-detection view derived from it: correct completion and
-    re-execution overhead when every detected trial restarts from program
-    start.  ``--checkpoint FILE`` records each completed shard; after a
-    crash or kill, ``--resume`` finishes the campaign bit-identically.
+    Monte-Carlo fault-injection campaign with outcome breakdown, coverage
+    and mean detection latency.  ``--checkpoint FILE`` records each
+    completed shard; after a crash or kill, ``--resume`` finishes the
+    campaign bit-identically.
 ``sweep workload:NAME``
     Slowdown table over the (issue width x delay) grid, all schemes.
 ``report {table1,table2,table3,fig6,fig8,fig9,fig10}``
@@ -474,11 +473,6 @@ def cmd_inject(args) -> int:
         )
     )
     print(f"coverage (1 - SDC - timeout): {res.coverage * 100:.1f}%")
-    print(
-        "restart-on-detection: correct completion "
-        f"{res.correct_completion * 100:.1f}%, re-execution overhead "
-        f"{res.reexecution_overhead * 100:.1f}% of a golden run per trial"
-    )
     if res.detections_timed:
         print(
             "mean detection latency: "
@@ -649,9 +643,8 @@ _REPORT_ORDER = [
     "table3_schemes", "table3_placement",
     "ablation_post_ed_cse", "ablation_casted_portfolio",
     "ablation_register_reuse", "ablation_mlp", "ablation_if_conversion",
-    "extension_cluster_scaling", "extension_profile_guided",
-    "extension_partial_redundancy", "extension_memory_latency",
-    "extension_recovery", "fault_model_coverage",
+    "extension_profile_guided", "extension_memory_latency",
+    "fault_model_coverage",
 ]
 
 

@@ -5,19 +5,17 @@ shards already computed.  The format is one JSON object per line:
 
 * line 1 — a **header** identifying the campaign::
 
-      {"format": "repro-campaign-checkpoint", "version": 2,
+      {"format": "repro-campaign-checkpoint", "version": 3,
        "seed": 2013, "trials": 300, "fault_model": "reg-bit",
        "golden_dyn": 123456, "shard_trials": 25, "reference_dyn": null}
 
 * every further line — one **completed shard**::
 
       {"shard": 3, "trials": 25, "counts": {"detected": 20, ...},
-       "faults": 31, "detected_dyn": 48210, "latencies": [44, 1029, ...]}
+       "faults": 31, "latencies": [44, 1029, ...]}
 
-``detected_dyn`` sums the dynamic instructions of the shard's detected
-trials; ``latencies`` holds each detected trial's detection latency.  Both
-are required, and a version-1 file (which lacks ``detected_dyn``) is
-rejected.
+``latencies`` holds each detected trial's detection latency, in trial
+order.  A file of any other format version, such as 1 or 2, is rejected.
 
 Shard lines are appended with a single ``write()`` + flush + fsync as each
 shard completes, so a crash can lose at most the trailing, partially
@@ -34,7 +32,9 @@ raises: silently mixing streams would corrupt the statistics.  So does a
 shard record outside the header's shard plan (an index not in
 ``[0, n_shards)``, or a trial count other than the plan's for that index):
 merging it would report more trials than the campaign asked for.  A shard
-record counting an outcome name the taxonomy does not know raises too.
+record raises too when it counts an outcome name the taxonomy does not
+know, when a count is negative, when its counts do not sum to its
+``trials``, or when it holds more ``latencies`` than detected trials.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.parallel import plan_shards
 logger = logging.getLogger(__name__)
 
 FORMAT_NAME = "repro-campaign-checkpoint"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Header keys that must match exactly for a resume to be sound.
 IDENTITY_KEYS = (
@@ -149,7 +149,6 @@ class CampaignCheckpoint:
                 index = int(rec["shard"])
                 rec["trials"] = int(rec["trials"])
                 rec["faults"] = int(rec["faults"])
-                rec["detected_dyn"] = int(rec["detected_dyn"])
                 rec["counts"] = {
                     str(k): int(v) for k, v in rec["counts"].items()
                 }
@@ -167,12 +166,31 @@ class CampaignCheckpoint:
                     f"with {rec['trials']} trials is not in the campaign's "
                     f"{len(plan)}-shard plan"
                 )
-            for name in rec["counts"]:
+            counts = rec["counts"]
+            for name, n in counts.items():
                 if name not in _OUTCOME_NAMES:  # a stale or foreign file
                     raise CheckpointError(
                         f"checkpoint {self.path} line {lineno}: unknown "
                         f"outcome {name!r}"
                     )
+                if n < 0:
+                    raise CheckpointError(
+                        f"checkpoint {self.path} line {lineno}: negative "
+                        f"count {name}={n}"
+                    )
+            total = sum(counts.values())
+            if total != rec["trials"]:
+                raise CheckpointError(
+                    f"checkpoint {self.path} line {lineno}: counts sum to "
+                    f"{total}, not the record's {rec['trials']} trials"
+                )
+            detected = counts.get(Outcome.DETECTED.value, 0)
+            if len(rec["latencies"]) > detected:
+                raise CheckpointError(
+                    f"checkpoint {self.path} line {lineno}: "
+                    f"{len(rec['latencies'])} latencies for {detected} "
+                    "detected trials"
+                )
             # Identical by determinism if duplicated; last write wins.
             records[index] = rec
         return records, torn_line

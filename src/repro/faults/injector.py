@@ -143,9 +143,6 @@ class ShardResult:
     trials: int
     counts: dict[Outcome, int]
     faults: int
-    #: Dynamic instructions executed up to detection, summed over the
-    #: shard's DETECTED trials (the work a restart throws away).
-    detected_dyn: int
     #: Detection latency (dyn instructions, injection -> CHKBR) of every
     #: detected trial in the shard, in trial order.
     latencies: tuple[int, ...]
@@ -156,7 +153,6 @@ class ShardResult:
             "trials": self.trials,
             "counts": {o.value: n for o, n in self.counts.items()},
             "faults": self.faults,
-            "detected_dyn": self.detected_dyn,
             "latencies": list(self.latencies),
         }
 
@@ -167,7 +163,6 @@ class ShardResult:
             trials=int(rec["trials"]),
             counts={Outcome(k): int(v) for k, v in rec["counts"].items()},
             faults=int(rec["faults"]),
-            detected_dyn=int(rec["detected_dyn"]),
             latencies=tuple(int(v) for v in rec["latencies"]),
         )
 
@@ -189,8 +184,6 @@ class CampaignResult:
     fault_model: str = DEFAULT_FAULT_MODEL
     detection_latency_sum: int = 0
     detections_timed: int = 0
-    #: Σ dyn instructions over DETECTED trials (see :attr:`reexecution_overhead`).
-    detection_dyn_sum: int = 0
     lost_trials: int = 0
     partial: bool = False
 
@@ -225,23 +218,6 @@ class CampaignResult:
             return 0.0
         return self.detection_latency_sum / self.detections_timed
 
-    # -- restart-on-detection (extension) ---------------------------------------
-    # A transient fault strikes once (§I) and program start is a valid
-    # checkpoint inside the sphere of replication (§III-B), so restarting a
-    # detected trial re-runs fault-free to the golden output.  The restart
-    # policy's outcome is therefore a view of this campaign, not a new one.
-    @property
-    def correct_completion(self) -> float:
-        """Trials that end with the golden output under restart-on-detection."""
-        return self.fraction(Outcome.BENIGN) + self.fraction(Outcome.DETECTED)
-
-    @property
-    def reexecution_overhead(self) -> float:
-        """Mean work discarded by restarts per trial, in golden-run units."""
-        if not self.trials or not self.golden_dyn:
-            return 0.0
-        return self.detection_dyn_sum / (self.trials * self.golden_dyn)
-
     def merged(self, other: "CampaignResult") -> "CampaignResult":
         """Combine outcome counts of two campaigns over the *same* binary.
 
@@ -274,7 +250,6 @@ class CampaignResult:
             detection_latency_sum=self.detection_latency_sum
             + other.detection_latency_sum,
             detections_timed=self.detections_timed + other.detections_timed,
-            detection_dyn_sum=self.detection_dyn_sum + other.detection_dyn_sum,
             lost_trials=self.lost_trials + other.lost_trials,
             partial=self.partial or other.partial,
         )
@@ -739,7 +714,6 @@ class FaultInjector:
         total_faults = sum(len(faults) for faults in trials)
         counts: dict[Outcome, int] = {}
         latencies: list[int] = []
-        detected_dyn = 0
         # One span and one batch of counter updates per *shard*: telemetry
         # must never flush per trial (the batching contract worker capture
         # relies on — see docs/observability.md).
@@ -750,8 +724,6 @@ class FaultInjector:
             for faults, result in zip(trials, self._execute(trials)):
                 outcome = classify(self.golden, result)
                 counts[outcome] = counts.get(outcome, 0) + 1
-                if outcome is Outcome.DETECTED:
-                    detected_dyn += result.dyn_instructions
                 latency = detection_latency(result, faults)
                 if latency is not None:
                     latencies.append(latency)
@@ -761,7 +733,6 @@ class FaultInjector:
             trials=shard_trials,
             counts=counts,
             faults=total_faults,
-            detected_dyn=detected_dyn,
             latencies=tuple(latencies),
         )
 
@@ -808,7 +779,7 @@ class FaultInjector:
         backend = self.interp.backend
         shard_plan = plan_shards(trials, SHARD_TRIALS)
         counts: dict[Outcome, int] = {}
-        state = {"faults": 0, "latency_sum": 0, "latency_n": 0, "detected_dyn": 0}
+        state = {"faults": 0, "latency_sum": 0, "latency_n": 0}
         tracker = ProgressTracker(trials, progress, every=SHARD_TRIALS)
 
         ckpt: CampaignCheckpoint | None = None
@@ -837,7 +808,6 @@ class FaultInjector:
             state["faults"] += sr.faults
             state["latency_sum"] += sum(sr.latencies)
             state["latency_n"] += len(sr.latencies)
-            state["detected_dyn"] += sr.detected_dyn
             for v in sr.latencies:
                 tel.observe("campaign.detection_latency", v)
             if fresh and ckpt is not None:
@@ -893,7 +863,6 @@ class FaultInjector:
             fault_model=self.fault_model,
             detection_latency_sum=state["latency_sum"],
             detections_timed=state["latency_n"],
-            detection_dyn_sum=state["detected_dyn"],
             lost_trials=lost_trials,
             partial=lost_trials > 0,
         )

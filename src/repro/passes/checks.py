@@ -21,42 +21,14 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import RegClass
 from repro.passes.renaming import ShadowMap
 
-from dataclasses import dataclass
+#: Every opcode whose operands leave the sphere of replication: stores,
+#: observable output and conditional branches (the paper's and SWIFT's
+#: policy).  The linter's consumer rules read this same set.
+CHECKED_OPCODES = frozenset((Opcode.STORE, Opcode.OUT, Opcode.BRT, Opcode.BRF))
 
 
-@dataclass(frozen=True)
-class CheckPolicy:
-    """Which non-replicated instruction classes get operand checks.
-
-    The paper (and SWIFT) checks stores and control flow; disabling a class
-    trades coverage for speed — the partial-redundancy knob of the schemes
-    in Table III (Shoestring, compiler-assisted ED).
-    """
-
-    stores: bool = True
-    branches: bool = True
-    outs: bool = True
-
-    def checked_opcodes(self) -> frozenset[Opcode]:
-        ops: set[Opcode] = set()
-        if self.stores:
-            ops.add(Opcode.STORE)
-        if self.outs:
-            ops.add(Opcode.OUT)
-        if self.branches:
-            ops.update((Opcode.BRT, Opcode.BRF))
-        return frozenset(ops)
-
-
-#: The paper's policy: everything leaving the sphere of replication.
-FULL_POLICY = CheckPolicy()
-
-
-def emit_checks(
-    program: Program, shadows: ShadowMap, policy: CheckPolicy = FULL_POLICY
-) -> int:
+def emit_checks(program: Program, shadows: ShadowMap) -> int:
     """Insert compare+branch pairs; returns the number of checks (pairs)."""
-    checked_opcodes = policy.checked_opcodes()
     function = program.main
     n_checks = 0
     for block in function.blocks():
@@ -65,7 +37,7 @@ def emit_checks(
             if (
                 insn.role is Role.ORIG
                 and not insn.from_library
-                and insn.opcode in checked_opcodes
+                and insn.opcode in CHECKED_OPCODES
             ):
                 # Dedupe the read set (order-preserving): an instruction that
                 # reads the same register twice (e.g. ``STORE r1, r1``) needs

@@ -34,21 +34,13 @@ class DuplicationTable:
         return len(self.dup_of_orig)
 
 
-def replicate_instructions(
-    program: Program, should_protect=None
-) -> DuplicationTable:
-    """Insert replicas in place; return the replicated-instructions table.
-
-    ``should_protect(insn) -> bool`` optionally narrows replication to a
-    subset of the protectable instructions (partial redundancy à la
-    Shoestring / compiler-assisted ED from the paper's Table III); the
-    default protects everything, as CASTED does.
-    """
+def replicate_instructions(program: Program) -> DuplicationTable:
+    """Insert replicas in place; return the replicated-instructions table."""
     table = DuplicationTable()
     for block in program.main.blocks():
         out: list[Instruction] = []
         for insn in block.instructions:
-            if insn.protectable and (should_protect is None or should_protect(insn)):
+            if insn.protectable:
                 dup = insn.clone()
                 dup.role = Role.DUP
                 dup.dup_of = insn.uid

@@ -39,7 +39,6 @@ from repro.passes.cse import LocalCSEPass
 from repro.passes.dce import DeadCodeEliminationPass
 from repro.passes.licm import LoopInvariantCodeMotion
 from repro.passes.simplify_cfg import SimplifyCFGPass
-from repro.passes.checks import FULL_POLICY, CheckPolicy
 from repro.passes.error_detection import ErrorDetectionInfo, ErrorDetectionPass
 from repro.passes.latency import ShapeCache
 from repro.passes.regalloc import LinearScanAllocator, RegAllocResult
@@ -170,17 +169,9 @@ def _optimization_passes(if_convert: bool) -> list[FunctionPass]:
     return passes + [SimplifyCFGPass(), LocalCSEPass(), DeadCodeEliminationPass()]
 
 
-def _detection_passes(
-    check_policy: CheckPolicy,
-    protect_slice_depth: int | None,
-    unsafe_post_ed_cse: bool,
-) -> list[FunctionPass]:
+def _detection_passes(unsafe_post_ed_cse: bool) -> list[FunctionPass]:
     """Error detection (Algorithm 1), plus the unsafe late CSE if asked."""
-    passes: list[FunctionPass] = [
-        ErrorDetectionPass(
-            check_policy=check_policy, protect_slice_depth=protect_slice_depth
-        )
-    ]
+    passes: list[FunctionPass] = [ErrorDetectionPass()]
     if unsafe_post_ed_cse:
         # What a global late CSE would do if not disabled (§IV-A): merge
         # the replicas into copies of their originals, propagate the
@@ -262,17 +253,16 @@ def compile_prefix(
     optimize: bool = True,
     if_convert: bool = False,
     verify: bool = True,
-    check_policy: CheckPolicy | None = None,
-    protect_slice_depth: int | None = None,
     unsafe_post_ed_cse: bool = False,
 ) -> CompilePrefix:
     """The shared prefix of compiling ``source``, from the artifact store.
 
     The ``-O1`` result is one store entry per source program and
     optimization arguments; error detection runs on a clone of it, one
-    entry per (source, protection arguments).  Every pass output is
-    verified once, when the entry is built.  The lookup of the entry
-    returned is counted as ``compile.prefix.{hits,misses}``.
+    entry per (source, optimization arguments, ``unsafe_post_ed_cse``).
+    Every pass output is verified once, when the entry is built.  The
+    lookup of the entry returned is counted as
+    ``compile.prefix.{hits,misses}``.
     """
     base_key = ("compile-prefix", _source_digest(source), optimize, if_convert, verify)
 
@@ -286,17 +276,16 @@ def compile_prefix(
 
     if not protected:
         return store.get(base_key, optimized, counter="compile.prefix")
-    policy = check_policy or FULL_POLICY
 
     def detected() -> CompilePrefix:
         base = store.get(base_key, optimized)
         program = base.program.clone()
         ctx = PassContext(stats=_stats_copy(base.stats))
-        passes = _detection_passes(policy, protect_slice_depth, unsafe_post_ed_cse)
+        passes = _detection_passes(unsafe_post_ed_cse)
         PassManager(passes, verify).apply(program, ctx, verify_input=False)
         return CompilePrefix(program, ctx.stats, ctx.artifacts["error_detection"])
 
-    key = (*base_key, policy, protect_slice_depth, unsafe_post_ed_cse)
+    key = (*base_key, unsafe_post_ed_cse)
     return store.get(key, detected, counter="compile.prefix")
 
 
@@ -345,8 +334,6 @@ def compile_stage(
     optimize: bool = True,
     if_convert: bool = False,
     verify: bool = True,
-    check_policy: CheckPolicy | None = None,
-    protect_slice_depth: int | None = None,
     unsafe_post_ed_cse: bool = False,
     regalloc_reuse: str = "fifo",
     capture_pre_regalloc: bool = False,
@@ -365,15 +352,14 @@ def compile_stage(
     stage_machine = machine.with_(issue_width=1, inter_cluster_delay=0)
     key = (
         "compile-stage", _source_digest(source), scheme, stage_machine,
-        optimize, if_convert, verify, check_policy, protect_slice_depth,
-        unsafe_post_ed_cse, regalloc_reuse, capture_pre_regalloc,
+        optimize, if_convert, verify, unsafe_post_ed_cse, regalloc_reuse,
+        capture_pre_regalloc,
     )
 
     def build() -> CompileStage:
         prefix = compile_prefix(
             source, scheme.protected,
             optimize=optimize, if_convert=if_convert, verify=verify,
-            check_policy=check_policy, protect_slice_depth=protect_slice_depth,
             unsafe_post_ed_cse=unsafe_post_ed_cse,
         )
         program = prefix.program.clone()
@@ -420,8 +406,6 @@ def compile_program(
     casted_safety_net: bool = True,
     regalloc_reuse: str = "fifo",
     block_profile: dict[str, int] | None = None,
-    check_policy=None,
-    protect_slice_depth: int | None = None,
     if_convert: bool = False,
     capture_pre_regalloc: bool = False,
 ) -> CompiledProgram:
@@ -438,10 +422,6 @@ def compile_program(
       free-register reuse;
     * ``block_profile`` — measured block counts from
       :func:`collect_block_profile` for profile-guided CASTED weighting;
-    * ``check_policy`` — a :class:`repro.passes.checks.CheckPolicy`
-      narrowing which non-replicated classes get operand checks;
-    * ``protect_slice_depth`` — Shoestring-style partial redundancy:
-      replicate only the backward slice of checked operands to depth k;
     * ``if_convert`` — predicate small branch diamonds before protection;
     * ``capture_pre_regalloc`` — keep a clone of the post-assignment,
       pre-regalloc IR on the result (``CompiledProgram.pre_regalloc``) for
@@ -469,7 +449,6 @@ def compile_program(
             stage = compile_stage(
                 source, scheme, machine,
                 optimize=optimize, if_convert=if_convert, verify=verify,
-                check_policy=check_policy, protect_slice_depth=protect_slice_depth,
                 unsafe_post_ed_cse=unsafe_post_ed_cse, regalloc_reuse=regalloc_reuse,
                 capture_pre_regalloc=capture_pre_regalloc,
             )
@@ -486,7 +465,6 @@ def compile_program(
             prefix = compile_prefix(
                 source, scheme.protected,
                 optimize=optimize, if_convert=if_convert, verify=verify,
-                check_policy=check_policy, protect_slice_depth=protect_slice_depth,
                 unsafe_post_ed_cse=unsafe_post_ed_cse,
             )
             program = prefix.program.clone()

@@ -80,7 +80,6 @@ def _signature(res) -> tuple:
         res.total_faults_injected,
         res.detection_latency_sum,
         res.detections_timed,
-        res.detection_dyn_sum,
     )
 
 

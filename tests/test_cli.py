@@ -88,14 +88,8 @@ class TestInjectCommand:
         assert "30 faults" not in out  # exactly 1 flip per trial
         assert "20 faults (reg-bit)" in out
 
-    def test_restart_on_detection_line(self, capsys, minic_file):
-        assert main(
-            ["inject", minic_file, "--scheme", "sced", "--trials", "25"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "restart-on-detection: correct completion" in out
-        assert "re-execution overhead" in out
-        with pytest.raises(SystemExit):  # the view replaced `recover`
+    def test_no_recover_command(self, minic_file):
+        with pytest.raises(SystemExit):
             main(["recover", minic_file])
 
     def test_negative_trials_rejected(self, capsys, minic_file):

@@ -10,6 +10,7 @@ from repro.ir.verifier import verify_program
 from repro.isa.instruction import Role
 from repro.isa.opcodes import Opcode
 from repro.passes.base import PassContext
+from repro.passes.checks import CHECKED_OPCODES
 from repro.passes.error_detection import ErrorDetectionPass, redundant_fraction
 from tests.conftest import build_loop_program
 
@@ -201,6 +202,15 @@ class TestChecks:
                 if insn.opcode is Opcode.STORE and insn.from_library:
                     before = insns[max(0, idx - 2):idx]
                     assert all(i.role is not Role.CHECK for i in before)
+
+
+    def test_checked_opcodes(self):
+        """One set says which operands leave the sphere of replication;
+        check emission and the linter's consumer rules both read it."""
+        from repro.analysis import protection
+
+        assert CHECKED_OPCODES == {Opcode.STORE, Opcode.OUT, Opcode.BRT, Opcode.BRF}
+        assert protection.CHECKED_OPCODES is CHECKED_OPCODES
 
 
 class TestSemanticsAndStats:

@@ -46,8 +46,3 @@ class TestExamples:
     def test_fault_injection_campaign(self, capsys):
         out = run_example("fault_injection_campaign.py", ["mcf", "60"], capsys)
         assert "detected" in out
-
-    @pytest.mark.heavy
-    def test_recovery_demo(self, capsys):
-        out = run_example("recovery_demo.py", ["mcf", "60"], capsys)
-        assert "recovered" in out

@@ -1,8 +1,11 @@
 """CASTED on more than two clusters (the paper's "wide range of core
 counts" contribution; its evaluation fixes 2, ours generalizes)."""
 
+import functools
+
 import pytest
 
+from repro.errors import PassError
 from repro.ir.interp import Interpreter
 from repro.machine.config import MachineConfig
 from repro.passes.schedule_check import validate_compiled
@@ -10,6 +13,15 @@ from repro.pipeline import Scheme, compile_program
 from repro.sim.executor import VLIWExecutor
 from repro.workloads import get_workload
 from tests.conftest import build_loop_program
+
+
+@functools.cache
+def _casted_cycles(workload: str, n_clusters: int) -> int:
+    machine = MachineConfig(
+        n_clusters=n_clusters, issue_width=1, inter_cluster_delay=1
+    )
+    cp = compile_program(get_workload(workload).program, Scheme.CASTED, machine)
+    return VLIWExecutor(cp).run().cycles
 
 
 @pytest.mark.parametrize("n_clusters", [1, 2, 3, 4])
@@ -25,11 +37,13 @@ class TestClusterCounts:
             assert VLIWExecutor(cp).run().output == golden.output
 
     def test_casted_any_cluster_count(self, n_clusters):
-        if n_clusters < 2:
-            pytest.skip("CASTED needs >= 2 clusters")
         machine = MachineConfig(
             n_clusters=n_clusters, issue_width=1, inter_cluster_delay=1
         )
+        if n_clusters < 2:
+            with pytest.raises(PassError, match="needs at least 2 clusters"):
+                compile_program(build_loop_program(), Scheme.CASTED, machine)
+            return
         golden = Interpreter(build_loop_program()).run()
         cp = compile_program(build_loop_program(), Scheme.CASTED, machine)
         validate_compiled(cp.program, cp.schedules, machine)
@@ -56,18 +70,14 @@ class TestScalingBehaviour:
         }
         assert len(used) >= 3
 
-    def test_more_clusters_never_hurt_much(self):
+    @pytest.mark.parametrize("n_clusters", [3, 4])
+    @pytest.mark.parametrize("workload", ["h263enc", "mcf"])
+    def test_more_clusters_never_hurt_much(self, workload, n_clusters):
         """Extra clusters are opt-in resources: cycles should not regress
         beyond greedy noise."""
-        prog = get_workload("h263enc").program
-        cycles = {}
-        for n in (2, 4):
-            machine = MachineConfig(
-                n_clusters=n, issue_width=1, inter_cluster_delay=1
-            )
-            cp = compile_program(prog, Scheme.CASTED, machine)
-            cycles[n] = VLIWExecutor(cp).run().cycles
-        assert cycles[4] <= cycles[2] * 1.05
+        assert _casted_cycles(workload, n_clusters) <= (
+            _casted_cycles(workload, 2) * 1.05
+        )
 
     def test_dced_stays_dual_core(self):
         machine = MachineConfig(

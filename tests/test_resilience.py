@@ -152,8 +152,10 @@ class TestCheckpointFile:
         path = tmp_path / "c.jsonl"
         ck = CampaignCheckpoint(path, HEADER)
         ck.load(resume=False)
-        rec = {"shard": 0, "trials": 25, "counts": {"benign": 25},
-               "faults": 25, "detected_dyn": 0, "latencies": []}
+        # A detection before any fault landed has no latency, so a record
+        # may hold fewer latencies than detected trials.
+        rec = {"shard": 0, "trials": 25, "counts": {"detected": 3, "benign": 22},
+               "faults": 25, "latencies": [9]}
         ck.append(rec)
         got = CampaignCheckpoint(path, HEADER).load(resume=True)
         assert got == {0: rec}
@@ -174,7 +176,7 @@ class TestCheckpointFile:
         ck = CampaignCheckpoint(path, HEADER)
         ck.load(resume=False)
         rec = {"shard": 0, "trials": 25, "counts": {"benign": 25},
-               "faults": 25, "detected_dyn": 0, "latencies": []}
+               "faults": 25, "latencies": []}
         ck.append(rec)
         with open(path, "a") as f:
             f.write('{"shard": 1, "trials": 2')  # crash mid-append
@@ -207,7 +209,7 @@ class TestCheckpointFile:
             f.write("garbage\n")
             f.write(json.dumps({"shard": 1, "trials": 25,
                                 "counts": {}, "faults": 25,
-                                "detected_dyn": 0, "latencies": []}) + "\n")
+                                "latencies": []}) + "\n")
         with pytest.raises(CheckpointError, match="line 2"):
             CampaignCheckpoint(path, HEADER).load(resume=True)
 
@@ -221,10 +223,10 @@ class TestCheckpointFile:
         ck = CampaignCheckpoint(path, HEADER)
         ck.load(resume=False)
         ck.append({"shard": 0, "trials": 25, "counts": {"benign": 25},
-                   "faults": 25, "detected_dyn": 0, "latencies": []})
+                   "faults": 25, "latencies": []})
         ck.append({"shard": index, "trials": trials,
                    "counts": {"benign": trials}, "faults": trials,
-                   "detected_dyn": 0, "latencies": []})
+                   "latencies": []})
         with pytest.raises(CheckpointError, match="plan"):
             CampaignCheckpoint(path, HEADER).load(resume=True)
 
@@ -235,29 +237,23 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="version 1"):
             CampaignCheckpoint(path, HEADER).load(resume=True)
 
-    def test_record_missing_detected_dyn(self, tmp_path):
-        """Mid-file it is corruption; as the last line, a torn tail."""
+    def test_version_2_rejected_on_resume(self, tmp_path):
+        """Version 2 records carried ``detected_dyn``; version 3 does not."""
         path = tmp_path / "c.jsonl"
         ck = CampaignCheckpoint(path, HEADER)
-        ck.load(resume=False)
-        good = {"shard": 1, "trials": 25, "counts": {"benign": 25},
-                "faults": 25, "detected_dyn": 0, "latencies": []}
-        old = {"shard": 0, "trials": 25, "counts": {"benign": 25},
-               "faults": 25, "latencies": []}
-        ck.append(old)
-        ck.append(good)
-        with pytest.raises(CheckpointError, match="line 2 is corrupt"):
+        path.write_text(
+            json.dumps({**ck.header, "version": 2}) + "\n"
+            + json.dumps({"shard": 0, "trials": 25, "counts": {"benign": 25},
+                          "faults": 25, "detected_dyn": 0, "latencies": []})
+            + "\n"
+        )
+        with pytest.raises(CheckpointError, match="version 2, expected 3"):
             CampaignCheckpoint(path, HEADER).load(resume=True)
-        ck.load(resume=False)
-        ck.append(good)
-        ck.append(old)
-        assert CampaignCheckpoint(path, HEADER).load(resume=True) == {1: good}
-        assert path.with_name(f"{path.name}.bad").exists()
 
     def test_shard_result_json_round_trip(self):
         sr = ShardResult(
             index=3, trials=25, counts={Outcome.DETECTED: 20, Outcome.BENIGN: 5},
-            faults=31, detected_dyn=48210, latencies=(44, 1029),
+            faults=31, latencies=(44, 1029),
         )
         assert ShardResult.from_json(json.loads(json.dumps(sr.to_json()))) == sr
 
@@ -266,8 +262,27 @@ class TestCheckpointFile:
         ck = CampaignCheckpoint(path, HEADER)
         ck.load(resume=False)
         ck.append({"shard": 0, "trials": 25, "counts": {"vaporized": 25},
-                   "faults": 25, "detected_dyn": 0, "latencies": []})
+                   "faults": 25, "latencies": []})
         with pytest.raises(CheckpointError, match="line 2: unknown outcome 'vaporized'"):
+            CampaignCheckpoint(path, HEADER).load(resume=True)
+
+    @pytest.mark.parametrize("counts,latencies,match", [
+        ({"detected": 30, "benign": -5}, [], "line 3: negative count benign=-5"),
+        ({"detected": 400, "exception": 6}, [], "line 3: counts sum to 406"),
+        ({"detected": 20, "benign": 4}, [], "line 3: counts sum to 24"),
+        ({"detected": 2, "benign": 23}, [5, 6, 7], "line 3: 3 latencies for 2"),
+    ], ids=["negative", "over-sum", "under-sum", "extra-latencies"])
+    def test_counts_inconsistent_with_trials_rejected(
+        self, tmp_path, counts, latencies, match
+    ):
+        path = tmp_path / "c.jsonl"
+        ck = CampaignCheckpoint(path, HEADER)
+        ck.load(resume=False)
+        ck.append({"shard": 0, "trials": 25, "counts": {"benign": 25},
+                   "faults": 25, "latencies": []})
+        ck.append({"shard": 1, "trials": 25, "counts": counts,
+                   "faults": 25, "latencies": latencies})
+        with pytest.raises(CheckpointError, match=match):
             CampaignCheckpoint(path, HEADER).load(resume=True)
 
 
@@ -296,7 +311,6 @@ class TestCampaignCheckpointResume:
         assert resumed.counts == full.counts
         assert resumed.total_faults_injected == full.total_faults_injected
         assert resumed.detection_latency_sum == full.detection_latency_sum
-        assert resumed.detection_dyn_sum == full.detection_dyn_sum
         assert resumed.trials == full.trials == self.TRIALS
         assert not resumed.partial
 
